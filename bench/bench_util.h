@@ -1,6 +1,7 @@
 #ifndef TSB_BENCH_BENCH_UTIL_H_
 #define TSB_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -170,6 +171,16 @@ inline std::string HumanBytes(size_t bytes) {
     std::snprintf(buf, sizeof(buf), "%zuB", bytes);
   }
   return buf;
+}
+
+/// Nearest-rank percentile (p in [0, 1]) of a non-empty sample.
+inline double Percentile(std::vector<double> values, double p) {
+  TSB_CHECK(!values.empty());
+  std::sort(values.begin(), values.end());
+  const size_t idx = std::min(
+      values.size() - 1,
+      static_cast<size_t>(p * static_cast<double>(values.size())));
+  return values[idx];
 }
 
 /// Parses "--flag=value" style options from argv; returns default if absent.

@@ -44,9 +44,283 @@ Status ValidateBuildConfig(const BuildConfig& config) {
   return Status::OK();
 }
 
+namespace {
+
+/// The order-dependent half of StagePair: folds source slices, in
+/// EntitiesOfType order, into one pair's staging. Class ids and local TIDs
+/// are assigned in first-encounter order, so the staging depends only on
+/// the slices and their order, never on the pool indices they carry.
+class StagingFold {
+ public:
+  StagingFold(const SourceMemo& pools, PairBuildStaging* staging)
+      : pools_(pools), staging_(staging), data_(staging->data) {}
+
+  void Add(EntityId a, const SourceMemo::Slice& slice) {
+    class_of_key_.resize(pools_.keys.size(), kNone);
+    local_of_topology_.resize(pools_.topologies.size(), kNone);
+    if (slice.source_truncated) ++data_.truncated_pairs;
+    if (slice.reps_truncated) ++data_.truncated_representatives;
+    const uint32_t* classes = slice.classes.data();
+    const uint32_t* topologies = slice.topologies.data();
+    for (const SourceMemo::Dest& dest : slice.dests) {
+      const size_t s = dest.num_classes;
+      class_ids_.clear();
+      for (size_t c = 0; c < s; ++c) class_ids_.push_back(ClassId(classes[c]));
+      if (dest.union_truncated) ++data_.truncated_pairs;
+
+      for (size_t t = 0; t < dest.num_topologies; ++t) {
+        const uint32_t local = Stage(topologies[t], classes, s);
+        staging_->alltops_rows.push_back(
+            {a, dest.b, static_cast<int64_t>(local)});
+        ++staging_->topologies[local].frequency;
+        // Single-class pairs define the path topology of their class.
+        // Classes observed only inside multi-class pairs keep kNoTid: their
+        // path topology is never an observed topology (no pair is related
+        // by it alone), so it must not appear in TopInfo — and it can never
+        // be pruned, so no lookup needs the TID.
+        if (s == 1 &&
+            staging_->class_path_local_tid[class_ids_[0]] == kNoTid) {
+          staging_->class_path_local_tid[class_ids_[0]] =
+              static_cast<Tid>(local);
+        }
+      }
+      // Exception bookkeeping: remember the class memberships of pairs
+      // related by more than one class (Section 4.2.2).
+      if (s > 1) {
+        for (uint32_t cid : class_ids_) {
+          staging_->pairclasses_rows.push_back(
+              {a, dest.b, static_cast<int64_t>(cid)});
+          ++data_.classes[cid].instance_pairs;
+        }
+      } else {
+        ++data_.classes[class_ids_[0]].instance_pairs;
+      }
+      ++data_.num_related_pairs;
+      classes += s;
+      topologies += dest.num_topologies;
+    }
+  }
+
+  /// Fills in the staged topologies' codes, graphs and merged class keys
+  /// from the pools; `consume` moves them out of a pool about to be
+  /// dropped.
+  void Finish(SourceMemo* pools, bool consume) {
+    for (size_t local = 0; local < staging_->topologies.size(); ++local) {
+      PairBuildStaging::StagedTopology& staged = staging_->topologies[local];
+      SourceMemo::PooledTopology& pooled =
+          pools->topologies[topology_of_local_[local]];
+      if (consume) {
+        staged.code = std::move(pooled.code);
+        staged.graph = std::move(pooled.graph);
+      } else {
+        staged.code = pooled.code;
+        staged.graph = pooled.graph;
+      }
+      for (uint32_t key : keys_of_local_[local]) {
+        staged.class_keys.push_back(pools->keys[key]);
+      }
+      staging_->local_by_code.emplace(staged.code, local);
+    }
+  }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// Registers (or fetches) the class id of a pooled class.
+  uint32_t ClassId(uint32_t pooled) {
+    const SourceMemo::PooledClass& entry = pools_.classes[pooled];
+    uint32_t& id = class_of_key_[entry.key];
+    if (id != kNone) return id;
+    id = static_cast<uint32_t>(data_.classes.size());
+    ClassInfo info;
+    info.id = id;
+    info.key = pools_.keys[entry.key];
+    info.path = entry.path;
+    data_.class_by_key.emplace(info.key, id);
+    data_.classes.push_back(std::move(info));
+    staging_->class_path_local_tid.push_back(kNoTid);
+    return id;
+  }
+
+  /// Stages one observation of a topology, merging class keys on local
+  /// re-observation exactly like the catalog's intern merge path.
+  uint32_t Stage(uint32_t pooled, const uint32_t* classes, size_t s) {
+    uint32_t& local = local_of_topology_[pooled];
+    if (local != kNone) {
+      std::vector<uint32_t>& keys = keys_of_local_[local];
+      for (size_t c = 0; c < s; ++c) {
+        const uint32_t key = pools_.classes[classes[c]].key;
+        if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+          keys.push_back(key);
+        }
+      }
+      return local;
+    }
+    local = static_cast<uint32_t>(staging_->topologies.size());
+    PairBuildStaging::StagedTopology staged;
+    staged.num_classes = s;
+    staging_->topologies.push_back(std::move(staged));
+    topology_of_local_.push_back(pooled);
+    std::vector<uint32_t> keys;
+    keys.reserve(s);
+    for (size_t c = 0; c < s; ++c) keys.push_back(pools_.classes[classes[c]].key);
+    keys_of_local_.push_back(std::move(keys));
+    return local;
+  }
+
+  const SourceMemo& pools_;
+  PairBuildStaging* staging_;
+  PairTopologyData& data_;
+  std::vector<uint32_t> class_of_key_;       // Key pool index -> class id.
+  std::vector<uint32_t> local_of_topology_;  // Topology pool -> local TID.
+  std::vector<uint32_t> topology_of_local_;  // Local TID -> topology pool.
+  std::vector<std::vector<uint32_t>> keys_of_local_;  // Merged key indices.
+  std::vector<uint32_t> class_ids_;          // Scratch: one dest's classes.
+};
+
+bool SameSweepCaps(const BuildConfig& a, const BuildConfig& b) {
+  return a.max_path_length == b.max_path_length &&
+         a.max_class_representatives == b.max_class_representatives &&
+         a.max_union_combinations == b.max_union_combinations &&
+         a.max_paths_per_source == b.max_paths_per_source;
+}
+
+/// The canonical-direction schema path of a class (the smaller label
+/// sequence, matching ExtractSchemaPath and PathClassKey).
+graph::SchemaPath CanonicalDirection(graph::SchemaPath sp) {
+  graph::SchemaPath rev = sp.Reversed();
+  auto seq = [](const graph::SchemaPath& q) {
+    std::vector<uint32_t> s;
+    for (size_t i = 0; i < q.steps.size(); ++i) {
+      s.push_back(q.node_types[i]);
+      s.push_back(q.steps[i].rel);
+    }
+    s.push_back(q.node_types.back());
+    return s;
+  };
+  if (seq(rev) < seq(sp)) return rev;
+  return sp;
+}
+
+}  // namespace
+
+size_t SourceMemo::ApproxBytes() const {
+  // Hash-table nodes: the value, the cached hash and the next pointer.
+  constexpr size_t kNode = 2 * sizeof(void*);
+  size_t bytes = sizeof(SourceMemo);
+  for (const std::string& key : keys) {
+    bytes += 2 * (sizeof(std::string) + key.capacity()) + kNode +
+             sizeof(uint32_t);
+  }
+  for (const std::vector<uint32_t>& entries : classes_of_key) {
+    bytes += sizeof(entries) + entries.capacity() * sizeof(uint32_t);
+  }
+  for (const PooledClass& c : classes) {
+    bytes += sizeof(PooledClass) +
+             c.path.node_types.capacity() * sizeof(storage::EntityTypeId) +
+             c.path.steps.capacity() * sizeof(graph::SchemaStep);
+  }
+  for (const PooledTopology& t : topologies) {
+    bytes += sizeof(PooledTopology) + 2 * t.code.capacity() +
+             sizeof(std::string) + kNode + sizeof(uint32_t) +
+             t.graph.node_labels().capacity() * sizeof(uint32_t) +
+             t.graph.edges().capacity() * sizeof(graph::LabeledGraph::Edge);
+  }
+  for (const auto& [a, slice] : slices) {
+    bytes += sizeof(a) + sizeof(Slice) + kNode +
+             slice.dests.capacity() * sizeof(Dest) +
+             (slice.classes.capacity() + slice.topologies.capacity()) *
+                 sizeof(uint32_t);
+  }
+  return bytes;
+}
+
+uint32_t TopologyBuilder::InternClass(const std::string& key,
+                                      const PathInstance& first,
+                                      SourceMemo* pools) const {
+  auto [key_it, new_key] = pools->key_index.try_emplace(
+      key, static_cast<uint32_t>(pools->keys.size()));
+  if (new_key) {
+    pools->keys.push_back(key);
+    pools->classes_of_key.emplace_back();
+  }
+  std::vector<uint32_t>& entries = pools->classes_of_key[key_it->second];
+  if (!entries.empty()) {
+    const graph::SchemaPath& known = pools->classes[entries[0]].path;
+    const bool fixed_by_key = std::none_of(
+        known.steps.begin(), known.steps.end(),
+        [this](const graph::SchemaStep& step) {
+          return schema_->rel_from(step.rel) == schema_->rel_to(step.rel);
+        });
+    if (fixed_by_key) return entries[0];
+  }
+  graph::SchemaPath path = CanonicalDirection(first.ToSchemaPath(*view_));
+  for (uint32_t entry : entries) {
+    if (pools->classes[entry].path == path) return entry;
+  }
+  const uint32_t entry = static_cast<uint32_t>(pools->classes.size());
+  pools->classes.push_back({key_it->second, std::move(path)});
+  entries.push_back(entry);
+  return entry;
+}
+
+SourceMemo::Slice TopologyBuilder::SweepSource(
+    EntityId a, storage::EntityTypeId partner_type, bool self_pair,
+    const BuildConfig& config, SourceMemo* pools) const {
+  SweepLimits sweep_limits;
+  sweep_limits.max_path_length = config.max_path_length;
+  sweep_limits.max_class_representatives = config.max_class_representatives;
+  sweep_limits.max_paths_per_source = config.max_paths_per_source;
+  UnionLimits union_limits;
+  union_limits.max_class_representatives = config.max_class_representatives;
+  union_limits.max_union_combinations = config.max_union_combinations;
+
+  // Enumerate all simple paths from `a` of length <= l ending at the
+  // partner type, grouped by destination and path class. Paths may pass
+  // through partner-typed nodes and keep extending; every prefix landing on
+  // a partner node is recorded.
+  SourceSweep sweep = SweepFromSource(*view_, *schema_, a, partner_type,
+                                      self_pair, sweep_limits);
+  SourceMemo::Slice slice;
+  slice.source_truncated = sweep.source_truncated;
+  slice.reps_truncated = sweep.reps_truncated;
+  slice.dests.reserve(sweep.by_dest.size());
+
+  // Union each destination's classes into topologies.
+  for (auto& [b, reps_by_key] : sweep.by_dest) {
+    std::vector<std::vector<PathInstance>> class_reps;
+    std::vector<std::string> class_keys;
+    class_reps.reserve(reps_by_key.size());
+    for (auto& [key, reps] : reps_by_key) {
+      slice.classes.push_back(InternClass(key, reps.front(), pools));
+      class_keys.push_back(key);
+      class_reps.push_back(std::move(reps));
+    }
+
+    SourceMemo::Dest dest;
+    dest.b = b;
+    dest.num_classes = static_cast<uint32_t>(class_reps.size());
+    std::vector<ComputedTopology> topologies =
+        UnionTopologies(*view_, class_reps, class_keys, union_limits,
+                        &dest.union_truncated);
+    for (ComputedTopology& topo : topologies) {
+      auto [it, inserted] = pools->topology_index.try_emplace(
+          topo.code, static_cast<uint32_t>(pools->topologies.size()));
+      if (inserted) {
+        pools->topologies.push_back(
+            {std::move(topo.code), std::move(topo.graph)});
+      }
+      slice.topologies.push_back(it->second);
+    }
+    dest.num_topologies = static_cast<uint32_t>(topologies.size());
+    slice.dests.push_back(dest);
+  }
+  return slice;
+}
+
 Result<PairBuildStaging> TopologyBuilder::StagePair(
     storage::EntityTypeId ta, storage::EntityTypeId tb,
-    const BuildConfig& config) const {
+    const BuildConfig& config, SourceMemo* memo) const {
   TSB_RETURN_IF_ERROR(ValidateBuildConfig(config));
   auto [t1, t2] = TopologyStore::NormalizePair(ta, tb);
 
@@ -64,130 +338,42 @@ Result<PairBuildStaging> TopologyBuilder::StagePair(
   data.pairclasses_table =
       config.table_namespace + "PairClasses_" + data.pair_name;
 
-  // Registers (or fetches) a class id from an instance's schema path.
-  auto class_id_for = [&](const PathInstance& p) -> uint32_t {
-    graph::SchemaPath sp = p.ToSchemaPath(*view_);
-    std::string key = schema_->PathClassKey(sp);
-    auto it = data.class_by_key.find(key);
-    if (it != data.class_by_key.end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(data.classes.size());
-    ClassInfo info;
-    info.id = id;
-    info.key = key;
-    // Store the canonical-direction representative (the smaller label
-    // sequence, matching ExtractSchemaPath and PathClassKey).
-    graph::SchemaPath rev = sp.Reversed();
-    auto seq = [](const graph::SchemaPath& q) {
-      std::vector<uint32_t> s;
-      for (size_t i = 0; i < q.steps.size(); ++i) {
-        s.push_back(q.node_types[i]);
-        s.push_back(q.steps[i].rel);
-      }
-      s.push_back(q.node_types.back());
-      return s;
-    };
-    info.path = seq(rev) < seq(sp) ? rev : sp;
-    data.classes.push_back(std::move(info));
-    data.class_by_key.emplace(std::move(key), id);
-    staging.class_path_local_tid.push_back(kNoTid);
-    return id;
-  };
-
-  // Stages one observation of a topology, merging class keys on local
-  // re-observation exactly like the catalog's intern merge path.
-  auto stage_topology = [&](ComputedTopology& topo, size_t s) -> size_t {
-    auto it = staging.local_by_code.find(topo.code);
-    if (it != staging.local_by_code.end()) {
-      PairBuildStaging::StagedTopology& existing =
-          staging.topologies[it->second];
-      for (std::string& key : topo.class_keys) {
-        if (std::find(existing.class_keys.begin(), existing.class_keys.end(),
-                      key) == existing.class_keys.end()) {
-          existing.class_keys.push_back(std::move(key));
-        }
-      }
-      return it->second;
-    }
-    size_t local = staging.topologies.size();
-    PairBuildStaging::StagedTopology staged;
-    staged.graph = std::move(topo.graph);
-    staged.code = topo.code;
-    staged.num_classes = s;
-    staged.class_keys = std::move(topo.class_keys);
-    staging.topologies.push_back(std::move(staged));
-    staging.local_by_code.emplace(std::move(topo.code), local);
-    return local;
-  };
-
   const bool self_pair = (t1 == t2);
-
-  SweepLimits sweep_limits;
-  sweep_limits.max_path_length = config.max_path_length;
-  sweep_limits.max_class_representatives = config.max_class_representatives;
-  sweep_limits.max_paths_per_source = config.max_paths_per_source;
-
-  for (EntityId a : view_->EntitiesOfType(t1)) {
-    // Enumerate all simple paths from `a` of length <= l ending at type t2,
-    // grouped by destination and path class. Paths may pass through
-    // t2-typed nodes and keep extending; every prefix landing on a t2 node
-    // is recorded.
-    SourceSweep sweep =
-        SweepFromSource(*view_, *schema_, a, t2, self_pair, sweep_limits);
-    if (sweep.source_truncated) ++data.truncated_pairs;
-    if (sweep.reps_truncated) ++data.truncated_representatives;
-
-    // Fold each destination into topologies and AllTops rows.
-    for (auto& [b, reps_by_key] : sweep.by_dest) {
-      std::vector<std::vector<PathInstance>> class_reps;
-      std::vector<std::string> class_keys;
-      std::vector<uint32_t> class_ids;
-      class_reps.reserve(reps_by_key.size());
-      for (auto& [key, reps] : reps_by_key) {
-        class_ids.push_back(class_id_for(reps.front()));
-        class_keys.push_back(key);
-        class_reps.push_back(std::move(reps));
-      }
-      const size_t s = class_reps.size();
-
-      UnionLimits limits;
-      limits.max_class_representatives = config.max_class_representatives;
-      limits.max_union_combinations = config.max_union_combinations;
-      bool union_truncated = false;
-      std::vector<ComputedTopology> topologies = UnionTopologies(
-          *view_, class_reps, class_keys, limits, &union_truncated);
-      if (union_truncated) ++data.truncated_pairs;
-
-      for (ComputedTopology& topo : topologies) {
-        size_t local = stage_topology(topo, s);
-        staging.alltops_rows.push_back(
-            {a, b, static_cast<int64_t>(local)});
-        ++staging.topologies[local].frequency;
-        // Single-class pairs define the path topology of their class.
-        if (s == 1 &&
-            staging.class_path_local_tid[class_ids[0]] == kNoTid) {
-          staging.class_path_local_tid[class_ids[0]] =
-              static_cast<Tid>(local);
-        }
-      }
-      // Exception bookkeeping: remember the class memberships of pairs
-      // related by more than one class (Section 4.2.2).
-      if (s > 1) {
-        for (uint32_t cid : class_ids) {
-          staging.pairclasses_rows.push_back(
-              {a, b, static_cast<int64_t>(cid)});
-          ++data.classes[cid].instance_pairs;
-        }
-      } else {
-        ++data.classes[class_ids[0]].instance_pairs;
-      }
-      ++data.num_related_pairs;
+  if (memo == nullptr) {
+    // No reuse wanted: the pools live for this call only and each slice is
+    // dropped as soon as it is folded.
+    SourceMemo pools;
+    StagingFold fold(pools, &staging);
+    for (EntityId a : view_->EntitiesOfType(t1)) {
+      fold.Add(a, SweepSource(a, t2, self_pair, config, &pools));
     }
+    fold.Finish(&pools, /*consume=*/true);
+    return staging;
   }
 
-  // Classes observed only inside multi-class pairs keep path_tid == kNoTid:
-  // their path topology is never an observed topology (no pair is related
-  // by it alone), so it must not appear in TopInfo — and it can never be
-  // pruned, so no lookup needs the TID.
+  if (memo->t1 != t1 || memo->t2 != t2 ||
+      !SameSweepCaps(memo->config, config)) {
+    *memo = SourceMemo();
+    memo->t1 = t1;
+    memo->t2 = t2;
+    memo->config = config;
+  }
+  memo->sources_swept = 0;
+  memo->sources_reused = 0;
+  StagingFold fold(*memo, &staging);
+  for (EntityId a : view_->EntitiesOfType(t1)) {
+    auto it = memo->slices.find(a);
+    if (it != memo->slices.end()) {
+      ++memo->sources_reused;
+    } else {
+      it = memo->slices
+               .emplace(a, SweepSource(a, t2, self_pair, config, memo))
+               .first;
+      ++memo->sources_swept;
+    }
+    fold.Add(a, it->second);
+  }
+  fold.Finish(memo, /*consume=*/false);
 
   return staging;
 }

@@ -80,6 +80,67 @@ struct PairBuildStaging {
   std::vector<Tid> class_path_local_tid;
 };
 
+/// One pair's swept sources, kept between stagings so a restage re-sweeps
+/// only the sources a graph change can reach. A source's sweep (its paths,
+/// class keys, union topologies and truncation flags) reads the adjacency
+/// of nodes within l-1 hops of the source and nothing else, so its slice
+/// stays valid until one of those nodes changes its adjacency; the owner
+/// erases such slices before the next StagePair. Class keys (with their
+/// canonical schema path) and topologies are pooled once per pair, and a
+/// slice holds only pool indices.
+struct SourceMemo {
+  /// Pool entry of a path class: the key plus the canonical-direction
+  /// schema path of the instance that first produced it. The key fixes
+  /// that path unless it steps over a relationship between one entity type
+  /// and itself, which can be walked either way; such a key gets one entry
+  /// per step direction seen.
+  struct PooledClass {
+    uint32_t key = 0;  // Index into `keys`.
+    graph::SchemaPath path;
+  };
+  struct PooledTopology {
+    std::string code;
+    graph::LabeledGraph graph;
+  };
+  /// One destination of a sweep; its class and topology pool indices are
+  /// the next `num_classes` / `num_topologies` entries of the slice.
+  struct Dest {
+    graph::EntityId b = 0;
+    uint32_t num_classes = 0;
+    uint32_t num_topologies = 0;
+    bool union_truncated = false;
+  };
+  struct Slice {
+    std::vector<Dest> dests;           // Destination order.
+    std::vector<uint32_t> classes;     // Class-key order within a dest.
+    std::vector<uint32_t> topologies;  // UnionTopologies order.
+    bool source_truncated = false;     // max_paths_per_source fired.
+    bool reps_truncated = false;       // max_class_representatives fired.
+  };
+
+  /// The pair and caps the slices were swept under. StagePair starts the
+  /// memo over when they differ from its own.
+  storage::EntityTypeId t1 = 0;
+  storage::EntityTypeId t2 = 0;
+  BuildConfig config;
+
+  std::vector<std::string> keys;
+  std::unordered_map<std::string, uint32_t> key_index;
+  std::vector<std::vector<uint32_t>> classes_of_key;  // Parallel to keys.
+  std::vector<PooledClass> classes;
+  std::vector<PooledTopology> topologies;
+  std::unordered_map<std::string, uint32_t> topology_index;
+
+  std::unordered_map<graph::EntityId, Slice> slices;
+
+  /// Sources the last StagePair swept afresh and took from `slices`.
+  size_t sources_swept = 0;
+  size_t sources_reused = 0;
+
+  /// Heap footprint estimate (pools, slices and hash-table nodes).
+  size_t ApproxBytes() const;
+};
+
 /// Computes the AllTops and PairClasses tables for entity-set pairs: the
 /// Topology Computation module of Figure 10. For each source entity it
 /// enumerates all simple paths of length <= l to entities of the partner
@@ -104,9 +165,19 @@ class TopologyBuilder {
   /// Stage step: sweeps one entity-set pair (order-insensitive) into a
   /// private staging buffer. Reads only the immutable data-graph and
   /// schema views — safe to run concurrently for different pairs.
+  ///
+  /// Two halves: each source entity of t1 is swept on its own (SweepSource,
+  /// a pure function of the source's neighbourhood), then an
+  /// order-dependent fold walks the sources in EntitiesOfType order,
+  /// assigning class ids and local TIDs in first-encounter order. Without
+  /// a memo each slice is folded and dropped. With one, slices present in
+  /// `memo` are folded as they are and missing ones are swept and kept;
+  /// the staging is identical either way as long as every kept slice is
+  /// still valid for this view (see SourceMemo).
   Result<PairBuildStaging> StagePair(storage::EntityTypeId ta,
                                      storage::EntityTypeId tb,
-                                     const BuildConfig& config) const;
+                                     const BuildConfig& config,
+                                     SourceMemo* memo = nullptr) const;
 
   /// Commit step: interns staged topologies (first-encounter order),
   /// remaps local TIDs, creates and fills the pair's tables in the storage
@@ -163,6 +234,17 @@ class TopologyBuilder {
       const std::function<bool(storage::EntityTypeId, storage::EntityTypeId)>&
           built,
       const std::function<Status(PairBuildStaging)>& commit);
+
+  /// Sweeps one source into a slice, interning its class keys and
+  /// topologies into `pools`.
+  SourceMemo::Slice SweepSource(graph::EntityId a,
+                                storage::EntityTypeId partner_type,
+                                bool self_pair, const BuildConfig& config,
+                                SourceMemo* pools) const;
+  /// Pool index of the class `key` with `first` as its first instance.
+  uint32_t InternClass(const std::string& key,
+                       const graph::PathInstance& first,
+                       SourceMemo* pools) const;
 
   storage::Catalog* db_;
   const graph::SchemaGraph* schema_;

@@ -74,6 +74,11 @@ class BatchApplier {
     return Status::OK();
   }
 
+  /// Nodes whose adjacency the batch changes: an added or removed node,
+  /// both endpoints of every added, removed or cascaded edge. Attribute
+  /// updates touch none. May repeat ids.
+  const std::vector<int64_t>& touched_nodes() const { return touched_nodes_; }
+
   /// Models that actually changed, in first-touch order (deterministic
   /// table-creation order for the COW materialization).
   std::vector<const TableModel*> touched() const {
@@ -138,6 +143,7 @@ class BatchApplier {
     m->dead.push_back(false);
     m->touched = true;
     all_node_ids_.insert(op.id);
+    touched_nodes_.push_back(op.id);
     return Status::OK();
   }
 
@@ -157,6 +163,7 @@ class BatchApplier {
     m->touched = true;
     TSB_RETURN_IF_ERROR(EnsureNodeIds());
     all_node_ids_.erase(op.id);
+    touched_nodes_.push_back(op.id);
     // Cascade: drop every incident edge (referential integrity is a
     // DataGraphView invariant, so a from-scratch rebuild of the mutated
     // fixture could not carry a dangling edge either).
@@ -172,6 +179,8 @@ class BatchApplier {
           rm->row_by_id.erase(rm->rows[r][rm->id_col].AsInt64());
           rm->dead[r] = true;
           rm->touched = true;
+          touched_nodes_.push_back(rm->rows[r][rm->from_col].AsInt64());
+          touched_nodes_.push_back(rm->rows[r][rm->to_col].AsInt64());
         }
       }
     }
@@ -211,6 +220,8 @@ class BatchApplier {
     m->rows.push_back(std::move(row));
     m->dead.push_back(false);
     m->touched = true;
+    touched_nodes_.push_back(op.from);
+    touched_nodes_.push_back(op.to);
     return Status::OK();
   }
 
@@ -227,6 +238,9 @@ class BatchApplier {
       return Status::NotFound("no edge " + std::to_string(op.id) + " in " +
                               op.set_name);
     }
+    const storage::Tuple& row = m->rows[it->second];
+    touched_nodes_.push_back(row[m->from_col].AsInt64());
+    touched_nodes_.push_back(row[m->to_col].AsInt64());
     m->dead[it->second] = true;
     m->row_by_id.erase(it);
     m->touched = true;
@@ -320,7 +334,35 @@ class BatchApplier {
   std::vector<std::string> load_order_;
   std::unordered_set<int64_t> all_node_ids_;
   bool node_ids_loaded_ = false;
+  std::vector<int64_t> touched_nodes_;
 };
+
+/// Records in `dist` the hop distance (at most `radius`) from the nearest
+/// of `seeds` to every node of `view` it reaches, keeping the smaller
+/// distance for nodes already present. A seed absent from the view reaches
+/// nothing.
+void MarkWithin(const graph::DataGraphView& view,
+                const std::vector<int64_t>& seeds, size_t radius,
+                std::unordered_map<graph::EntityId, size_t>* dist) {
+  std::unordered_map<graph::EntityId, size_t> seen;
+  std::vector<graph::EntityId> frontier;
+  for (graph::EntityId id : seeds) {
+    if (view.HasNode(id) && seen.emplace(id, 0).second) frontier.push_back(id);
+  }
+  for (size_t d = 1; d <= radius && !frontier.empty(); ++d) {
+    std::vector<graph::EntityId> next;
+    for (graph::EntityId id : frontier) {
+      for (const graph::AdjEntry& adj : view.Neighbors(id)) {
+        if (seen.emplace(adj.neighbor, d).second) next.push_back(adj.neighbor);
+      }
+    }
+    frontier = std::move(next);
+  }
+  for (const auto& [id, d] : seen) {
+    auto [it, inserted] = dist->emplace(id, d);
+    if (!inserted) it->second = std::min(it->second, d);
+  }
+}
 
 /// Copies a table's rows under a new name (compaction fold).
 Result<storage::Table*> CopyTable(storage::Catalog* db,
@@ -357,7 +399,8 @@ MutationEngine::MutationEngine(
       schema_(schema),
       handles_(std::move(handles)),
       options_(std::move(options)),
-      tracker_(schema, db) {
+      tracker_(schema, db),
+      published_(handles_.size()) {
   TSB_CHECK(!handles_.empty()) << "MutationEngine needs at least one handle";
 }
 
@@ -365,7 +408,7 @@ MutationEngine::~MutationEngine() { StopCompaction(); }
 
 Result<ApplyStats> MutationEngine::Apply(const MutationBatch& batch) {
   std::lock_guard<std::mutex> lock(apply_mu_);
-  return ApplyLocked(batch);
+  return ApplyLocked(batch, nullptr);
 }
 
 Result<ApplyStats> MutationEngine::ApplyLogged(const MutationBatch& batch) {
@@ -373,27 +416,55 @@ Result<ApplyStats> MutationEngine::ApplyLogged(const MutationBatch& batch) {
   if (log_ == nullptr || !log_->is_open()) {
     return Status::FailedPrecondition("no delta log attached");
   }
-  // Validate WITHOUT side effects first so invalid batches never reach the
-  // log, then make the batch durable, then make it visible — a crash
-  // between the two loses nothing (replay re-applies the logged batch).
-  {
-    BatchApplier probe(db_, *handles_[0]->Snapshot());
-    TSB_RETURN_IF_ERROR(probe.Apply(batch));
-  }
-  TSB_RETURN_IF_ERROR(log_->Append(batch));
-  return ApplyLocked(batch);
+  return ApplyLocked(batch, log_);
 }
 
 Status MutationEngine::Replay(const std::vector<MutationBatch>& batches) {
   std::lock_guard<std::mutex> lock(apply_mu_);
   for (const MutationBatch& batch : batches) {
-    auto applied = ApplyLocked(batch);
+    auto applied = ApplyLocked(batch, nullptr);
     TSB_RETURN_IF_ERROR(applied.status());
   }
   return Status::OK();
 }
 
-Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
+void MutationEngine::ForgetMemosUnlessPublished(
+    const std::vector<std::shared_ptr<core::TopologyStore>>& live) {
+  for (size_t s = 0; s < live.size(); ++s) {
+    if (published_[s].lock() != live[s]) {
+      memos_.clear();
+      source_memo_bytes_.store(0, std::memory_order_relaxed);
+      return;
+    }
+  }
+}
+
+void MutationEngine::DropReachableSources(
+    const std::vector<int64_t>& touched, const graph::DataGraphView* old_view,
+    const graph::DataGraphView& new_view) {
+  if (memos_.empty() || touched.empty()) return;
+  // Memos outlive a batch only while the live store is one this engine
+  // published, and every such store carries its data view.
+  TSB_CHECK(old_view != nullptr) << "memoized store without a data view";
+  size_t radius = 0;
+  for (const auto& [key, memo] : memos_) {
+    radius = std::max(radius, memo.config.max_path_length - 1);
+  }
+  // A path that used a removed edge exists only in the old view, one that
+  // uses an added edge only in the new one: measure the reach in both.
+  std::unordered_map<graph::EntityId, size_t> dist;
+  MarkWithin(*old_view, touched, radius, &dist);
+  MarkWithin(new_view, touched, radius, &dist);
+  for (auto& [key, memo] : memos_) {
+    const size_t reach = memo.config.max_path_length - 1;
+    for (const auto& [id, d] : dist) {
+      if (d <= reach) memo.slices.erase(id);
+    }
+  }
+}
+
+Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch,
+                                               DeltaLog* log) {
   Stopwatch watch;
   if (batch.ops.empty()) {
     return Status::InvalidArgument("empty mutation batch");
@@ -401,6 +472,7 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
   const size_t nshards = handles_.size();
   std::vector<std::shared_ptr<core::TopologyStore>> prev(nshards);
   for (size_t s = 0; s < nshards; ++s) prev[s] = handles_[s]->Snapshot();
+  ForgetMemosUnlessPublished(prev);
 
   // Phase 1 — validate and model the batch entirely in memory. Any failure
   // returns here, before a single catalog write.
@@ -415,6 +487,11 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
   }
   DirtyPairs dirty;
   TSB_ASSIGN_OR_RETURN(dirty, tracker_.Classify(batch, built, max_l));
+
+  // Durable before visible: a validated batch is logged before the swap,
+  // so a crash in between loses nothing (replay re-applies it), and an
+  // invalid one never reaches the log.
+  if (log != nullptr) TSB_RETURN_IF_ERROR(log->Append(batch));
 
   // Phase 2 — materialize copy-on-write data tables under this
   // generation's namespace. Overrides chain: start from the live store's
@@ -450,10 +527,31 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
 
   // Phase 3 — compose the overlay store per shard: adopt the base catalog
   // (TID continuity), copy clean pairs verbatim, restage dirty pairs from
-  // the mutated graph under the generation namespace.
+  // the mutated graph under the generation namespace, re-sweeping only the
+  // sources the batch can reach.
+  DropReachableSources(applier.touched_nodes(), prev[0]->data_view().get(),
+                       *new_view);
   std::set<TypePair> structural(dirty.structural.begin(),
                                 dirty.structural.end());
   std::vector<std::shared_ptr<core::TopologyStore>> next(nshards);
+  // On failure nothing is published: drop the tables restaged pairs already
+  // committed (`dropper` takes the COW tables), and the memos of the dirty
+  // pairs, whose new slices describe a graph no reader will ever see.
+  auto fail = [&](const Status& status) -> Result<ApplyStats> {
+    for (const std::shared_ptr<core::TopologyStore>& store : next) {
+      if (store == nullptr) continue;
+      std::vector<std::string> restaged;
+      for (const TypePair& key : dirty.structural) {
+        const core::PairTopologyData* p = store->FindPair(key.first,
+                                                          key.second);
+        if (p != nullptr) CollectPairTables(*p, &restaged);
+      }
+      for (const std::string& t : restaged) (void)db_->DropTable(t);
+    }
+    for (const TypePair& key : dirty.structural) memos_.erase(key);
+    UpdateMemoBytes();
+    return status;
+  };
   for (size_t s = 0; s < nshards; ++s) {
     next[s] = std::make_shared<core::TopologyStore>();
     next[s]->adopt_catalog(prev[s]->shared_catalog());
@@ -479,7 +577,7 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
         copy.lefttops_blocks = nullptr;
       }
       auto added = next[s]->AddPair(std::move(copy));
-      TSB_RETURN_IF_ERROR(added.status());
+      if (!added.ok()) return fail(added.status());
       if (endpoints_changed) {
         columnar::AttachSlices(*db_, next[s]->catalog(), added.value(),
                                next[s]->ResolveDataTable(e1_base),
@@ -489,6 +587,8 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
   }
 
   core::TopologyBuilder builder(db_, schema_, new_view.get());
+  size_t sources_swept = 0;
+  size_t sources_reused = 0;
   for (const TypePair& key : dirty.structural) {
     const core::PairTopologyData* prev_pair =
         prev[0]->FindPair(key.first, key.second);
@@ -509,18 +609,22 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
         cfg.max_union_combinations = prev_pair->build_max_union_combinations;
       }
     }
-    core::PairBuildStaging staging;
-    TSB_ASSIGN_OR_RETURN(staging,
-                         builder.StagePair(key.first, key.second, cfg));
+    core::SourceMemo& memo = memos_[key];
+    auto staged = builder.StagePair(key.first, key.second, cfg, &memo);
+    if (!staged.ok()) return fail(staged.status());
+    sources_swept += memo.sources_swept;
+    sources_reused += memo.sources_reused;
     if (nshards == 1) {
-      TSB_RETURN_IF_ERROR(builder.CommitStaged(std::move(staging),
-                                               next[0].get()));
+      Status committed =
+          builder.CommitStaged(std::move(staged).value(), next[0].get());
+      if (!committed.ok()) return fail(committed);
     } else {
       std::vector<core::PairBuildStaging> slices =
-          core::SplitStagingForShards(staging, nshards);
+          core::SplitStagingForShards(staged.value(), nshards);
       for (size_t s = 0; s < nshards; ++s) {
-        TSB_RETURN_IF_ERROR(
-            builder.CommitStaged(std::move(slices[s]), next[s].get()));
+        Status committed =
+            builder.CommitStaged(std::move(slices[s]), next[s].get());
+        if (!committed.ok()) return fail(committed);
       }
     }
     if (prev_pair != nullptr && prev_pair->pruned) {
@@ -530,7 +634,7 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
         auto pruned = core::PruneFrequentTopologies(db_, next[s].get(),
                                                     key.first, key.second,
                                                     prune);
-        TSB_RETURN_IF_ERROR(pruned.status());
+        if (!pruned.ok()) return fail(pruned.status());
       }
     }
   }
@@ -555,13 +659,17 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
           (void)dropper;
         });
     handles_[s]->Swap(next[s]);
+    published_[s] = next[s];
   }
+  UpdateMemoBytes();
 
   ApplyStats stats;
   stats.generation = gen;
   stats.applied_ops = batch.ops.size();
   stats.structural_pairs = dirty.structural.size();
   stats.cache_only_pairs = dirty.cache_only.size();
+  stats.sources_swept = sources_swept;
+  stats.sources_reused = sources_reused;
   stats.dirty = dirty;
 
   generation_.store(gen, std::memory_order_relaxed);
@@ -572,6 +680,8 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
                                   std::memory_order_relaxed);
   cache_only_pairs_total_.fetch_add(dirty.cache_only.size(),
                                     std::memory_order_relaxed);
+  sources_swept_total_.fetch_add(sources_swept, std::memory_order_relaxed);
+  sources_reused_total_.fetch_add(sources_reused, std::memory_order_relaxed);
   stats.apply_seconds = watch.ElapsedSeconds();
   {
     std::lock_guard<std::mutex> lock(status_mu_);
@@ -585,6 +695,20 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch) {
 Result<CompactionStats> MutationEngine::CompactNow() {
   std::lock_guard<std::mutex> lock(apply_mu_);
   return CompactLocked();
+}
+
+void MutationEngine::UpdateMemoBytes() {
+  size_t bytes = 0;
+  for (const auto& [key, memo] : memos_) bytes += memo.ApproxBytes();
+  source_memo_bytes_.store(bytes, std::memory_order_relaxed);
+}
+
+std::optional<core::SourceMemo> MutationEngine::SourceMemoOf(
+    const TypePair& pair) const {
+  std::lock_guard<std::mutex> lock(apply_mu_);
+  auto it = memos_.find(pair);
+  if (it == memos_.end()) return std::nullopt;
+  return it->second;
 }
 
 Result<CompactionStats> MutationEngine::CompactLocked() {
@@ -602,6 +726,9 @@ Result<CompactionStats> MutationEngine::CompactLocked() {
 
   std::vector<std::shared_ptr<core::TopologyStore>> prev(nshards);
   for (size_t s = 0; s < nshards; ++s) prev[s] = handles_[s]->Snapshot();
+  // A fold leaves the graph as it is, so memos of the store it folds carry
+  // over to the compacted one.
+  ForgetMemosUnlessPublished(prev);
 
   // Fold the live COW data tables once (they are shared across shards):
   // copy each overridden table to a self-contained "c<round>." version so
@@ -692,6 +819,7 @@ Result<CompactionStats> MutationEngine::CompactLocked() {
       (void)dropper;
     });
     handles_[s]->Swap(next);
+    published_[s] = next;
   }
 
   stats.round = round;
@@ -753,6 +881,12 @@ std::string MutationEngine::StatusString() const {
      << "\n"
      << "pairs_restaged_total: "
      << pairs_restaged_total_.load(std::memory_order_relaxed) << "\n"
+     << "sources_swept_total: "
+     << sources_swept_total_.load(std::memory_order_relaxed) << "\n"
+     << "sources_reused_total: "
+     << sources_reused_total_.load(std::memory_order_relaxed) << "\n"
+     << "source_memo_bytes: "
+     << source_memo_bytes_.load(std::memory_order_relaxed) << "\n"
      << "compaction_rounds: "
      << compaction_round_.load(std::memory_order_relaxed) << "\n"
      << "compaction_running: "
@@ -794,6 +928,16 @@ void MutationEngine::Collect(obs::MetricsSink* sink) const {
                 no_labels,
                 static_cast<double>(
                     pairs_restaged_total_.load(std::memory_order_relaxed)));
+  sink->Counter("tsb_mutation_sources_swept_total",
+                "Source entities swept afresh while re-staging pairs",
+                no_labels,
+                static_cast<double>(
+                    sources_swept_total_.load(std::memory_order_relaxed)));
+  sink->Counter("tsb_mutation_sources_reused_total",
+                "Source entities re-staged from the source memo unswept",
+                no_labels,
+                static_cast<double>(
+                    sources_reused_total_.load(std::memory_order_relaxed)));
   sink->Counter("tsb_mutation_cache_only_pairs_total",
                 "Pairs needing only cache eviction (no re-stage)", no_labels,
                 static_cast<double>(
@@ -814,6 +958,11 @@ void MutationEngine::Collect(obs::MetricsSink* sink) const {
               "Overlay generations awaiting compaction", no_labels,
               static_cast<double>(
                   uncompacted_generations_.load(std::memory_order_relaxed)));
+  sink->Gauge("tsb_mutation_source_memo_bytes",
+              "Estimated heap bytes held by the per-pair source memos",
+              no_labels,
+              static_cast<double>(
+                  source_memo_bytes_.load(std::memory_order_relaxed)));
   sink->Gauge("tsb_mutation_compaction_running",
               "1 while a fold is in progress", no_labels,
               compacting_.load(std::memory_order_relaxed) ? 1.0 : 0.0);

@@ -6,8 +6,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "common/result.h"
 #include "core/builder.h"
 #include "core/store.h"
+#include "graph/data_graph.h"
 #include "graph/schema_graph.h"
 #include "mutation/delta_log.h"
 #include "mutation/dirty_tracker.h"
@@ -32,6 +35,8 @@ struct ApplyStats {
   size_t applied_ops = 0;      // Ops in the batch (cascades not counted).
   size_t structural_pairs = 0; // Pairs re-staged into the overlay epoch.
   size_t cache_only_pairs = 0; // Pairs needing only cache eviction.
+  size_t sources_swept = 0;    // Restaged pairs' sources swept afresh.
+  size_t sources_reused = 0;   // ... and folded from the source memo.
   double apply_seconds = 0.0;
   DirtyPairs dirty;            // For the caller's cache invalidation.
 };
@@ -50,8 +55,9 @@ struct CompactionStats {
 /// from-scratch rebuild of the mutated graph.
 ///
 /// LSM shape over precomputed topology data:
-///  - WAL (DeltaLog, optional): ApplyLogged fsyncs the batch before
-///    acknowledging; Replay() re-applies recovered batches on startup.
+///  - WAL (DeltaLog, optional): ApplyLogged validates the batch once,
+///    fsyncs it, then publishes it; Replay() re-applies recovered batches
+///    on startup.
 ///  - Overlay: Apply composes a NEW TopologyStore per shard — clean pairs'
 ///    PairTopologyData copied verbatim (their tables stay owned by the
 ///    previous epoch, which the new store keeps alive via its cleanup
@@ -61,6 +67,18 @@ struct CompactionStats {
 ///    entity/relationship table is copy-on-write versioned and reached
 ///    through TopologyStore::ResolveDataTable, so retired snapshots keep
 ///    reading their own bytes.
+///  - Source memo: a pair's rows are built one source entity at a time
+///    from paths of length <= l, and a source's sweep reads only nodes
+///    within l-1 hops of it, so the engine keeps every restaged pair's
+///    swept sources (a core::SourceMemo, filled the first time the pair is
+///    restaged). Each batch erases, from every memo, the sources within
+///    l-1 hops of a node whose adjacency the batch changes, measured in
+///    both the old and the new graph; the restage re-sweeps only those and
+///    re-folds the rest, yielding the same tables and TIDs as a fresh
+///    StagePair. Memos follow the stores this engine publishes: a failed
+///    batch drops its dirty pairs' memos, a store swapped in by anyone
+///    else (a service Rebuild) drops them all, and compaction keeps them
+///    (the graph is unchanged).
 ///  - Compaction: CompactNow (or the background lane) folds the live
 ///    overlay chain into a self-contained "c<round>." epoch per shard, so
 ///    retired generations and their tables can unwind.
@@ -147,6 +165,13 @@ class MutationEngine : public obs::MetricsSource {
   uint64_t compaction_rounds() const {
     return compaction_round_.load(std::memory_order_relaxed);
   }
+  /// Estimated heap bytes of the source memos, as of the last apply.
+  size_t source_memo_bytes() const {
+    return source_memo_bytes_.load(std::memory_order_relaxed);
+  }
+
+  /// A copy of one pair's source memo (nullopt before its first restage).
+  std::optional<core::SourceMemo> SourceMemoOf(const TypePair& pair) const;
 
   /// Human-readable status block for `topctl compaction`.
   std::string StatusString() const;
@@ -155,9 +180,21 @@ class MutationEngine : public obs::MetricsSource {
   void Collect(obs::MetricsSink* sink) const override;
 
  private:
-  Result<ApplyStats> ApplyLocked(const MutationBatch& batch);
+  /// Validates, classifies, logs (when `log` is set) and publishes one
+  /// batch.
+  Result<ApplyStats> ApplyLocked(const MutationBatch& batch, DeltaLog* log);
   Result<CompactionStats> CompactLocked();
   void CompactionLoop();
+
+  /// Drops every memo unless `live` is what this engine last published.
+  void ForgetMemosUnlessPublished(
+      const std::vector<std::shared_ptr<core::TopologyStore>>& live);
+  /// Erases, from every memo, the sources within l-1 hops of `touched` in
+  /// either view.
+  void DropReachableSources(const std::vector<int64_t>& touched,
+                            const graph::DataGraphView* old_view,
+                            const graph::DataGraphView& new_view);
+  void UpdateMemoBytes();
 
   storage::Catalog* db_;
   const graph::SchemaGraph* schema_;
@@ -170,6 +207,11 @@ class MutationEngine : public obs::MetricsSource {
   /// Serializes writers (apply, compaction). Never held by query threads.
   mutable std::mutex apply_mu_;
 
+  /// Guarded by apply_mu_: per-pair source memos, valid for the stores in
+  /// `published_` (the last this engine swapped in, per shard).
+  std::map<TypePair, core::SourceMemo> memos_;
+  std::vector<std::weak_ptr<core::TopologyStore>> published_;
+
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> compaction_round_{0};
   std::atomic<uint64_t> uncompacted_generations_{0};
@@ -178,6 +220,9 @@ class MutationEngine : public obs::MetricsSource {
   std::atomic<uint64_t> pairs_restaged_total_{0};
   std::atomic<uint64_t> cache_only_pairs_total_{0};
   std::atomic<uint64_t> pairs_folded_total_{0};
+  std::atomic<uint64_t> sources_swept_total_{0};
+  std::atomic<uint64_t> sources_reused_total_{0};
+  std::atomic<size_t> source_memo_bytes_{0};
   std::atomic<bool> compacting_{false};
 
   /// Pending-pair set and last-fold/apply snapshots for the admin view.

@@ -5,9 +5,13 @@
 // rebuild of the mutated graph — through the single-store engine, the
 // sharded executor at N ∈ {1, 4}, after chained batches, after background
 // compaction folds, and after a WAL replay into a fresh process image.
+// The source memo (a restage re-sweeps only the sources a batch can reach)
+// is checked against a memo-less StagePair after every batch of a seeded
+// stream, and across a failed batch and an external store swap.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -19,6 +23,7 @@
 #include "biozon/domain.h"
 #include "biozon/fig3.h"
 #include "biozon/schema.h"
+#include "common/rng.h"
 #include "core/builder.h"
 #include "core/pruner.h"
 #include "core/store.h"
@@ -27,6 +32,7 @@
 #include "mutation/dirty_tracker.h"
 #include "mutation/mutation.h"
 #include "mutation/mutation_engine.h"
+#include "obs/registry.h"
 #include "service/query_cache.h"
 #include "service/service.h"
 #include "shard/scatter_gather.h"
@@ -47,6 +53,14 @@ const std::vector<MethodKind> kAllMethods = {
     MethodKind::kFastTopKEt,  MethodKind::kFullTopKOpt,
     MethodKind::kFastTopKOpt,
 };
+
+/// The build configuration every world here is built with unless a test
+/// asks for tighter caps.
+core::BuildConfig Fig3BuildConfig() {
+  core::BuildConfig config;
+  config.max_path_length = 3;
+  return config;
+}
 
 std::string TempWalPath(const std::string& tag) {
   return "/tmp/tsb_mutation_test_" + std::to_string(::getpid()) + "_" + tag +
@@ -109,15 +123,14 @@ struct LiveWorld {
   std::unique_ptr<mutation::MutationEngine> mutator;
 };
 
-std::unique_ptr<LiveWorld> MakeLiveWorld() {
+std::unique_ptr<LiveWorld> MakeLiveWorld(
+    const core::BuildConfig& config = Fig3BuildConfig()) {
   auto w = std::make_unique<LiveWorld>();
   w->ids = biozon::BuildFigure3Database(&w->db);
   w->view = std::make_unique<graph::DataGraphView>(w->db);
   w->schema = std::make_unique<graph::SchemaGraph>(w->db);
   auto store = std::make_shared<core::TopologyStore>();
   core::TopologyBuilder builder(&w->db, w->schema.get(), w->view.get());
-  core::BuildConfig config;
-  config.max_path_length = 3;
   TSB_CHECK(builder.BuildAllPairs(config, store.get()).ok());
   PruneAllPairs(&w->db, store.get());
   w->handle = std::make_shared<core::StoreHandle>(store);
@@ -126,7 +139,7 @@ std::unique_ptr<LiveWorld> MakeLiveWorld() {
       core::ScoreModel(&store->catalog(),
                        biozon::MakeBiozonDomainKnowledge(w->ids)));
   mutation::MutationEngine::Options options;
-  options.build.max_path_length = 3;
+  options.build = config;
   w->mutator = std::make_unique<mutation::MutationEngine>(
       &w->db, w->schema.get(),
       std::vector<std::shared_ptr<core::StoreHandle>>{w->handle}, options);
@@ -306,7 +319,8 @@ struct OracleWorld {
 
 std::unique_ptr<OracleWorld> BuildMutatedOracle(
     const std::vector<mutation::MutationBatch>& history,
-    const core::TopologyCatalog& live_catalog) {
+    const core::TopologyCatalog& live_catalog,
+    const core::BuildConfig& config = Fig3BuildConfig()) {
   auto w = std::make_unique<OracleWorld>();
   Fig3Model model;
   model.ApplyHistory(history);
@@ -324,8 +338,6 @@ std::unique_ptr<OracleWorld> BuildMutatedOracle(
   }
   w->store->adopt_catalog(seeded);
   core::TopologyBuilder builder(&w->db, w->schema.get(), w->view.get());
-  core::BuildConfig config;
-  config.max_path_length = 3;
   TSB_CHECK(builder.BuildAllPairs(config, w->store.get()).ok());
   PruneAllPairs(&w->db, w->store.get());
   w->engine = std::make_unique<engine::Engine>(
@@ -360,6 +372,233 @@ std::vector<mutation::MutationBatch> MixedHistory() {
           storage::Value(std::string("renamed variant MMS2"))),
   };
   return history;
+}
+
+/// A seeded stream of valid batches over the Figure-3 sets mixing all five
+/// ops: node additions (some re-using a removed id), edge additions and
+/// removals, node removals with their cascades, attribute updates, and
+/// every 20th batch a remove-then-re-add of one id (into another set) with
+/// a fresh edge on it. Tracks the live graph itself, so each op is valid
+/// against the ops before it.
+std::vector<mutation::MutationBatch> RandomStream(uint64_t seed,
+                                                  size_t num_batches) {
+  struct Rel {
+    const char* name;
+    const char* from;
+    const char* to;
+  };
+  const std::vector<Rel> rels = {{"Encodes", "Protein", "DNA"},
+                                 {"Uni_encodes", "Unigene", "Protein"},
+                                 {"Uni_contains", "Unigene", "DNA"}};
+  const std::vector<std::string> sets = {"Protein", "Unigene", "DNA"};
+  struct Edge {
+    std::string rel;
+    int64_t id, from, to;
+  };
+  std::map<std::string, std::vector<int64_t>> nodes = {
+      {"Protein", {32, 78, 34, 44}},
+      {"Unigene", {103, 150, 188, 194}},
+      {"DNA", {214, 215, 742}}};
+  std::vector<Edge> edges = {
+      {"Encodes", 57, 32, 214},      {"Encodes", 44, 34, 215},
+      {"Uni_encodes", 25, 103, 78},  {"Uni_encodes", 14, 103, 34},
+      {"Uni_encodes", 31, 150, 78},  {"Uni_encodes", 42, 188, 44},
+      {"Uni_encodes", 11, 194, 44},  {"Uni_contains", 62, 103, 215},
+      {"Uni_contains", 93, 150, 215}, {"Uni_contains", 121, 188, 742},
+      {"Uni_contains", 37, 194, 742}};
+  std::vector<int64_t> freed;  // Removed node ids, free for re-use.
+  int64_t next_node = 1000;
+  int64_t next_edge = 5000;
+  Rng rng(seed);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng.NextBounded(n)); };
+
+  auto add_node = [&](const std::string& set, int64_t id) {
+    nodes[set].push_back(id);
+    const char* words[] = {"ubiquitin-conjugating enzyme", "kinase",
+                           "hypothetical protein", "enzyme variant"};
+    if (set == "DNA") {
+      return mutation::AddNode(
+          set, id,
+          {{"TYPE", storage::Value(std::string(pick(2) ? "mRNA" : "rRNA"))},
+           {"DESC", storage::Value(std::string(words[pick(4)]))}});
+    }
+    return mutation::AddNode(
+        set, id, {{"DESC", storage::Value(std::string(words[pick(4)]))}});
+  };
+  auto add_edge = [&](const Rel& rel, int64_t from, int64_t to) {
+    edges.push_back({rel.name, next_edge, from, to});
+    return mutation::AddEdge(rel.name, next_edge++, from, to);
+  };
+  auto remove_node = [&](const std::string& set, size_t index,
+                         mutation::MutationBatch* batch) {
+    const int64_t id = nodes[set][index];
+    nodes[set].erase(nodes[set].begin() + static_cast<ptrdiff_t>(index));
+    edges.erase(std::remove_if(edges.begin(), edges.end(),
+                               [id](const Edge& e) {
+                                 return e.from == id || e.to == id;
+                               }),
+                edges.end());
+    batch->ops.push_back(mutation::RemoveNode(set, id));
+    return id;
+  };
+
+  std::vector<mutation::MutationBatch> stream(num_batches);
+  for (size_t b = 0; b < num_batches; ++b) {
+    mutation::MutationBatch& batch = stream[b];
+    if (b % 20 == 19) {
+      // Remove one Protein and re-add its id as a Unigene, wired up anew.
+      const int64_t id = remove_node("Protein", pick(nodes["Protein"].size()),
+                                     &batch);
+      batch.ops.push_back(add_node("Unigene", id));
+      batch.ops.push_back(
+          add_edge(rels[2], id, nodes["DNA"][pick(nodes["DNA"].size())]));
+      continue;
+    }
+    const size_t num_ops = 1 + pick(4);
+    for (size_t o = 0; o < num_ops; ++o) {
+      const size_t r = pick(100);
+      if (r < 22) {
+        int64_t id = next_node++;
+        if (!freed.empty() && pick(2) == 0) {
+          id = freed.back();
+          freed.pop_back();
+        }
+        batch.ops.push_back(add_node(sets[pick(sets.size())], id));
+      } else if (r < 65) {
+        const Rel& rel = rels[pick(rels.size())];
+        const std::vector<int64_t>& from = nodes[rel.from];
+        const std::vector<int64_t>& to = nodes[rel.to];
+        batch.ops.push_back(
+            add_edge(rel, from[pick(from.size())], to[pick(to.size())]));
+      } else if (r < 80) {
+        if (edges.empty()) continue;
+        const size_t e = pick(edges.size());
+        batch.ops.push_back(mutation::RemoveEdge(edges[e].rel, edges[e].id));
+        edges.erase(edges.begin() + static_cast<ptrdiff_t>(e));
+      } else if (r < 90) {
+        const std::string& set = sets[pick(sets.size())];
+        if (nodes[set].size() <= 3) continue;
+        freed.push_back(remove_node(set, pick(nodes[set].size()), &batch));
+      } else {
+        const std::string& set = sets[pick(sets.size())];
+        const int64_t id = nodes[set][pick(nodes[set].size())];
+        batch.ops.push_back(
+            set == "DNA"
+                ? mutation::UpdateAttribute(set, id, "TYPE",
+                                            storage::Value(std::string(
+                                                pick(2) ? "mRNA" : "rRNA")))
+                : mutation::UpdateAttribute(set, id, "DESC",
+                                            storage::Value(std::string(
+                                                "renamed enzyme"))));
+      }
+    }
+    if (batch.ops.empty()) {
+      batch.ops.push_back(mutation::UpdateAttribute(
+          "Protein", nodes["Protein"].front(), "DESC",
+          storage::Value(std::string("touched"))));
+    }
+  }
+  return stream;
+}
+
+void ExpectSameGraph(const graph::LabeledGraph& got,
+                     const graph::LabeledGraph& want, const std::string& what) {
+  EXPECT_EQ(got.node_labels(), want.node_labels()) << what;
+  ASSERT_EQ(got.edges().size(), want.edges().size()) << what;
+  for (size_t e = 0; e < got.edges().size(); ++e) {
+    EXPECT_EQ(got.edges()[e].u, want.edges()[e].u) << what;
+    EXPECT_EQ(got.edges()[e].v, want.edges()[e].v) << what;
+    EXPECT_EQ(got.edges()[e].label, want.edges()[e].label) << what;
+  }
+}
+
+void ExpectSameRows(const std::vector<core::PairBuildStaging::Row>& got,
+                    const std::vector<core::PairBuildStaging::Row>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t r = 0; r < got.size(); ++r) {
+    EXPECT_TRUE(got[r].e1 == want[r].e1 && got[r].e2 == want[r].e2 &&
+                got[r].v == want[r].v)
+        << what << " row " << r;
+  }
+}
+
+/// Field-by-field identity of two stagings of one pair.
+void ExpectSameStaging(const core::PairBuildStaging& got,
+                       const core::PairBuildStaging& want,
+                       const std::string& what) {
+  const core::PairTopologyData& g = got.data;
+  const core::PairTopologyData& w = want.data;
+  EXPECT_EQ(g.t1, w.t1) << what;
+  EXPECT_EQ(g.t2, w.t2) << what;
+  EXPECT_EQ(g.pair_name, w.pair_name) << what;
+  EXPECT_EQ(g.num_related_pairs, w.num_related_pairs) << what;
+  EXPECT_EQ(g.truncated_pairs, w.truncated_pairs) << what;
+  EXPECT_EQ(g.truncated_representatives, w.truncated_representatives)
+      << what;
+  EXPECT_EQ(g.class_by_key, w.class_by_key) << what;
+  ASSERT_EQ(g.classes.size(), w.classes.size()) << what;
+  for (size_t c = 0; c < g.classes.size(); ++c) {
+    EXPECT_EQ(g.classes[c].id, w.classes[c].id) << what;
+    EXPECT_EQ(g.classes[c].key, w.classes[c].key) << what;
+    EXPECT_TRUE(g.classes[c].path == w.classes[c].path) << what;
+    EXPECT_EQ(g.classes[c].path_tid, w.classes[c].path_tid) << what;
+    EXPECT_EQ(g.classes[c].instance_pairs, w.classes[c].instance_pairs)
+        << what;
+  }
+  EXPECT_EQ(got.class_path_local_tid, want.class_path_local_tid) << what;
+  EXPECT_EQ(got.local_by_code, want.local_by_code) << what;
+  ASSERT_EQ(got.topologies.size(), want.topologies.size()) << what;
+  for (size_t t = 0; t < got.topologies.size(); ++t) {
+    const auto& gt = got.topologies[t];
+    const auto& wt = want.topologies[t];
+    EXPECT_EQ(gt.code, wt.code) << what << " topology " << t;
+    EXPECT_EQ(gt.num_classes, wt.num_classes) << what << " topology " << t;
+    EXPECT_EQ(gt.class_keys, wt.class_keys) << what << " topology " << t;
+    EXPECT_EQ(gt.frequency, wt.frequency) << what << " topology " << t;
+    ExpectSameGraph(gt.graph, wt.graph, what);
+  }
+  ExpectSameRows(got.alltops_rows, want.alltops_rows, what + " AllTops");
+  ExpectSameRows(got.pairclasses_rows, want.pairclasses_rows,
+                 what + " PairClasses");
+}
+
+/// Which truncations some memoized slice has recorded.
+struct TruncationsSeen {
+  bool paths_per_source = false;
+  bool class_representatives = false;
+  bool union_combinations = false;
+};
+
+/// For every pair the engine holds a memo of: the memoized StagePair on
+/// the live view (a copy of the engine's memo, so its surviving slices are
+/// reused) must equal a memo-less StagePair field by field.
+void ExpectMemosMatchFreshStaging(const mutation::MutationEngine& mutator,
+                                  const core::TopologyStore& live,
+                                  storage::Catalog* db,
+                                  const graph::SchemaGraph& schema,
+                                  const core::BuildConfig& config,
+                                  const std::string& what,
+                                  TruncationsSeen* seen = nullptr) {
+  ASSERT_NE(live.data_view(), nullptr) << what;
+  core::TopologyBuilder builder(db, &schema, live.data_view().get());
+  for (const auto& [key, pair] : live.pairs()) {
+    std::optional<core::SourceMemo> memo = mutator.SourceMemoOf(key);
+    if (!memo.has_value()) continue;
+    if (seen != nullptr) {
+      for (const auto& [a, slice] : memo->slices) {
+        seen->paths_per_source |= slice.source_truncated;
+        seen->class_representatives |= slice.reps_truncated;
+        for (const core::SourceMemo::Dest& dest : slice.dests) {
+          seen->union_combinations |= dest.union_truncated;
+        }
+      }
+    }
+    auto memoized = builder.StagePair(key.first, key.second, config, &*memo);
+    auto fresh = builder.StagePair(key.first, key.second, config);
+    ASSERT_TRUE(memoized.ok() && fresh.ok()) << what;
+    ExpectSameStaging(*memoized, *fresh, what + " " + pair.pair_name);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -750,16 +989,139 @@ TEST_F(MutationFig3Test, InvalidBatchesFailAtomicallyWithNoSideEffects) {
 }
 
 TEST_F(MutationFig3Test, StatusStringReportsTheApplyAndFoldCounters) {
-  ASSERT_TRUE(live_->mutator->Apply(MixedHistory()[0]).ok());
+  auto first = live_->mutator->Apply(MixedHistory()[0]);
+  ASSERT_TRUE(first.ok()) << first.status();
+  // A pair's first restage sweeps every source and fills its memo.
+  EXPECT_GT(first->sources_swept, 0u);
+  EXPECT_EQ(first->sources_reused, 0u);
+  const size_t memo_bytes = live_->mutator->source_memo_bytes();
+  EXPECT_GT(memo_bytes, 0u);
   std::string status = live_->mutator->StatusString();
   EXPECT_NE(status.find("generation: 1"), std::string::npos) << status;
   EXPECT_NE(status.find("uncompacted_generations: 1"), std::string::npos);
   EXPECT_NE(status.find("pending_pairs:"), std::string::npos);
+  EXPECT_NE(status.find("sources_swept_total: " +
+                        std::to_string(first->sources_swept)),
+            std::string::npos)
+      << status;
+  EXPECT_NE(status.find("sources_reused_total: 0"), std::string::npos)
+      << status;
+  EXPECT_NE(status.find("source_memo_bytes: " + std::to_string(memo_bytes)),
+            std::string::npos)
+      << status;
   ASSERT_TRUE(live_->mutator->CompactNow().ok());
   status = live_->mutator->StatusString();
   EXPECT_NE(status.find("uncompacted_generations: 0"), std::string::npos)
       << status;
   EXPECT_NE(status.find("compaction_rounds: 1"), std::string::npos) << status;
+
+  // Compaction keeps the memos: the next restage reuses unreached sources.
+  auto second = live_->mutator->Apply(MixedHistory()[1]);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_GT(second->sources_reused, 0u);
+
+  obs::MetricsRegistry registry;
+  registry.Register(live_->mutator.get());
+  const std::string text = registry.RenderPrometheus();
+  for (const char* family :
+       {"tsb_mutation_sources_swept_total", "tsb_mutation_sources_reused_total",
+        "tsb_mutation_source_memo_bytes"}) {
+    EXPECT_NE(text.find(family), std::string::npos) << family;
+  }
+  EXPECT_NE(text.find("tsb_mutation_sources_reused_total " +
+                      std::to_string(second->sources_reused)),
+            std::string::npos)
+      << text;
+}
+
+TEST_F(MutationFig3Test, FailedRestageKeepsLaterBatchesIdenticalToRebuild) {
+  mutation::MutationBatch first;
+  first.ops = {mutation::AddEdge("Encodes", 600, 78, 742)};
+  auto stats = live_->mutator->Apply(first);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  const std::vector<mutation::TypePair> dirty = stats->dirty.structural;
+  ASSERT_GE(dirty.size(), 2u);
+
+  // An edge of the same relationship set dirties the same pairs. Occupy
+  // the last one's AllTops name so its commit fails after the others were
+  // restaged and committed.
+  const core::PairTopologyData* last = live_->handle->Snapshot()->FindPair(
+      dirty.back().first, dirty.back().second);
+  ASSERT_NE(last, nullptr);
+  const std::string blocker =
+      "m" + std::to_string(live_->mutator->generation() + 1) + ".AllTops_" +
+      last->pair_name;
+  ASSERT_TRUE(live_->db
+                  .CreateTable(blocker, storage::TableSchema(
+                                            {{"X", storage::ColumnType::kInt64}}))
+                  .ok());
+  mutation::MutationBatch failing;
+  failing.ops = {mutation::AddEdge("Encodes", 601, 44, 214)};
+  auto failed = live_->mutator->Apply(failing);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(live_->mutator->generation(), 1u);
+  for (const mutation::TypePair& key : dirty) {
+    EXPECT_FALSE(live_->mutator->SourceMemoOf(key).has_value())
+        << "a failed batch must drop its dirty pairs' memos";
+  }
+  ASSERT_TRUE(live_->db.DropTable(blocker).ok());
+
+  // Later batches re-use the failed generation's namespace and describe a
+  // history in which the failed batch never happened.
+  std::vector<mutation::MutationBatch> history = {first};
+  mutation::MutationBatch later[2];
+  later[0].ops = {mutation::RemoveEdge("Uni_contains", 93),
+                  mutation::AddEdge("Encodes", 602, 44, 214)};
+  later[1].ops = {mutation::AddEdge("Uni_encodes", 603, 150, 32)};
+  for (const mutation::MutationBatch& batch : later) {
+    auto applied = live_->mutator->Apply(batch);
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    history.push_back(batch);
+    ExpectMemosMatchFreshStaging(*live_->mutator, *live_->handle->Snapshot(),
+                                 &live_->db, *live_->schema,
+                                 Fig3BuildConfig(), "after the failure");
+  }
+  auto oracle =
+      BuildMutatedOracle(history, live_->handle->Snapshot()->catalog());
+  ExpectIdenticalToOracle(*live_->engine, live_->db, *oracle,
+                          "after a failed restage");
+}
+
+TEST_F(MutationFig3Test, ExternalRebuildDropsTheSourceMemo) {
+  service::TopologyService svc(live_->engine.get(), &live_->db,
+                               service::ServiceConfig{});
+  ASSERT_TRUE(svc.AttachLiveStore(live_->schema.get(), live_->view.get()).ok());
+  mutation::MutationEngine::Options options;
+  options.build = Fig3BuildConfig();
+  ASSERT_TRUE(svc.EnableMutations(options).ok());
+  mutation::MutationEngine* mutator = svc.mutation_engine();
+
+  ASSERT_TRUE(svc.ApplyMutations(MixedHistory()[0]).ok());
+  EXPECT_GT(mutator->source_memo_bytes(), 0u);
+
+  // Rebuild stages a new epoch from the service's base view, so the live
+  // graph is the fixture again and the memos describe a graph gone.
+  service::RebuildOptions rebuild;
+  rebuild.build = Fig3BuildConfig();
+  rebuild.prune_threshold = 0;
+  ASSERT_TRUE(svc.Rebuild(rebuild).ok());
+
+  const std::vector<mutation::MutationBatch> history = {MixedHistory()[2],
+                                                        MixedHistory()[1]};
+  auto attributes = svc.ApplyMutations(history[0]);
+  ASSERT_TRUE(attributes.ok()) << attributes.status();
+  EXPECT_EQ(attributes->structural_pairs, 0u);
+  EXPECT_EQ(mutator->source_memo_bytes(), 0u)
+      << "a store swapped in by Rebuild must drop every memo";
+
+  auto removals = svc.ApplyMutations(history[1]);
+  ASSERT_TRUE(removals.ok()) << removals.status();
+  EXPECT_EQ(removals->sources_reused, 0u);
+  auto oracle =
+      BuildMutatedOracle(history, live_->handle->Snapshot()->catalog());
+  ExpectIdenticalToOracle(*live_->engine, live_->db, *oracle,
+                          "after an external rebuild");
 }
 
 TEST_F(MutationFig3Test, WalReplayReproducesAcknowledgedBatchesExactly) {
@@ -820,11 +1182,11 @@ class ShardedMutationTest : public ::testing::Test {
   }
 
   std::unique_ptr<shard::ScatterGatherExecutor> MakeSharded(
-      size_t n, const std::string& tag) {
+      size_t n, const std::string& tag,
+      const core::BuildConfig& config = Fig3BuildConfig()) {
     auto sharded = std::make_shared<shard::ShardedTopologyStore>(n);
     core::TopologyBuilder builder(&db_, schema_.get(), view_.get());
-    core::BuildConfig build;
-    build.max_path_length = 3;
+    core::BuildConfig build = config;
     build.table_namespace = tag + std::to_string(n) + ".";
     TSB_CHECK(sharded->Build(&builder, build).ok());
     core::PruneConfig prune;
@@ -844,6 +1206,29 @@ class ShardedMutationTest : public ::testing::Test {
         &db_, sharded, schema_.get(), view_.get(),
         biozon::MakeBiozonDomainKnowledge(ids_),
         engine::SqlBaselineOptions{}, shard::ScatterGatherConfig{});
+  }
+
+  /// The query mix under all nine methods, executor against oracle.
+  void ExpectMatchesOracle(const shard::ScatterGatherExecutor& executor,
+                           const OracleWorld& oracle,
+                           const std::string& what) {
+    const std::vector<engine::TopologyQuery> queries = FixtureQueries(db_);
+    const std::vector<engine::TopologyQuery> oqueries =
+        FixtureQueries(oracle.db);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      for (MethodKind method : kAllMethods) {
+        auto a = executor.Execute(queries[q], method);
+        auto b = oracle.engine->Execute(oqueries[q], method);
+        ASSERT_EQ(a.ok(), b.ok())
+            << what << ", query " << q << " "
+            << engine::MethodKindToString(method);
+        if (!a.ok()) continue;
+        EXPECT_EQ(a->entries, b->entries)
+            << what << ", query " << q << " "
+            << engine::MethodKindToString(method);
+        EXPECT_FALSE(a->partial);
+      }
+    }
   }
 
   storage::Catalog db_;
@@ -870,39 +1255,63 @@ TEST_F(ShardedMutationTest, OverlayMatchesFromScratchAtOneAndFourShards) {
 
     auto oracle = BuildMutatedOracle(
         history, executor->mutable_store()->Snapshot(0)->catalog());
-    const std::vector<engine::TopologyQuery> queries = FixtureQueries(db_);
-    const std::vector<engine::TopologyQuery> oqueries =
-        FixtureQueries(oracle->db);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      for (MethodKind method : kAllMethods) {
-        auto a = executor->Execute(queries[q], method);
-        auto b = oracle->engine->Execute(oqueries[q], method);
-        ASSERT_EQ(a.ok(), b.ok())
-            << n << " shards, query " << q << " "
-            << engine::MethodKindToString(method);
-        if (!a.ok()) continue;
-        EXPECT_EQ(a->entries, b->entries)
-            << n << " shards, query " << q << " "
-            << engine::MethodKindToString(method);
-        EXPECT_FALSE(a->partial);
-      }
-    }
+    ExpectMatchesOracle(*executor, *oracle,
+                        std::to_string(n) + " shards");
 
     // Rolling per-shard compaction preserves the identity.
     auto fold = mutator.CompactNow();
     ASSERT_TRUE(fold.ok()) << fold.status();
-    for (size_t q = 0; q < queries.size(); ++q) {
-      for (MethodKind method : kAllMethods) {
-        auto a = executor->Execute(queries[q], method);
-        auto b = oracle->engine->Execute(oqueries[q], method);
-        ASSERT_EQ(a.ok(), b.ok());
-        if (a.ok()) {
-          EXPECT_EQ(a->entries, b->entries)
-              << "post-fold " << n << " shards, query " << q << " "
-              << engine::MethodKindToString(method);
-        }
-      }
+    ExpectMatchesOracle(*executor, *oracle,
+                        "post-fold " + std::to_string(n) + " shards");
+  }
+}
+
+TEST_F(ShardedMutationTest, SourceMemoMatchesFreshStagingOverASeededStream) {
+  // Caps small enough that every truncation fires on the growing graph.
+  core::BuildConfig config = Fig3BuildConfig();
+  config.max_class_representatives = 2;
+  config.max_union_combinations = 3;
+  config.max_paths_per_source = 8;
+  const std::vector<mutation::MutationBatch> stream = RandomStream(13, 200);
+  for (size_t n : {1u, 4u}) {
+    auto executor = MakeSharded(n, "ms", config);
+    std::vector<std::shared_ptr<core::StoreHandle>> handles;
+    for (size_t i = 0; i < n; ++i) {
+      handles.push_back(executor->mutable_store()->handle(i));
     }
+    mutation::MutationEngine::Options options;
+    options.build = config;
+    mutation::MutationEngine mutator(&db_, schema_.get(), handles, options);
+    TruncationsSeen seen;
+    size_t swept = 0;
+    size_t reused = 0;
+    for (size_t b = 0; b < stream.size(); ++b) {
+      const std::string what =
+          std::to_string(n) + " shards, batch " + std::to_string(b);
+      auto stats = mutator.Apply(stream[b]);
+      ASSERT_TRUE(stats.ok()) << what << ": " << stats.status();
+      swept += stats->sources_swept;
+      reused += stats->sources_reused;
+      if (b == stream.size() / 2) {
+        // A fold leaves the graph unchanged and keeps the memos.
+        const size_t memo_bytes = mutator.source_memo_bytes();
+        ASSERT_TRUE(mutator.CompactNow().ok());
+        EXPECT_EQ(mutator.source_memo_bytes(), memo_bytes);
+      }
+      ExpectMemosMatchFreshStaging(mutator,
+                                   *executor->mutable_store()->Snapshot(0),
+                                   &db_, *schema_, config, what, &seen);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(seen.paths_per_source);
+    EXPECT_TRUE(seen.class_representatives);
+    EXPECT_TRUE(seen.union_combinations);
+    EXPECT_GT(reused, swept) << "the memo should spare most sweeps";
+
+    auto oracle = BuildMutatedOracle(
+        stream, executor->mutable_store()->Snapshot(0)->catalog(), config);
+    ExpectMatchesOracle(*executor, *oracle,
+                        std::to_string(n) + " shards after the stream");
   }
 }
 
