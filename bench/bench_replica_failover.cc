@@ -29,7 +29,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -48,6 +47,7 @@
 namespace {
 
 using namespace tsb;
+using bench::Percentile;
 
 constexpr size_t kShards = 2;
 constexpr size_t kReplicas = 2;
@@ -106,14 +106,6 @@ bool WaitForServer(const std::string& uds, double timeout_seconds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   }
   return false;
-}
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const size_t idx = static_cast<size_t>(
-      p * static_cast<double>(values.size() - 1) + 0.5);
-  return values[idx];
 }
 
 struct FloodOutcome {

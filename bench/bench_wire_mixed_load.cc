@@ -113,8 +113,8 @@ InteractivePhase RunInteractive(service::TopologyService* svc,
   phase.mismatches = mismatches.load();
   phase.failures = failures.load();
   auto metrics = svc->Metrics();
-  phase.p95 = metrics.classes[0].latency.p95;
-  phase.p50 = metrics.classes[0].latency.p50;
+  phase.p95 = metrics.classes[0].latency.Quantile(0.95);
+  phase.p50 = metrics.classes[0].latency.Quantile(0.50);
   return phase;
 }
 

@@ -13,8 +13,10 @@
 namespace tsb {
 namespace obs {
 
-/// Fixed log-bucket latency histogram — the fleet-mergeable counterpart
-/// of LatencyReservoir. The bucket layout follows the Prometheus
+/// Fixed log-bucket latency histogram — the one latency primitive of the
+/// tree: service, transport and replica latencies all record into it, and
+/// the metrics export and `topctl top` read their quantiles from its
+/// buckets. The bucket layout follows the Prometheus
 /// native-histogram idea: exponential buckets at a fixed resolution, here
 /// 4 per octave (factor 2^(1/4) ≈ 1.19) starting at 1µs, 128 buckets
 /// spanning ~1µs..4295s, plus one overflow bucket. The layout is global
@@ -26,10 +28,10 @@ namespace obs {
 /// count/sum/max are exact. Quantile() is bucket-resolution (returns the
 /// upper bound of the bucket holding the rank), which makes it a pure
 /// function of the bucket counts: merged-then-quantile equals
-/// union-recorded-then-quantile, bit for bit.
+/// union-recorded-then-quantile, bit for bit. The price is resolution: a
+/// quantile above 1µs is at most 2^(1/4) ≈ 1.19× the exact sample value.
 ///
-/// Not internally locked — callers hold the owning mutex, exactly as with
-/// LatencyReservoir.
+/// Not internally locked — callers hold the owning mutex.
 class LatencyHistogram {
  public:
   static constexpr size_t kNumBuckets = 128;   // Finite buckets.

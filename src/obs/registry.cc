@@ -10,7 +10,7 @@ namespace obs {
 
 namespace {
 
-enum class SampleType { kCounter, kGauge, kSummary, kHistogram };
+enum class SampleType { kCounter, kGauge, kHistogram };
 
 struct Sample {
   std::string name;
@@ -18,7 +18,6 @@ struct Sample {
   SampleType type = SampleType::kCounter;
   MetricsSink::Labels labels;
   double value = 0.0;
-  SummaryValue summary;
   HistogramValue histogram;
 };
 
@@ -33,10 +32,6 @@ class VectorSink : public MetricsSink {
   void Gauge(std::string_view name, std::string_view help,
              const Labels& labels, double value) override {
     Push(name, help, SampleType::kGauge, labels).value = value;
-  }
-  void Summary(std::string_view name, std::string_view help,
-               const Labels& labels, const SummaryValue& value) override {
-    Push(name, help, SampleType::kSummary, labels).summary = value;
   }
   void Histogram(std::string_view name, std::string_view help,
                  const Labels& labels, const HistogramValue& value) override {
@@ -107,7 +102,6 @@ const char* TypeName(SampleType type) {
   switch (type) {
     case SampleType::kCounter: return "counter";
     case SampleType::kGauge: return "gauge";
-    case SampleType::kSummary: return "summary";
     case SampleType::kHistogram: return "histogram";
   }
   return "untyped";
@@ -186,19 +180,7 @@ std::string MetricsRegistry::RenderPrometheus() const {
     out += "# HELP " + name + " " + head->help + "\n";
     out += "# TYPE " + name + " " + TypeName(head->type) + "\n";
     for (const Sample* sample : group) {
-      if (sample->type == SampleType::kSummary) {
-        const SummaryValue& s = sample->summary;
-        const struct { const char* q; double v; } quantiles[] = {
-            {"0.5", s.p50}, {"0.95", s.p95}, {"0.99", s.p99}, {"1", s.max}};
-        for (const auto& [q, v] : quantiles) {
-          out += name + RenderLabels(sample->labels, "quantile", q) + " " +
-                 FormatNumber(v) + "\n";
-        }
-        out += name + "_count" + RenderLabels(sample->labels) + " " +
-               FormatNumber(static_cast<double>(s.count)) + "\n";
-        out += name + "_sum" + RenderLabels(sample->labels) + " " +
-               FormatNumber(s.mean * static_cast<double>(s.count)) + "\n";
-      } else if (sample->type == SampleType::kHistogram) {
+      if (sample->type == SampleType::kHistogram) {
         const HistogramValue& h = sample->histogram;
         for (const auto& [bound, cumulative] : h.buckets) {
           out += name + "_bucket" +
@@ -240,15 +222,7 @@ std::string MetricsRegistry::RenderJson() const {
       out += "\"" + EscapeJson(key) + "\":\"" + EscapeJson(value) + "\"";
     }
     out += "},";
-    if (sample.type == SampleType::kSummary) {
-      const SummaryValue& s = sample.summary;
-      out += "\"value\":{\"count\":" + FormatNumber(static_cast<double>(s.count)) +
-             ",\"mean\":" + FormatNumber(s.mean) +
-             ",\"p50\":" + FormatNumber(s.p50) +
-             ",\"p95\":" + FormatNumber(s.p95) +
-             ",\"p99\":" + FormatNumber(s.p99) +
-             ",\"max\":" + FormatNumber(s.max) + "}";
-    } else if (sample.type == SampleType::kHistogram) {
+    if (sample.type == SampleType::kHistogram) {
       const HistogramValue& h = sample.histogram;
       out += "\"value\":{\"count\":" +
              FormatNumber(static_cast<double>(h.count)) +

@@ -18,22 +18,11 @@ namespace obs {
 /// The registry owns nothing and samples lazily — Collect walks live
 /// snapshot state on demand, so registration is free on the hot path.
 
-/// A latency summary sample (mirrors service::LatencyReservoir::Summary
-/// without depending on it; conversion is field-by-field).
-struct SummaryValue {
-  uint64_t count = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-/// A bucketed latency distribution (obs::LatencyHistogram's export form):
-/// cumulative (upper_bound, count) pairs ending with the +Inf bucket,
-/// exported as Prometheus histogram series (`_bucket{le=..}` samples plus
-/// _count and _sum). Unlike SummaryValue, bucket counts merge exactly
-/// across processes.
+/// A bucketed latency distribution (obs::LatencyHistogram's export form,
+/// and the only latency sample kind): cumulative (upper_bound, count)
+/// pairs ending with the +Inf bucket, exported as Prometheus histogram
+/// series (`_bucket{le=..}` samples plus _count and _sum). Bucket counts
+/// merge exactly across processes; quantiles are derived by the reader.
 struct HistogramValue {
   uint64_t count = 0;
   double sum = 0.0;
@@ -53,10 +42,6 @@ class MetricsSink {
                        const Labels& labels, double value) = 0;
   virtual void Gauge(std::string_view name, std::string_view help,
                      const Labels& labels, double value) = 0;
-  /// A latency distribution, exported as Prometheus summary series
-  /// (quantile-labelled samples plus _count and _sum).
-  virtual void Summary(std::string_view name, std::string_view help,
-                       const Labels& labels, const SummaryValue& value) = 0;
   /// A bucketed distribution, exported as Prometheus histogram series.
   virtual void Histogram(std::string_view name, std::string_view help,
                          const Labels& labels,
@@ -96,8 +81,8 @@ class MetricsRegistry {
   std::string RenderPrometheus() const;
 
   /// The same samples as a JSON array of objects:
-  /// {"name":..,"type":..,"labels":{..},"value":..} (summaries carry a
-  /// nested value object with count/mean/quantiles).
+  /// {"name":..,"type":..,"labels":{..},"value":..} (histograms carry a
+  /// nested value object with count, sum and cumulative buckets).
   std::string RenderJson() const;
 
  private:

@@ -18,48 +18,6 @@
 namespace tsb {
 namespace service {
 
-/// Fixed-size reservoir sample of latencies with exact count/sum/max.
-/// Replacement uses a deterministic multiplicative hash of the observation
-/// counter — statistically uniform, reproducible, and lock-cheap (callers
-/// hold the owning mutex).
-class LatencyReservoir {
- public:
-  static constexpr size_t kCapacity = 512;
-
-  void Record(double seconds);
-
-  struct Summary {
-    uint64_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-
-    /// The registry-facing view of this summary (field-by-field copy).
-    obs::SummaryValue ToSummaryValue() const {
-      obs::SummaryValue value;
-      value.count = count;
-      value.mean = mean;
-      value.p50 = p50;
-      value.p95 = p95;
-      value.p99 = p99;
-      value.max = max;
-      return value;
-    }
-  };
-  /// Percentiles come from the reservoir sample; count/mean/max are exact.
-  Summary Summarize() const;
-
-  void Reset();
-
- private:
-  std::vector<double> sample_;
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Per-method serving counters. One row per engine method plus one for
 /// 3-queries (kTripleSlot).
 struct MethodStatsSnapshot {
@@ -67,10 +25,9 @@ struct MethodStatsSnapshot {
   uint64_t requests = 0;     // Admitted requests (hits + executions).
   uint64_t cache_hits = 0;
   uint64_t errors = 0;       // Admitted but failed in the engine.
-  LatencyReservoir::Summary latency;  // End-to-end service latency.
-  /// Same latencies in fixed log buckets: unlike the reservoir summary,
-  /// bucket counts merge exactly across processes (`topctl top`).
-  obs::LatencyHistogram latency_hist;
+  /// End-to-end service latency in fixed log buckets; bucket counts merge
+  /// exactly across processes (`topctl top`).
+  obs::LatencyHistogram latency;
   /// Aggregate resource bill for this method (obs::CostTracker).
   obs::CostCounters cost;
 };
@@ -82,8 +39,7 @@ struct PriorityClassSnapshot {
   uint64_t rejected = 0;       // Bounced: class queue at its bound.
   uint64_t deadline_shed = 0;  // Dequeued after the deadline expired.
   uint64_t cancelled = 0;      // Stream cancelled before execution.
-  LatencyReservoir::Summary latency;  // End-to-end, executed requests.
-  obs::LatencyHistogram latency_hist;  // Mergeable bucket view.
+  obs::LatencyHistogram latency;  // End-to-end, executed requests.
 };
 
 struct MetricsSnapshot {
@@ -115,7 +71,7 @@ struct MetricsSnapshot {
 };
 
 /// Thread-safe serving metrics: requests, cache hits, errors, rejections,
-/// and per-method p50/p95/p99 latency via reservoir sampling.
+/// and per-method latency histograms (p50/p95/p99 at bucket resolution).
 ///
 /// Also an obs::MetricsSource: registered with a process's
 /// obs::MetricsRegistry it exports every counter under tsb_service_*
@@ -165,8 +121,7 @@ class ServiceMetrics : public obs::MetricsSource {
     uint64_t requests = 0;
     uint64_t cache_hits = 0;
     uint64_t errors = 0;
-    LatencyReservoir latency;
-    obs::LatencyHistogram latency_hist;
+    obs::LatencyHistogram latency;
     obs::CostCounters cost;
   };
 
@@ -176,8 +131,7 @@ class ServiceMetrics : public obs::MetricsSource {
     uint64_t rejected = 0;
     uint64_t deadline_shed = 0;
     uint64_t cancelled = 0;
-    LatencyReservoir latency;
-    obs::LatencyHistogram latency_hist;
+    obs::LatencyHistogram latency;
   };
 
   std::array<Slot, kNumSlots> slots_;
@@ -199,14 +153,13 @@ struct TransportShardSnapshot {
   uint64_t bytes_sent = 0;      // Encoded request frame bytes.
   uint64_t bytes_received = 0;  // Encoded response frame bytes.
   uint64_t reconnects = 0;      // Successful dials after a failure.
-  LatencyReservoir::Summary rtt;  // Send-to-response round-trip time.
-  obs::LatencyHistogram rtt_hist;  // Mergeable bucket view of the same.
+  obs::LatencyHistogram rtt;    // Send-to-response round-trip time.
 };
 
 struct TransportMetricsSnapshot {
   std::vector<TransportShardSnapshot> shards;
-  /// Sums over shards (rtt percentiles are omitted from the total row —
-  /// per-shard reservoirs do not merge exactly).
+  /// Sums of the per-shard counters; rtt stays empty (merge the per-shard
+  /// histograms for an all-shard view).
   TransportShardSnapshot total;
 
   /// Multi-line human-readable table (one row per shard with traffic).
@@ -248,8 +201,7 @@ class TransportMetrics : public obs::MetricsSource {
     uint64_t bytes_sent = 0;
     uint64_t bytes_received = 0;
     uint64_t reconnects = 0;
-    LatencyReservoir rtt;
-    obs::LatencyHistogram rtt_hist;
+    obs::LatencyHistogram rtt;
   };
 
   size_t num_shards_;
@@ -269,8 +221,7 @@ struct ReplicaSnapshot {
   uint64_t quarantines = 0;    // Stale-epoch quarantine entries.
   uint64_t outstanding = 0;    // In-flight right now (gauge).
   double rtt_ewma = 0.0;       // Load-routing signal (seconds).
-  LatencyReservoir::Summary rtt;
-  obs::LatencyHistogram rtt_hist;  // Mergeable bucket view.
+  obs::LatencyHistogram rtt;   // Attempt round-trip time.
 };
 
 struct ReplicaShardSnapshot {
@@ -323,7 +274,8 @@ class ReplicaMetrics : public obs::MetricsSource {
   /// Routing signals (racy snapshots, by design).
   uint64_t Outstanding(size_t shard, size_t replica) const;
   double RttEwma(size_t shard, size_t replica) const;
-  /// RTT p95 across all of `shard`'s replicas — the hedge-delay base.
+  /// RTT p95 across all of `shard`'s replicas — the hedge-delay base —
+  /// at histogram bucket resolution.
   /// `min_samples` gates warm-up: returns 0 until the shard has seen that
   /// many attempts.
   double ShardRttP95(size_t shard, uint64_t min_samples) const;
@@ -351,8 +303,7 @@ class ReplicaMetrics : public obs::MetricsSource {
     uint64_t quarantines = 0;
     std::atomic<uint64_t> outstanding{0};
     double rtt_ewma = 0.0;
-    LatencyReservoir rtt;
-    obs::LatencyHistogram rtt_hist;
+    obs::LatencyHistogram rtt;
   };
 
   struct ShardSlot {
@@ -361,7 +312,7 @@ class ReplicaMetrics : public obs::MetricsSource {
     uint64_t hedges_launched = 0;
     uint64_t failovers = 0;
     uint64_t exhausted = 0;
-    LatencyReservoir shard_rtt;  // Pooled over replicas (hedge base).
+    obs::LatencyHistogram shard_rtt;  // Pooled over replicas (hedge base).
     uint64_t shard_attempts = 0;
   };
 

@@ -43,11 +43,8 @@ void EndFrame(size_t start, std::string* out) {
 /// Validates the header and hands back the payload slice. The caller
 /// holds the complete message, so kIncomplete is truncation (malformed),
 /// and trailing bytes beyond the framed length are rejected too.
-/// `version` (optional) receives the frame's header version so decoders
-/// can branch on which tail fields the payload carries.
 Result<std::string_view> OpenFrame(std::string_view frame,
-                                   MessageKind expected,
-                                   uint8_t* version = nullptr) {
+                                   MessageKind expected) {
   FrameHeader header;
   const FrameError error =
       InspectFrame(frame, /*max_payload_bytes=*/frame.size(), &header);
@@ -64,7 +61,6 @@ Result<std::string_view> OpenFrame(std::string_view frame,
         std::to_string(header.payload_bytes) + ", got " +
         std::to_string(frame.size() - kHeaderBytes) + ")");
   }
-  if (version != nullptr) *version = header.version;
   return frame.substr(kHeaderBytes);
 }
 
@@ -201,7 +197,6 @@ void EncodeQueryRequest(const WireRequest& request, std::string* out) {
   }
   PutBool(out, request.options.skip_pruned_checks);
   PutBool(out, request.options.use_columnar);
-  // v4 tail: trace context.
   PutU64(out, request.trace.trace_id);
   PutU64(out, request.trace.parent_span_id);
   PutBool(out, request.trace.sampled);
@@ -210,10 +205,8 @@ void EncodeQueryRequest(const WireRequest& request, std::string* out) {
 
 Result<WireRequest> DecodeQueryRequest(std::string_view frame,
                                        const storage::Catalog& db) {
-  uint8_t version = kWireVersion;
-  TSB_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      OpenFrame(frame, MessageKind::kQueryRequest, &version));
+  TSB_ASSIGN_OR_RETURN(std::string_view payload,
+                       OpenFrame(frame, MessageKind::kQueryRequest));
   BinaryReader in(payload);
   WireRequest request;
   request.id = in.U64();
@@ -277,11 +270,9 @@ Result<WireRequest> DecodeQueryRequest(std::string_view frame,
   }
   request.options.skip_pruned_checks = in.Bool();
   request.options.use_columnar = in.Bool();
-  if (version >= 4) {
-    request.trace.trace_id = in.U64();
-    request.trace.parent_span_id = in.U64();
-    request.trace.sampled = in.Bool();
-  }
+  request.trace.trace_id = in.U64();
+  request.trace.parent_span_id = in.U64();
+  request.trace.sampled = in.Bool();
   if (!in.AtEnd()) return in.status("query request payload");
   return request;
 }
@@ -295,10 +286,8 @@ void EncodeQueryResponse(const WireResponse& response, std::string* out) {
   engine::EncodeQueryResult(response.result, out);
   PutBool(out, response.from_cache);
   PutF64(out, response.service_seconds);
-  // v4 tail: piggybacked responder spans (v6 span records carry cpu_ns).
+  // Piggybacked responder spans, then the result's resource bill.
   obs::EncodeSpans(response.spans, out);
-  // v6 tail: the result's resource bill. Encoded after the span list so a
-  // v5 payload is a strict prefix of a v6 one (minus per-span cpu).
   PutU64(out, response.result.stats.cpu_ns);
   PutU64(out, response.result.stats.bytes_deserialized);
   PutU64(out, response.result.stats.catalog_interns);
@@ -307,10 +296,8 @@ void EncodeQueryResponse(const WireResponse& response, std::string* out) {
 }
 
 Result<WireResponse> DecodeQueryResponse(std::string_view frame) {
-  uint8_t version = kWireVersion;
-  TSB_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      OpenFrame(frame, MessageKind::kQueryResponse, &version));
+  TSB_ASSIGN_OR_RETURN(std::string_view payload,
+                       OpenFrame(frame, MessageKind::kQueryResponse));
   BinaryReader in(payload);
   WireResponse response;
   response.request_id = in.U64();
@@ -325,16 +312,11 @@ Result<WireResponse> DecodeQueryResponse(std::string_view frame) {
   TSB_ASSIGN_OR_RETURN(response.result, engine::DecodeQueryResult(&in));
   response.from_cache = in.Bool();
   response.service_seconds = in.F64();
-  if (version >= 4) {
-    TSB_RETURN_IF_ERROR(
-        obs::DecodeSpans(&in, &response.spans, /*with_cpu=*/version >= 6));
-  }
-  if (version >= 6) {
-    response.result.stats.cpu_ns = in.U64();
-    response.result.stats.bytes_deserialized = in.U64();
-    response.result.stats.catalog_interns = in.U64();
-    response.result.stats.heap_bytes = in.U64();
-  }
+  TSB_RETURN_IF_ERROR(obs::DecodeSpans(&in, &response.spans));
+  response.result.stats.cpu_ns = in.U64();
+  response.result.stats.bytes_deserialized = in.U64();
+  response.result.stats.catalog_interns = in.U64();
+  response.result.stats.heap_bytes = in.U64();
   if (!in.AtEnd()) return in.status("query response payload");
   return response;
 }

@@ -22,10 +22,9 @@ namespace wire {
 /// Decoders reject bad magic, unknown versions/kinds, length mismatches,
 /// and trailing payload bytes.
 ///
-/// Encoders always emit kWireVersion; decoders accept every version in
-/// [kMinWireVersion, kWireVersion]. Fields added by a newer version sit at
-/// the payload tail, so an older payload simply ends before them and the
-/// decoder fills the defaults (empty trace context, no spans).
+/// Encoders always emit kWireVersion and decoders accept only it
+/// (kMinWireVersion == kWireVersion): a frame of any other version is
+/// FrameError::kUnsupportedVersion, never a best-effort partial decode.
 ///
 /// Requests carry predicates as structural trees
 /// (storage::DecodePredicate), re-resolved against the decoding side's
@@ -73,8 +72,8 @@ enum class FrameError : uint8_t {
   /// bytes can never become a valid frame; a connection carrying them is
   /// poisoned and must be closed.
   kMalformedFrame = 2,
-  /// Valid magic but a version this build does not speak. Distinct from
-  /// malformed so a mixed-version deployment can answer "upgrade me"
+  /// Valid magic but a version other than kWireVersion. Distinct from
+  /// malformed so a peer on another version can be told "upgrade me"
   /// instead of "you sent garbage".
   kUnsupportedVersion = 3,
 };

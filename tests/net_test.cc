@@ -692,7 +692,9 @@ TEST_F(NetFig3Test, ConnectionPoolReusesConnectionsAcrossQueries) {
   EXPECT_EQ(metrics.total.reconnects, 0u);
   bool rtt_seen = false;
   for (const auto& row : metrics.shards) {
-    if (row.rtt.count > 0 && row.rtt.p95 > 0.0) rtt_seen = true;
+    if (row.rtt.count() > 0 && row.rtt.Quantile(0.95) > 0.0) {
+      rtt_seen = true;
+    }
   }
   EXPECT_TRUE(rtt_seen);
   EXPECT_FALSE(metrics.ToString().empty());

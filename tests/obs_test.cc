@@ -274,14 +274,6 @@ TEST(MetricsRegistryTest, RendersPrometheusFamiliesWithHeaders) {
     sink->Counter("tsb_requests_total", "Requests served.",
                   {{"method", "fast-topk"}}, 3);
     sink->Gauge("tsb_queue_depth", "Queued requests.", {}, 5);
-    obs::SummaryValue latency;
-    latency.count = 100;
-    latency.mean = 0.002;
-    latency.p50 = 0.001;
-    latency.p95 = 0.004;
-    latency.p99 = 0.009;
-    latency.max = 0.05;
-    sink->Summary("tsb_latency_seconds", "Service latency.", {}, latency);
   });
   obs::MetricsRegistry registry;
   registry.Register(&source);
@@ -299,13 +291,14 @@ TEST(MetricsRegistryTest, RendersPrometheusFamiliesWithHeaders) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE tsb_queue_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("tsb_queue_depth 5"), std::string::npos);
-  // Summaries expand to quantile-labelled samples plus _count and _sum.
-  EXPECT_NE(text.find("tsb_latency_seconds{quantile=\"0.5\"} 0.001"),
-            std::string::npos);
-  EXPECT_NE(text.find("tsb_latency_seconds{quantile=\"0.99\"} 0.009"),
-            std::string::npos);
-  EXPECT_NE(text.find("tsb_latency_seconds_count 100"), std::string::npos);
-  EXPECT_NE(text.find("tsb_latency_seconds_sum 0.2"), std::string::npos);
+  // The JSON rendering carries the same samples as flat objects.
+  const std::string json = registry.RenderJson();
+  EXPECT_NE(json.find("{\"name\":\"tsb_requests_total\",\"type\":\"counter\","
+                      "\"labels\":{\"method\":\"fast-topk\"},\"value\":3}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json[json.size() - 2], ']');
 
   registry.Unregister(&source);
   EXPECT_EQ(registry.num_sources(), 0u);
@@ -336,26 +329,6 @@ TEST(MetricsRegistryTest, DoubleRegisterIsIdempotent) {
   EXPECT_EQ(text.find("tsb_once_total 1"), text.rfind("tsb_once_total 1"));
   registry.Register(nullptr);  // No-op.
   EXPECT_EQ(registry.num_sources(), 1u);
-}
-
-TEST(MetricsRegistryTest, RendersJsonWithSummaryObjects) {
-  obs::CallbackSource source([](obs::MetricsSink* sink) {
-    sink->Counter("tsb_c", "h", {{"k", "v"}}, 2);
-    obs::SummaryValue latency;
-    latency.count = 4;
-    latency.p99 = 0.5;
-    sink->Summary("tsb_s", "h", {}, latency);
-  });
-  obs::MetricsRegistry registry;
-  registry.Register(&source);
-  const std::string json = registry.RenderJson();
-  EXPECT_NE(json.find("{\"name\":\"tsb_c\",\"type\":\"counter\","
-                      "\"labels\":{\"k\":\"v\"},\"value\":2}"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"p99\":0.5"), std::string::npos);
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json[json.size() - 2], ']');
 }
 
 // ---------------------------------------------------------------------------
@@ -784,31 +757,6 @@ TEST(SpanCodecTest, CpuFieldRoundTripsThroughTheSpanCodec) {
   ASSERT_TRUE(obs::DecodeSpans(&in, &decoded).ok());
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].cpu_ns, 1234567890ULL);
-}
-
-TEST(SpanCodecTest, WithCpuFalseDecodesPreV6SpanRecords) {
-  // A v4/v5 frame's span record ends at the duration; the decoder must
-  // consume exactly that and report cpu_ns = 0.
-  std::string bytes;
-  PutU32(&bytes, 1);
-  PutU64(&bytes, 11);   // span_id
-  PutU64(&bytes, 0);    // parent
-  PutString(&bytes, "execute");
-  PutString(&bytes, "ok=1");
-  PutF64(&bytes, 1723100000.0);
-  PutF64(&bytes, 0.125);
-  BinaryReader in(bytes);
-  std::vector<obs::Span> decoded;
-  ASSERT_TRUE(obs::DecodeSpans(&in, &decoded, /*with_cpu=*/false).ok());
-  EXPECT_TRUE(in.AtEnd());
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].name, "execute");
-  EXPECT_EQ(decoded[0].cpu_ns, 0u);
-
-  // The same body at v6 framing is short by the cpu field and must fail.
-  BinaryReader in_v6(bytes);
-  std::vector<obs::Span> rejected;
-  EXPECT_FALSE(obs::DecodeSpans(&in_v6, &rejected, /*with_cpu=*/true).ok());
 }
 
 TEST(FormatSpanTreeTest, CpuAttributionRendersWhenPresent) {

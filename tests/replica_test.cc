@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -176,12 +177,69 @@ TEST(ReplicaMetricsTest, TracksOutstandingAndGatesTheP95Warmup) {
     metrics.RecordAttempt(0, 0, false, false);
     metrics.RecordOutcome(0, 0, 0.005, true);
   }
-  EXPECT_GT(metrics.ShardRttP95(0, 32), 0.0);
+  // Past the gate the base is the pooled histogram's bucket-resolution
+  // p95 over both replicas' successful outcomes.
+  obs::LatencyHistogram pooled;
+  pooled.Record(0.010);
+  for (int i = 0; i < 40; ++i) pooled.Record(0.005);
+  EXPECT_EQ(metrics.ShardRttP95(0, 32), pooled.Quantile(0.95));
 
   auto snap = metrics.Snapshot();
   EXPECT_EQ(snap.shards[0].replicas[1].hedge_attempts, 1u);
   EXPECT_EQ(snap.shards[0].replicas[0].attempts, 40u);
+  EXPECT_EQ(snap.shards[0].replicas[0].rtt.count(), 40u);
   EXPECT_FALSE(snap.ToString().empty());
+
+  // The transport's hedge delay: the default below hedge_min_samples,
+  // then max(floor, factor × pooled p95), and the default again after a
+  // Reset. The channels are never dialled — outcomes are recorded
+  // directly into the transport's metrics.
+  replica::ReplicaSetConfig config;
+  config.hedge_min_samples = 8;
+  config.attempt_threads = 1;
+  config.coordinator_threads = 1;
+  std::vector<std::vector<std::unique_ptr<replica::ReplicaChannel>>>
+      channels(1);
+  for (int r = 0; r < 2; ++r) {
+    channels[0].push_back(std::make_unique<replica::SocketReplicaChannel>(
+        net::ShardEndpoint::Unix("/nonexistent/hedge-delay.sock")));
+  }
+  replica::ReplicaSetTransport transport(std::move(channels), config);
+  service::ReplicaMetrics& live = transport.replica_metrics();
+  obs::LatencyHistogram shard_rtt;
+  auto record = [&](size_t replica, double rtt, bool ok) {
+    live.RecordAttempt(0, replica, false, false);
+    live.RecordOutcome(0, replica, rtt, ok);
+    if (ok) shard_rtt.Record(rtt);
+  };
+  auto expected_delay = [&] {
+    return std::max(config.hedge_delay_floor_seconds,
+                    config.hedge_delay_factor * shard_rtt.Quantile(0.95));
+  };
+  // A failed attempt counts toward the warm-up but not the histogram.
+  record(1, 5.0, /*ok=*/false);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(transport.HedgeDelaySeconds(0),
+              config.hedge_delay_default_seconds)
+        << i;
+    record(i % 2, 0.0003, true);
+  }
+  EXPECT_EQ(transport.HedgeDelaySeconds(0),
+            config.hedge_delay_default_seconds);
+  record(0, 0.0003, true);
+  // Sub-millisecond p95: the floor wins.
+  EXPECT_EQ(transport.HedgeDelaySeconds(0), config.hedge_delay_floor_seconds);
+  EXPECT_EQ(transport.HedgeDelaySeconds(0), expected_delay());
+  // A slow tail (2 of 9 samples) moves the p95, not the p50, past
+  // floor / factor.
+  for (int i = 0; i < 2; ++i) record(i % 2, 0.030, true);
+  ASSERT_LT(config.hedge_delay_factor * shard_rtt.Quantile(0.50),
+            config.hedge_delay_floor_seconds);
+  EXPECT_GT(transport.HedgeDelaySeconds(0), config.hedge_delay_floor_seconds);
+  EXPECT_EQ(transport.HedgeDelaySeconds(0), expected_delay());
+  live.Reset();
+  EXPECT_EQ(transport.HedgeDelaySeconds(0),
+            config.hedge_delay_default_seconds);
 }
 
 // ---------------------------------------------------------------------------

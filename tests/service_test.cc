@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <future>
+#include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "core/builder.h"
 #include "core/pruner.h"
 #include "engine/engine.h"
+#include "obs/registry.h"
 #include "service/metrics.h"
 #include "service/query_cache.h"
 #include "service/request_parser.h"
@@ -82,29 +87,166 @@ TEST(ThreadPoolTest, TasksRunConcurrently) {
 }
 
 // ---------------------------------------------------------------------------
-// LatencyReservoir
+// Latency metrics: one LatencyHistogram per row
 // ---------------------------------------------------------------------------
 
-TEST(LatencyReservoirTest, ExactStatsBelowCapacity) {
-  service::LatencyReservoir reservoir;
-  for (int i = 1; i <= 100; ++i) {
-    reservoir.Record(static_cast<double>(i));
-  }
-  auto s = reservoir.Summarize();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.mean, 50.5, 1e-9);
-  EXPECT_NEAR(s.p50, 50.0, 2.0);
-  EXPECT_NEAR(s.p95, 95.0, 2.0);
+/// Whitespace-split tokens of one rendered table line.
+std::vector<std::string> Tokens(const std::string& line) {
+  std::vector<std::string> out;
+  std::istringstream in(line);
+  for (std::string token; in >> token;) out.push_back(token);
+  return out;
 }
 
-TEST(LatencyReservoirTest, CountStaysExactPastCapacity) {
-  service::LatencyReservoir reservoir;
-  for (int i = 0; i < 5000; ++i) reservoir.Record(1.0);
-  auto s = reservoir.Summarize();
-  EXPECT_EQ(s.count, 5000u);
-  EXPECT_DOUBLE_EQ(s.p50, 1.0);
-  EXPECT_DOUBLE_EQ(s.p95, 1.0);
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+/// A histogram quantile rendered the way the tables print it (ms, %.3f).
+std::string Ms(const obs::LatencyHistogram& hist, double q) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.3f", hist.Quantile(q) * 1e3);
+  return buffer;
+}
+
+/// Log-uniform latencies in [50µs, 50ms] from a fixed seed: spread over
+/// many buckets, so a bucket-resolution quantile and an exact sample
+/// quantile print differently.
+class LatencyStream {
+ public:
+  double Next() { return 50e-6 * std::pow(1000.0, unit_(rng_)); }
+
+ private:
+  std::mt19937 rng_{20070415};
+  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+};
+
+TEST(LatencyMetricsTest, TablesPrintTheRowHistogramQuantiles) {
+  LatencyStream stream;
+  service::ServiceMetrics service;
+  const size_t slots[] = {0, 3, 4, service::ServiceMetrics::kTripleSlot};
+  for (size_t i = 0; i < 400; ++i) {
+    const size_t slot = slots[i % 4];
+    service.RecordRequest(slot, stream.Next(), /*cache_hit=*/i % 5 == 0,
+                          /*ok=*/i % 17 != 0);
+    service.RecordAdmitted(i % 2);
+    service.RecordClassLatency(i % 2, stream.Next());
+  }
+  service.RecordRejected(1);
+
+  const service::MetricsSnapshot snap = service.Snapshot();
+  ASSERT_EQ(snap.methods.size(), 4u);
+  size_t method_lines = 0;
+  size_t class_lines = 0;
+  for (const std::string& line : Lines(snap.ToString())) {
+    const std::vector<std::string> tokens = Tokens(line);
+    for (const service::MethodStatsSnapshot& row : snap.methods) {
+      if (tokens.size() != 7 || tokens[0] != row.method) continue;
+      EXPECT_EQ(tokens[4], Ms(row.latency, 0.50)) << line;
+      EXPECT_EQ(tokens[5], Ms(row.latency, 0.95)) << line;
+      EXPECT_EQ(tokens[6], Ms(row.latency, 0.99)) << line;
+      EXPECT_EQ(row.latency.count(), row.requests);
+      ++method_lines;
+    }
+    for (const service::PriorityClassSnapshot& row : snap.classes) {
+      if (tokens.size() < 2 || tokens[0] != "class" ||
+          tokens[1] != row.name) {
+        continue;
+      }
+      ASSERT_GE(tokens.size(), 4u);
+      EXPECT_EQ(tokens[tokens.size() - 3], Ms(row.latency, 0.95) + "ms")
+          << line;
+      EXPECT_EQ(tokens[tokens.size() - 1], Ms(row.latency, 0.99) + "ms")
+          << line;
+      ++class_lines;
+    }
+  }
+  EXPECT_EQ(method_lines, 4u);
+  EXPECT_EQ(class_lines, 2u);
+
+  service::TransportMetrics transport(2);
+  for (size_t i = 0; i < 200; ++i) {
+    transport.RecordRoundTrip(i % 2, 100, 400, stream.Next(), true);
+  }
+  const service::TransportMetricsSnapshot transport_snap =
+      transport.Snapshot();
+  size_t shard_lines = 0;
+  for (const std::string& line : Lines(transport_snap.ToString())) {
+    const std::vector<std::string> tokens = Tokens(line);
+    if (tokens.size() != 9 || tokens[0][0] != 's') continue;
+    const obs::LatencyHistogram& rtt =
+        transport_snap.shards[std::stoul(tokens[0].substr(1))].rtt;
+    EXPECT_EQ(tokens[6], Ms(rtt, 0.50)) << line;
+    EXPECT_EQ(tokens[7], Ms(rtt, 0.95)) << line;
+    EXPECT_EQ(tokens[8], Ms(rtt, 0.99)) << line;
+    ++shard_lines;
+  }
+  EXPECT_EQ(shard_lines, 2u);
+
+  service::ReplicaMetrics replicas({2});
+  for (size_t i = 0; i < 200; ++i) {
+    replicas.RecordAttempt(0, i % 2, false, false);
+    replicas.RecordOutcome(0, i % 2, stream.Next(), true);
+  }
+  const service::ReplicaMetricsSnapshot replica_snap = replicas.Snapshot();
+  size_t replica_lines = 0;
+  for (const std::string& line : Lines(replica_snap.ToString())) {
+    const std::vector<std::string> tokens = Tokens(line);
+    if (tokens.size() != 12 || tokens[1][0] != 'r') continue;
+    const obs::LatencyHistogram& rtt =
+        replica_snap.shards[0].replicas[std::stoul(tokens[1].substr(1))].rtt;
+    EXPECT_EQ(tokens[10], Ms(rtt, 0.95)) << line;
+    EXPECT_EQ(tokens[11], Ms(rtt, 0.99)) << line;
+    ++replica_lines;
+  }
+  EXPECT_EQ(replica_lines, 2u);
+}
+
+TEST(LatencyMetricsTest, RegistryExportsHistogramsAndNoSummaries) {
+  LatencyStream stream;
+  service::ServiceMetrics service;
+  service.RecordRequest(1, stream.Next(), false, true);
+  service.RecordAdmitted(0);
+  service.RecordClassLatency(0, stream.Next());
+  service::TransportMetrics transport(1);
+  transport.RecordRoundTrip(0, 10, 20, stream.Next(), true);
+  service::ReplicaMetrics replicas({1});
+  replicas.RecordAttempt(0, 0, false, false);
+  replicas.RecordOutcome(0, 0, stream.Next(), true);
+
+  obs::MetricsRegistry registry;
+  registry.Register(&service);
+  registry.Register(&transport);
+  registry.Register(&replicas);
+  const std::string prometheus = registry.RenderPrometheus();
+  const std::string json = registry.RenderJson();
+  for (const std::string* text : {&prometheus, &json}) {
+    EXPECT_EQ(text->find("summary"), std::string::npos) << *text;
+    EXPECT_EQ(text->find("quantile"), std::string::npos) << *text;
+    for (const char* gone :
+         {"tsb_service_latency_seconds", "tsb_service_class_latency_seconds",
+          "tsb_transport_rtt_seconds", "tsb_replica_rtt_seconds"}) {
+      EXPECT_EQ(text->find(gone), std::string::npos) << gone;
+    }
+  }
+  for (const char* family :
+       {"tsb_service_latency_hist_seconds",
+        "tsb_service_class_latency_hist_seconds",
+        "tsb_transport_rtt_hist_seconds", "tsb_replica_rtt_hist_seconds"}) {
+    EXPECT_NE(prometheus.find(std::string("# TYPE ") + family + " histogram"),
+              std::string::npos)
+        << family;
+    EXPECT_NE(json.find(std::string("{\"name\":\"") + family +
+                        "\",\"type\":\"histogram\""),
+              std::string::npos)
+        << family;
+  }
+  registry.Unregister(&service);
+  registry.Unregister(&transport);
+  registry.Unregister(&replicas);
 }
 
 // ---------------------------------------------------------------------------
@@ -968,7 +1110,7 @@ TEST_F(ServiceFig3Test, MetricsTrackPerMethodTraffic) {
       EXPECT_EQ(row.method, "Fast-Top");
       EXPECT_EQ(row.requests, 1u);
     }
-    EXPECT_GE(row.latency.p95, row.latency.p50);
+    EXPECT_GE(row.latency.Quantile(0.95), row.latency.Quantile(0.50));
   }
   EXPECT_FALSE(snap.ToString().empty());
 }

@@ -25,6 +25,7 @@
 #include "engine/result_io.h"
 #include "service/request_parser.h"
 #include "service/service.h"
+#include "shard/frame_handler.h"
 #include "shard/loopback_transport.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
@@ -518,130 +519,90 @@ TEST_F(WireFig3Test, InspectFrameClassifiesPrefixesAndCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire v3 -> v4 compatibility (trace context and span piggyback)
+// One wire version: older headers are refused, tails are mandatory
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Rewrites a current-version frame into an older twin: drops
-/// `tail_bytes` from the end of the payload (the newer trailing fields),
-/// patches the version byte to `version` and the little-endian payload
-/// length.
-std::string StripToVersion(const std::string& frame, size_t tail_bytes,
-                           uint8_t version) {
-  std::string old = frame.substr(0, frame.size() - tail_bytes);
-  old[2] = static_cast<char>(version);
-  uint32_t len = static_cast<uint8_t>(old[4]) |
-                 (static_cast<uint8_t>(old[5]) << 8) |
-                 (static_cast<uint8_t>(old[6]) << 16) |
-                 (static_cast<uint32_t>(static_cast<uint8_t>(old[7])) << 24);
-  len -= static_cast<uint32_t>(tail_bytes);
-  old[4] = static_cast<char>(len & 0xff);
-  old[5] = static_cast<char>((len >> 8) & 0xff);
-  old[6] = static_cast<char>((len >> 16) & 0xff);
-  old[7] = static_cast<char>((len >> 24) & 0xff);
-  return old;
+/// Drops `tail_bytes` from the end of a frame's payload and patches the
+/// little-endian payload length to match, so the header stays valid and
+/// only the decoder's own bounds checks can catch the missing fields.
+std::string DropPayloadTail(const std::string& frame, size_t tail_bytes) {
+  std::string out = frame.substr(0, frame.size() - tail_bytes);
+  const uint32_t len =
+      static_cast<uint32_t>(out.size() - wire::kFrameHeaderBytes);
+  for (int i = 0; i < 4; ++i) {
+    out[4 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+  }
+  return out;
 }
 
-std::string StripToV3(const std::string& frame, size_t tail_bytes) {
-  return StripToVersion(frame, tail_bytes, 3);
-}
-
-// v4 request tail: trace_id u64 + parent_span_id u64 + sampled bool.
+// Request tail: trace_id u64 + parent_span_id u64 + sampled bool.
 constexpr size_t kRequestTraceTailBytes = 8 + 8 + 1;
-// v4 response tail when no spans piggyback: the u32 span count alone.
-constexpr size_t kEmptySpanListBytes = 4;
-// v6 response cost tail: cpu_ns + bytes_deserialized + catalog_interns +
+// Response cost tail: cpu_ns + bytes_deserialized + catalog_interns +
 // heap_bytes, one u64 each, written after the span list.
 constexpr size_t kCostTailBytes = 4 * 8;
 
 }  // namespace
 
-TEST_F(WireFig3Test, V3RequestFramesDecodeWithEmptyTraceContext) {
+TEST_F(WireFig3Test, OlderVersionFramesAreRefusedEverywhere) {
   wire::WireRequest request = ExampleRequest(MethodKind::kFastTopKEt);
   request.trace.trace_id = 0xabcdef0123456789ULL;
-  request.trace.parent_span_id = 42;
   request.trace.sampled = true;
-  std::string v4_frame;
-  wire::EncodeQueryRequest(request, &v4_frame);
-
-  // The v4 decode sees the context...
-  auto v4_decoded = wire::DecodeQueryRequest(v4_frame, db_);
-  ASSERT_TRUE(v4_decoded.ok());
-  EXPECT_TRUE(v4_decoded->trace.active());
-  EXPECT_EQ(v4_decoded->trace.trace_id, request.trace.trace_id);
-  EXPECT_EQ(v4_decoded->trace.parent_span_id, 42u);
-
-  // ... while the same payload reframed as v3 decodes cleanly with an
-  // empty context — an old peer's frames keep working.
-  const std::string v3_frame = StripToV3(v4_frame, kRequestTraceTailBytes);
-  EXPECT_EQ(wire::InspectFrame(v3_frame, wire::kDefaultMaxFramePayload,
-                               nullptr),
-            wire::FrameError::kOk);
-  auto v3_decoded = wire::DecodeQueryRequest(v3_frame, db_);
-  ASSERT_TRUE(v3_decoded.ok()) << v3_decoded.status();
-  EXPECT_FALSE(v3_decoded->trace.active());
-  EXPECT_EQ(v3_decoded->trace.trace_id, 0u);
-  EXPECT_EQ(v3_decoded->trace.parent_span_id, 0u);
-  // Everything before the tail survives untouched.
-  EXPECT_EQ(v3_decoded->id, request.id);
-  EXPECT_EQ(v3_decoded->method, request.method);
-  EXPECT_EQ(v3_decoded->query.pred1->ToString(),
-            request.query.pred1->ToString());
-}
-
-TEST_F(WireFig3Test, V3ResponseFramesDecodeWithNoSpans) {
+  std::string request_frame;
+  wire::EncodeQueryRequest(request, &request_frame);
   wire::WireResponse response;
   response.request_id = 9;
   response.serving_stamp = "r1:e2";
   response.result.entries = {{3, 2.5}, {1, 1.0}};
-  response.result.stats.plan = "scan";
-  response.service_seconds = 0.125;
-  std::string v4_frame;
-  wire::EncodeQueryResponse(response, &v4_frame);
+  std::string response_frame;
+  wire::EncodeQueryResponse(response, &response_frame);
+  ASSERT_EQ(static_cast<uint8_t>(request_frame[2]), wire::kWireVersion);
+  ASSERT_EQ(wire::kMinWireVersion, wire::kWireVersion);
 
-  const std::string v3_frame =
-      StripToV3(v4_frame, kEmptySpanListBytes + kCostTailBytes);
-  auto decoded = wire::DecodeQueryResponse(v3_frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->spans.empty());
-  EXPECT_EQ(decoded->result.entries, response.result.entries);
-  EXPECT_EQ(decoded->serving_stamp, "r1:e2");
-  EXPECT_DOUBLE_EQ(decoded->service_seconds, 0.125);
-}
+  shard::ShardFrameHandler handler(
+      &db_, engine_.get(),
+      [this]() {
+        return std::shared_ptr<core::TopologyStore>(
+            &store_, [](core::TopologyStore*) {});
+      });
+  for (const uint8_t version : {3, 4, 5}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    std::string old_request = request_frame;
+    std::string old_response = response_frame;
+    old_request[2] = static_cast<char>(version);
+    old_response[2] = static_cast<char>(version);
 
-TEST_F(WireFig3Test, V5ResponseFramesDecodeWithoutCostFields) {
-  // A v5 peer's response is a strict prefix of the v6 layout: span records
-  // without the per-span cpu_ns, no cost tail. Stripping the v6 tail off
-  // an empty-span response and re-versioning it as v5 must decode clean,
-  // with every cost field zero.
-  wire::WireResponse response;
-  response.request_id = 21;
-  response.serving_stamp = "r0:e1";
-  response.result.entries = {{5, 9.0}};
-  response.result.stats.plan = "scan";
-  response.result.stats.cpu_ns = 123456;
-  response.result.stats.bytes_deserialized = 789;
-  response.result.stats.heap_bytes = 1024;
-  std::string v6_frame;
-  wire::EncodeQueryResponse(response, &v6_frame);
+    for (const std::string* frame : {&old_request, &old_response}) {
+      EXPECT_EQ(wire::InspectFrame(*frame, wire::kDefaultMaxFramePayload,
+                                   nullptr),
+                wire::FrameError::kUnsupportedVersion);
+    }
+    auto decoded_request = wire::DecodeQueryRequest(old_request, db_);
+    ASSERT_FALSE(decoded_request.ok());
+    EXPECT_EQ(decoded_request.status().code(), StatusCode::kUnimplemented);
+    auto decoded_response = wire::DecodeQueryResponse(old_response);
+    ASSERT_FALSE(decoded_response.ok());
+    EXPECT_EQ(decoded_response.status().code(), StatusCode::kUnimplemented);
 
-  const std::string v5_frame =
-      StripToVersion(v6_frame, kCostTailBytes, 5);
-  auto decoded = wire::DecodeQueryResponse(v5_frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->spans.empty());
-  EXPECT_EQ(decoded->result.entries, response.result.entries);
-  EXPECT_EQ(decoded->result.stats.cpu_ns, 0u);
-  EXPECT_EQ(decoded->result.stats.bytes_deserialized, 0u);
-  EXPECT_EQ(decoded->result.stats.catalog_interns, 0u);
-  EXPECT_EQ(decoded->result.stats.heap_bytes, 0u);
+    // A shard answers an old peer with an error frame, never an abort.
+    auto answer =
+        wire::DecodeQueryResponse(handler.HandleOrEncodeError(old_request));
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_NE(answer->error.code, wire::WireErrorCode::kOk);
+    EXPECT_TRUE(answer->result.entries.empty());
+  }
 
-  // A v6 frame truncated anywhere inside the cost tail is a typed decode
-  // error, never a silent zero.
-  for (size_t strip = 1; strip < kCostTailBytes; ++strip) {
-    const std::string bad = StripToVersion(v6_frame, strip, 6);
-    EXPECT_FALSE(wire::DecodeQueryResponse(bad).ok()) << strip;
+  // The current version still decodes; its neighbours do not inspect.
+  EXPECT_TRUE(wire::DecodeQueryRequest(request_frame, db_).ok());
+  EXPECT_TRUE(wire::DecodeQueryResponse(response_frame).ok());
+  for (const uint8_t version : {2, 7}) {
+    std::string bad = request_frame;
+    bad[2] = static_cast<char>(version);
+    EXPECT_EQ(wire::InspectFrame(bad, wire::kDefaultMaxFramePayload,
+                                 nullptr),
+              wire::FrameError::kUnsupportedVersion)
+        << static_cast<int>(version);
   }
 }
 
@@ -687,11 +648,10 @@ TEST_F(WireFig3Test, CorruptedTraceFieldsErrorWithoutOverread) {
   std::string frame;
   wire::EncodeQueryRequest(request, &frame);
 
-  // A v4 frame whose payload ends mid-trace-tail (length field patched to
-  // match) is a truncation error, not a silent empty context.
-  for (size_t strip = 1; strip < kRequestTraceTailBytes; ++strip) {
-    std::string bad = StripToV3(frame, strip);
-    bad[2] = 4;  // Keep claiming v4: the tail is then mandatory.
+  // A frame whose payload ends inside the trace tail (length field
+  // patched to match) is a truncation error, not a silent empty context.
+  for (size_t strip = 1; strip <= kRequestTraceTailBytes; ++strip) {
+    const std::string bad = DropPayloadTail(frame, strip);
     EXPECT_FALSE(wire::DecodeQueryRequest(bad, db_).ok()) << strip;
   }
 
@@ -707,11 +667,21 @@ TEST_F(WireFig3Test, CorruptedTraceFieldsErrorWithoutOverread) {
     resp_frame[i] = static_cast<char>(0xff);
   }
   EXPECT_FALSE(wire::DecodeQueryResponse(resp_frame).ok());
+
+  // Likewise a response truncated anywhere inside the cost tail is a
+  // typed decode error, never a silent zero.
+  std::string cost_frame;
+  wire::EncodeQueryResponse(response, &cost_frame);
+  for (size_t strip = 1; strip <= kCostTailBytes; ++strip) {
+    EXPECT_FALSE(
+        wire::DecodeQueryResponse(DropPayloadTail(cost_frame, strip)).ok())
+        << strip;
+  }
 }
 
 TEST_F(WireFig3Test, MalformedSweepOverSpanCarryingFrames) {
   // The byte-corruption sweep of MalformedBytesSweepNeverCrashesTheDecoders,
-  // pointed at a response that actually piggybacks spans — the v4 surface.
+  // pointed at a response that actually piggybacks spans.
   wire::WireResponse response;
   response.request_id = 11;
   response.result.entries = {{3, 2.5}};
@@ -746,29 +716,6 @@ TEST_F(WireFig3Test, MalformedSweepOverSpanCarryingFrames) {
       std::string reencoded;
       wire::EncodeQueryResponse(*decoded, &reencoded);
     }
-  }
-}
-
-TEST_F(WireFig3Test, InspectFrameAcceptsBothLiveVersions) {
-  wire::WireRequest request = ExampleRequest(MethodKind::kFullTop);
-  std::string frame;
-  wire::EncodeQueryRequest(request, &frame);
-  EXPECT_EQ(static_cast<uint8_t>(frame[2]), wire::kWireVersion);
-
-  // Version 3 headers pass inspection (the payload length is not v3-sized
-  // here, but InspectFrame only validates the header); 2 and 7 sit
-  // outside [kMinWireVersion, kWireVersion].
-  std::string v3 = frame;
-  v3[2] = 3;
-  EXPECT_EQ(wire::InspectFrame(v3, wire::kDefaultMaxFramePayload, nullptr),
-            wire::FrameError::kOk);
-  for (uint8_t version : {2, 7}) {
-    std::string bad = frame;
-    bad[2] = static_cast<char>(version);
-    EXPECT_EQ(wire::InspectFrame(bad, wire::kDefaultMaxFramePayload,
-                                 nullptr),
-              wire::FrameError::kUnsupportedVersion)
-        << static_cast<int>(version);
   }
 }
 
