@@ -52,7 +52,10 @@ int main() {
               initial->pairs().size(), initial->catalog().size());
   initial.reset();  // The handle owns the epoch from here on.
 
-  // 2. Engine + service over the handle; AttachLiveStore enables Rebuild.
+  // 2. Engine + service over the handle: the service is a one-shard fleet
+  //    whose shard is this engine, so Rebuild swaps this very handle.
+  //    AttachLiveStore only checks the engine is handle-backed and that
+  //    schema and view are its own.
   engine::Engine engine(&db, handle, &schema, &view,
                         core::ScoreModel(
                             &handle->Snapshot()->catalog(),

@@ -456,13 +456,7 @@ Status TopologyBuilder::BuildPair(storage::EntityTypeId ta,
                                   storage::EntityTypeId tb,
                                   const BuildConfig& config,
                                   TopologyStore* store) {
-  TSB_RETURN_IF_ERROR(ValidateBuildConfig(config));
-  auto [t1, t2] = TopologyStore::NormalizePair(ta, tb);
-  if (store->FindPair(t1, t2) != nullptr) {
-    return Status::AlreadyExists("pair already built");
-  }
-  TSB_ASSIGN_OR_RETURN(PairBuildStaging staging, StagePair(ta, tb, config));
-  return CommitStaged(std::move(staging), store);
+  return BuildPair(ta, tb, config, std::vector<TopologyStore*>{store});
 }
 
 namespace {
@@ -484,7 +478,7 @@ Status ValidateShards(const std::vector<TopologyStore*>& shards) {
 Status TopologyBuilder::CommitStagingToShards(
     PairBuildStaging staging, const std::vector<TopologyStore*>& shards) {
   std::vector<PairBuildStaging> slices =
-      SplitStagingForShards(staging, shards.size());
+      SplitStagingForShards(std::move(staging), shards.size());
   for (size_t i = 0; i < shards.size(); ++i) {
     TSB_RETURN_IF_ERROR(CommitStaged(std::move(slices[i]), shards[i]));
   }
@@ -577,14 +571,7 @@ Status TopologyBuilder::StageAndCommitAll(
 Status TopologyBuilder::BuildAllPairs(const BuildConfig& config,
                                       TopologyStore* store,
                                       service::ThreadPool* pool) {
-  return StageAndCommitAll(
-      config, pool,
-      [store](storage::EntityTypeId t1, storage::EntityTypeId t2) {
-        return store->FindPair(t1, t2) != nullptr;
-      },
-      [this, store](PairBuildStaging staging) {
-        return CommitStaged(std::move(staging), store);
-      });
+  return BuildAllPairs(config, std::vector<TopologyStore*>{store}, pool);
 }
 
 Status TopologyBuilder::BuildAllPairs(const BuildConfig& config,
@@ -602,30 +589,35 @@ Status TopologyBuilder::BuildAllPairs(const BuildConfig& config,
       });
 }
 
-std::vector<PairBuildStaging> SplitStagingForShards(
-    const PairBuildStaging& staging, size_t num_shards) {
+std::vector<PairBuildStaging> SplitStagingForShards(PairBuildStaging staging,
+                                                   size_t num_shards) {
   TSB_CHECK_GE(num_shards, 1u);
-  // One row-less template per shard: replicate the pair metadata, global
-  // freq counters, the full topology list, class registry, and PairClasses
-  // rows, and re-namespace the tables. The AllTops rows — the dominant
-  // structure — are partitioned below in a single pass, never copied
-  // wholesale.
-  PairBuildStaging replicated = staging;
-  replicated.alltops_rows.clear();
-
   std::vector<PairBuildStaging> slices;
   slices.reserve(num_shards);
+  if (num_shards == 1) {
+    // One shard is the whole store: the staging moves through whole,
+    // rows and table names included.
+    slices.push_back(std::move(staging));
+    return slices;
+  }
+  // The rows leave the staging first, so what is left is the row-less
+  // template every shard replicates: pair metadata, global freq counters,
+  // the full topology list, class registry, and PairClasses rows. The
+  // AllTops rows — the dominant structure — are then partitioned into
+  // their owning slices in a single pass, never copied wholesale.
+  std::vector<PairBuildStaging::Row> rows = std::move(staging.alltops_rows);
+  staging.alltops_rows.clear();
+  const std::string base_namespace = staging.data.table_namespace;
   for (size_t i = 0; i < num_shards; ++i) {
-    PairBuildStaging slice = replicated;
-    PairTopologyData& data = slice.data;
-    data.table_namespace =
-        storage::ShardNamespace(staging.data.table_namespace, i);
+    // Every slice but the last copies the template; the last takes it.
+    slices.push_back(i + 1 < num_shards ? staging : std::move(staging));
+    PairTopologyData& data = slices.back().data;
+    data.table_namespace = storage::ShardNamespace(base_namespace, i);
     data.alltops_table = data.table_namespace + "AllTops_" + data.pair_name;
     data.pairclasses_table =
         data.table_namespace + "PairClasses_" + data.pair_name;
-    slices.push_back(std::move(slice));
   }
-  for (const PairBuildStaging::Row& row : staging.alltops_rows) {
+  for (const PairBuildStaging::Row& row : rows) {
     slices[ShardOfEntityPair(row.e1, row.e2, num_shards)]
         .alltops_rows.push_back(row);
   }

@@ -214,7 +214,8 @@ class TopologyBuilder {
   /// are identical to each other and to an unsharded build's catalog —
   /// TIDs are globally consistent, and per-shard freq maps stay *global*
   /// (scores must not depend on which shard scores them). Tables land
-  /// under storage::ShardNamespace(config.table_namespace, i).
+  /// under storage::ShardNamespace(config.table_namespace, i); a single
+  /// shard keeps config.table_namespace itself (it is the whole store).
   Status BuildAllPairs(const BuildConfig& config,
                        const std::vector<TopologyStore*>& shards,
                        service::ThreadPool* pool = nullptr);
@@ -263,8 +264,10 @@ class TopologyBuilder {
 ///     exception table — the online pruned check consults it against the
 ///     shared data graph, which is not sharded).
 /// Slice i's tables are renamed under ShardNamespace(base namespace, i).
-std::vector<PairBuildStaging> SplitStagingForShards(
-    const PairBuildStaging& staging, size_t num_shards);
+/// Each row is copied once, into its slice; with one shard the staging
+/// itself is the only slice, table names unchanged.
+std::vector<PairBuildStaging> SplitStagingForShards(PairBuildStaging staging,
+                                                   size_t num_shards);
 
 }  // namespace core
 }  // namespace tsb

@@ -317,7 +317,7 @@ Result<std::vector<core::TopologyInstance>> Engine::Instances(
 }
 
 void Engine::PrepareIndexes(const std::string& entity_set1,
-                            const std::string& entity_set2) {
+                            const std::string& entity_set2) const {
   std::shared_ptr<const ServingSnapshot> snapshot = AcquireSnapshot();
   const storage::EntitySetDef* es1 = db_->FindEntitySet(entity_set1);
   const storage::EntitySetDef* es2 = db_->FindEntitySet(entity_set2);

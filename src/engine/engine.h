@@ -76,7 +76,7 @@ class Engine {
   /// Builds the hash indexes the plans use (warm cache, as in the paper's
   /// experimental setup), so timed runs do not pay index construction.
   void PrepareIndexes(const std::string& entity_set1,
-                      const std::string& entity_set2);
+                      const std::string& entity_set2) const;
 
   /// Instance-level results for one topology of a query (the paper's
   /// Section-2.2 output format: topologies first, then the concrete
@@ -99,6 +99,8 @@ class Engine {
   bool store_is_swappable() const { return swappable_store_; }
 
   const core::DomainKnowledge& knowledge() const { return knowledge_; }
+  const graph::SchemaGraph* schema() const { return schema_; }
+  const graph::DataGraphView* view() const { return view_; }
 
   /// Column offsets of the ET group-source schema ("TI.TID", "TI.SCORE"),
   /// resolved once per store epoch instead of per query construction (the

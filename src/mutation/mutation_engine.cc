@@ -614,18 +614,12 @@ Result<ApplyStats> MutationEngine::ApplyLocked(const MutationBatch& batch,
     if (!staged.ok()) return fail(staged.status());
     sources_swept += memo.sources_swept;
     sources_reused += memo.sources_reused;
-    if (nshards == 1) {
+    std::vector<core::PairBuildStaging> slices =
+        core::SplitStagingForShards(std::move(staged).value(), nshards);
+    for (size_t s = 0; s < nshards; ++s) {
       Status committed =
-          builder.CommitStaged(std::move(staged).value(), next[0].get());
+          builder.CommitStaged(std::move(slices[s]), next[s].get());
       if (!committed.ok()) return fail(committed);
-    } else {
-      std::vector<core::PairBuildStaging> slices =
-          core::SplitStagingForShards(staged.value(), nshards);
-      for (size_t s = 0; s < nshards; ++s) {
-        Status committed =
-            builder.CommitStaged(std::move(slices[s]), next[s].get());
-        if (!committed.ok()) return fail(committed);
-      }
     }
     if (prev_pair != nullptr && prev_pair->pruned) {
       core::PruneConfig prune;

@@ -52,9 +52,9 @@ struct MetricsSnapshot {
   /// One row per admission class (always both, traffic or not).
   std::vector<PriorityClassSnapshot> classes;
 
-  /// Per-shard AllTops row counts (sharded services only; refreshed on
-  /// construction and after every sharded rebuild) and the skew factor
-  /// max/mean — 1.0 is perfectly balanced, 0 when unsharded/empty. The
+  /// Per-shard AllTops row counts (one entry for a single store; refreshed
+  /// on construction and after every rebuild) and the skew factor
+  /// max/mean — 1.0 is perfectly balanced, 0 when empty. The
   /// first half of the ROADMAP shard-rebalancing item: observe the skew
   /// before acting on it.
   std::vector<uint64_t> shard_rows;

@@ -38,23 +38,20 @@ double RebuildStats::ShardSkew() const {
 
 TopologyService::TopologyService(const engine::Engine* engine,
                                  storage::Catalog* db, ServiceConfig config)
-    : engine_(engine),
-      db_(db),
-      config_(config),
-      parser_(db),
-      cache_(MainCacheConfig(config.cache)),
-      triple_cache_(TripleCacheConfig(config.cache)),
-      tracer_(config.trace),
-      slow_log_(config.slow_query),
-      pool_(ResolveThreads(config.num_threads)) {
-  TSB_CHECK(engine_ != nullptr);
-  TSB_CHECK(db_ != nullptr);
+    : TopologyService(
+          std::make_unique<shard::ScatterGatherExecutor>(db, engine), db,
+          std::move(config)) {}
+
+TopologyService::TopologyService(
+    std::unique_ptr<shard::ScatterGatherExecutor> owned, storage::Catalog* db,
+    ServiceConfig config)
+    : TopologyService(owned.get(), db, std::move(config)) {
+  owned_executor_ = std::move(owned);
 }
 
 TopologyService::TopologyService(shard::ScatterGatherExecutor* executor,
                                  storage::Catalog* db, ServiceConfig config)
-    : engine_(nullptr),
-      sharded_exec_(executor),
+    : executor_(executor),
       db_(db),
       config_(config),
       parser_(db),
@@ -63,14 +60,11 @@ TopologyService::TopologyService(shard::ScatterGatherExecutor* executor,
       tracer_(config.trace),
       slow_log_(config.slow_query),
       pool_(ResolveThreads(config.num_threads)) {
-  TSB_CHECK(sharded_exec_ != nullptr);
+  TSB_CHECK(executor_ != nullptr);
   TSB_CHECK(db_ != nullptr);
-  // 3-queries and rebuilds flow through the executor's shard handles.
-  triple_schema_ = sharded_exec_->schema();
-  triple_view_ = sharded_exec_->view();
   // Seed the shard-skew observables from the serving shard set.
   std::vector<std::shared_ptr<core::TopologyStore>> snapshots =
-      sharded_exec_->store().SnapshotAll();
+      executor_->store().SnapshotAll();
   std::vector<const core::TopologyStore*> raw;
   raw.reserve(snapshots.size());
   for (const std::shared_ptr<core::TopologyStore>& s : snapshots) {
@@ -81,53 +75,34 @@ TopologyService::TopologyService(shard::ScatterGatherExecutor* executor,
 
 TopologyService::~TopologyService() { Shutdown(); }
 
-void TopologyService::EnableTripleQueries(core::TopologyStore* store,
-                                          const graph::SchemaGraph* schema,
-                                          const graph::DataGraphView* view) {
-  // Sharded services already route 3-queries (and rebuilds) through the
-  // executor's shard handles; overriding the schema/view here would stage
-  // rebuilds from a different graph than the engines query.
-  TSB_CHECK(!sharded())
-      << "EnableTripleQueries is for unsharded services; the sharded "
-         "constructor wires 3-queries through the scatter executor";
-  triple_store_ = store;
-  triple_schema_ = schema;
-  triple_view_ = view;
+Status TopologyService::CheckStoreSwappable() const {
+  // Executor-built shard engines are always handle-backed; only a borrowed
+  // caller engine can wrap a raw store, and it is always shard 0.
+  if (executor_->shard_engine(0).store_is_swappable()) return Status::OK();
+  return Status::FailedPrecondition(
+      "live rebuilds and mutations need an engine constructed over a "
+      "shared_ptr StoreHandle; the raw-pointer Engine constructor wraps a "
+      "caller-owned store that cannot be retired safely");
 }
 
 Status TopologyService::AttachLiveStore(const graph::SchemaGraph* schema,
                                         const graph::DataGraphView* view) {
-  if (sharded()) {
-    return Status::FailedPrecondition(
-        "sharded services are live already: the scatter executor's shard "
-        "handles serve 3-queries and rebuilds");
+  TSB_RETURN_IF_ERROR(CheckStoreSwappable());
+  if (schema != executor_->schema() || view != executor_->view()) {
+    return Status::InvalidArgument(
+        "AttachLiveStore must name the schema and view the engine queries");
   }
-  if (!engine_->store_is_swappable()) {
-    return Status::FailedPrecondition(
-        "live rebuilds need an engine constructed over a shared_ptr "
-        "StoreHandle; the raw-pointer Engine constructor wraps a "
-        "caller-owned store that cannot be retired safely");
-  }
-  live_handle_ = engine_->store_handle();
-  TSB_CHECK(live_handle_ != nullptr);
-  triple_schema_ = schema;
-  triple_view_ = view;
   return Status::OK();
 }
 
 std::string TopologyService::EpochFingerprint(std::string fingerprint) const {
-  // Shard-aware keys: the per-shard epoch stamp replaces the single epoch,
-  // so rolling any one shard forward orphans cached results derived from
-  // its retired slice (a late Insert from an in-flight pre-roll query
-  // lands under the old stamp, which no post-roll lookup reads). Only the
-  // 3-query path keys on epochs now — 2-queries key on PairStamp, whose
-  // rebuild/pair generations invalidate selectively across mutation swaps.
-  if (sharded()) {
-    return sharded_exec_->store().EpochStamp() + "|" +
-           std::move(fingerprint);
-  }
-  return "e" + std::to_string(engine_->store_handle()->epoch()) + "|" +
-         std::move(fingerprint);
+  // Shard-aware keys: rolling any one shard forward orphans cached
+  // results derived from its retired slice (a late Insert from an
+  // in-flight pre-roll query lands under the old stamp, which no post-roll
+  // lookup reads). Only the 3-query path keys on epochs — 2-queries key on
+  // PairStamp, whose rebuild/pair generations invalidate selectively
+  // across mutation swaps.
+  return executor_->store().EpochStamp() + "|" + std::move(fingerprint);
 }
 
 std::string TopologyService::PairPrefix(const mutation::TypePair& pair,
@@ -178,28 +153,18 @@ void TopologyService::EvictMutatedPairs(const mutation::DirtyPairs& dirty) {
 
 Status TopologyService::EnableMutations(
     mutation::MutationEngine::Options options, mutation::DeltaLog* log) {
+  TSB_RETURN_IF_ERROR(CheckStoreSwappable());
   std::lock_guard<std::mutex> rebuild_lock(rebuild_mu_);
   if (mutation_engine_ != nullptr) {
     return Status::FailedPrecondition("mutations already enabled");
   }
+  const shard::ShardedTopologyStore& store = executor_->store();
   std::vector<std::shared_ptr<core::StoreHandle>> handles;
-  const graph::SchemaGraph* schema = nullptr;
-  if (sharded()) {
-    shard::ShardedTopologyStore* sstore = sharded_exec_->mutable_store();
-    for (size_t i = 0; i < sstore->num_shards(); ++i) {
-      handles.push_back(sstore->handle(i));
-    }
-    schema = sharded_exec_->schema();
-  } else {
-    if (live_handle_ == nullptr) {
-      return Status::FailedPrecondition(
-          "mutations need a live store; call AttachLiveStore first");
-    }
-    handles.push_back(live_handle_);
-    schema = triple_schema_;
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    handles.push_back(store.handle(i));
   }
   mutation_engine_ = std::make_unique<mutation::MutationEngine>(
-      db_, schema, std::move(handles), std::move(options));
+      db_, executor_->schema(), std::move(handles), std::move(options));
   mutation_engine_->set_delta_log(log);
   mutation_log_ = log;
   return Status::OK();
@@ -207,36 +172,16 @@ Status TopologyService::EnableMutations(
 
 Result<mutation::ApplyStats> TopologyService::ApplyMutations(
     const mutation::MutationBatch& batch) {
+  std::lock_guard<std::mutex> rebuild_lock(rebuild_mu_);
   if (mutation_engine_ == nullptr) {
     return Status::FailedPrecondition(
         "mutations not enabled; call EnableMutations first");
   }
-  std::lock_guard<std::mutex> rebuild_lock(rebuild_mu_);
   auto stats = mutation_log_ != nullptr ? mutation_engine_->ApplyLogged(batch)
                                         : mutation_engine_->Apply(batch);
   if (!stats.ok()) return stats;
   EvictMutatedPairs(stats.value().dirty);
   return stats;
-}
-
-Result<engine::QueryResult> TopologyService::Evaluate(
-    const engine::TopologyQuery& query, engine::MethodKind method,
-    const engine::ExecOptions& options,
-    const std::shared_ptr<obs::QueryTrace>& trace) const {
-  if (sharded()) {
-    return sharded_exec_->Execute(query, method, options, trace);
-  }
-  return engine_->Execute(query, method, options);
-}
-
-std::shared_ptr<core::TopologyStore> TopologyService::TripleBackend() const {
-  if (live_handle_ != nullptr) return live_handle_->Snapshot();
-  if (triple_store_ != nullptr) {
-    // Fixed backend: non-owning, the caller guarantees lifetime.
-    return std::shared_ptr<core::TopologyStore>(triple_store_,
-                                                [](core::TopologyStore*) {});
-  }
-  return nullptr;
 }
 
 Status TopologyService::ParallelPrune(
@@ -309,84 +254,9 @@ void TopologyService::WarmIndexes(
 }
 
 Result<RebuildStats> TopologyService::Rebuild(const RebuildOptions& options) {
-  if (sharded()) return RebuildSharded(options);
-  if (live_handle_ == nullptr) {
-    return Status::FailedPrecondition(
-        "live rebuild needs a StoreHandle-backed engine; call "
-        "AttachLiveStore first");
-  }
+  TSB_RETURN_IF_ERROR(CheckStoreSwappable());
   std::lock_guard<std::mutex> rebuild_lock(rebuild_mu_);
-
-  RebuildStats stats;
-  stats.epoch = live_handle_->epoch() + 1;
-  stats.table_namespace = "e" + std::to_string(stats.epoch) + ".";
-
-  core::BuildConfig build = options.build;
-  build.table_namespace = stats.table_namespace;
-
-  // Stage the new epoch on the worker pool, behind live traffic. Stage
-  // tasks share the pool with queries; commits run on this thread.
-  auto next = std::make_shared<core::TopologyStore>();
-  core::TopologyBuilder builder(db_, triple_schema_, triple_view_);
-  auto drop_staged_tables = [&]() {
-    for (const std::string& name : next->PrecomputeTableNames()) {
-      (void)db_->DropTable(name);
-    }
-  };
-  Stopwatch build_watch;
-  Status built = builder.BuildAllPairs(build, next.get(), &pool_);
-  stats.build_seconds = build_watch.ElapsedSeconds();
-  if (!built.ok()) {
-    drop_staged_tables();
-    return built;
-  }
-
-  if (options.prune_threshold.has_value()) {
-    Status pruned = ParallelPrune({next.get()}, *options.prune_threshold,
-                                  &stats.prune_seconds);
-    if (!pruned.ok()) {
-      drop_staged_tables();
-      return pruned;
-    }
-  }
-  WarmIndexes({next.get()}, &stats.index_seconds);
-
-  stats.pairs_built = next->pairs().size();
-  stats.catalog_topologies = next->catalog().size();
-
-  // Export before the swap, while `next` is still private: once it is
-  // live, concurrent 3-queries intern into its catalog, and
-  // ExportTopInfoTable's infos() iteration must not race that.
-  if (options.export_topinfo) {
-    next->ExportTopInfoTable(db_, *triple_schema_);
-  }
-
-  // Publish the new epoch, then drop the caches in the same step (cached
-  // entries derive from the retired epoch's tables). The retired store
-  // keeps its tables alive until the last in-flight snapshot releases it;
-  // its destructor then drops them from the storage catalog.
-  std::shared_ptr<core::TopologyStore> retired = live_handle_->Swap(next);
-  std::vector<std::string> retired_tables = retired->PrecomputeTableNames();
-  storage::Catalog* db = db_;
-  // add_cleanup, not set_cleanup: a retired mutation overlay already has a
-  // hook chaining down to the epoch base store, and this drop list covers
-  // every table the chain still exposes (re-drops of the overlay's own
-  // tables fail harmlessly).
-  retired->add_cleanup([db, retired_tables]() {
-    for (const std::string& name : retired_tables) {
-      (void)db->DropTable(name);
-    }
-  });
-  retired.reset();
-  BumpRebuildGeneration();
-  InvalidateCache();
-  return stats;
-}
-
-Result<RebuildStats> TopologyService::RebuildSharded(
-    const RebuildOptions& options) {
-  std::lock_guard<std::mutex> rebuild_lock(rebuild_mu_);
-  shard::ShardedTopologyStore* sstore = sharded_exec_->mutable_store();
+  shard::ShardedTopologyStore* sstore = executor_->mutable_store();
   const size_t num_shards = sstore->num_shards();
 
   RebuildStats stats;
@@ -397,8 +267,8 @@ Result<RebuildStats> TopologyService::RebuildSharded(
   build.table_namespace = stats.table_namespace;
 
   // Stage a complete replacement shard set, privately, on the worker pool
-  // (tables land under "e<N>.s<i>." per shard — next to, never touching,
-  // the serving epoch's).
+  // (tables land under "e<N>." — "e<N>.s<i>." per shard when there are
+  // several — next to, never touching, the serving epoch's).
   std::vector<std::shared_ptr<core::TopologyStore>> next(num_shards);
   std::vector<core::TopologyStore*> raw(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
@@ -406,8 +276,8 @@ Result<RebuildStats> TopologyService::RebuildSharded(
     raw[i] = next[i].get();
   }
   // Stage from the same schema/view the executor's engines query.
-  core::TopologyBuilder builder(db_, sharded_exec_->schema(),
-                                sharded_exec_->view());
+  core::TopologyBuilder builder(db_, executor_->schema(),
+                                executor_->view());
   auto drop_staged_tables = [&]() {
     for (const std::shared_ptr<core::TopologyStore>& store : next) {
       for (const std::string& name : store->PrecomputeTableNames()) {
@@ -441,9 +311,12 @@ Result<RebuildStats> TopologyService::RebuildSharded(
     stats.shard_rows = shard::ShardAllTopsRowCounts(*db_, raw_const);
   }
 
-  // Primary replica feeds the export, pre-swap (see unsharded comment).
+  // The primary replica feeds the export. Export before the swap, while
+  // the stores are still private: once live, concurrent 3-queries intern
+  // into the primary catalog, and ExportTopInfoTable's infos() iteration
+  // must not race that.
   if (options.export_topinfo) {
-    next[0]->ExportTopInfoTable(db_, *sharded_exec_->schema());
+    next[0]->ExportTopInfoTable(db_, *executor_->schema());
   }
 
   // Roll the shards independently: one epoch swap per shard, each retiring
@@ -461,7 +334,10 @@ Result<RebuildStats> TopologyService::RebuildSharded(
     std::vector<std::string> retired_tables =
         retired->PrecomputeTableNames();
     storage::Catalog* db = db_;
-    // add_cleanup: see the unsharded Rebuild for why (mutation overlays).
+    // add_cleanup, not set_cleanup: a retired mutation overlay already has
+    // a hook chaining down to the epoch base store, and this drop list
+    // covers every table the chain still exposes (re-drops of the
+    // overlay's own tables fail harmlessly).
     retired->add_cleanup([db, retired_tables]() {
       for (const std::string& name : retired_tables) {
         (void)db->DropTable(name);
@@ -505,13 +381,13 @@ ServiceResponse TopologyService::RunQuery(
   }
 
   // No service-level lock: Execute pins store snapshots (one per routed
-  // shard when sharded) and the catalog interns under its own mutex, so
-  // 2-queries, 3-queries, and rebuild staging coexist freely.
+  // shard) and the catalog interns under its own mutex, so 2-queries,
+  // 3-queries, and rebuild staging coexist freely.
   const double exec_start_unix =
       trace != nullptr ? obs::UnixSeconds() : 0.0;
   Stopwatch exec_watch;
   Result<engine::QueryResult> result =
-      Evaluate(query, method, options, trace);
+      executor_->Execute(query, method, options, trace);
   const bool ok = result.ok();
   if (trace != nullptr) {
     std::string tags =
@@ -1044,13 +920,6 @@ std::future<TripleResponse> TopologyService::SubmitTriple(
     return Ready(TripleResponse{
         Status::FailedPrecondition("service is shut down"), false, 0.0});
   }
-  if (!sharded() && triple_store_ == nullptr && live_handle_ == nullptr) {
-    return Ready(TripleResponse{
-        Status::FailedPrecondition(
-            "3-queries not enabled; call EnableTripleQueries or "
-            "AttachLiveStore"),
-        false, 0.0});
-  }
 
   std::string fingerprint = EpochFingerprint(FingerprintTripleQuery(query));
   if (config_.enable_cache) {
@@ -1082,16 +951,11 @@ std::future<TripleResponse> TopologyService::SubmitTriple(
 
   std::future<TripleResponse> future = pool_.Submit(
       [this, query, fingerprint = std::move(fingerprint), watch]() mutable {
-        // Pin the triple backend for this evaluation: the shard set when
-        // sharded, the live epoch when attached, else the fixed store.
-        // Interning into the shared catalog is thread-safe, so no lock
-        // excludes 2-query traffic.
-        Result<engine::TripleQueryResult> result = [&]() {
-          if (sharded()) return sharded_exec_->ExecuteTriple(query);
-          std::shared_ptr<core::TopologyStore> backend = TripleBackend();
-          return engine::ExecuteTripleQuery(
-              db_, backend.get(), *triple_schema_, *triple_view_, query);
-        }();
+        // The executor pins the live shard snapshots for this
+        // evaluation. Interning into the shared catalog is thread-safe, so
+        // no lock excludes 2-query traffic.
+        Result<engine::TripleQueryResult> result =
+            executor_->ExecuteTriple(query);
         const bool ok = result.ok();
         // As with 2-queries: partial (shard-degraded) results stay out
         // of the cache.

@@ -111,13 +111,13 @@ struct RebuildStats {
   std::string table_namespace;    // Namespace the new tables live under.
   size_t pairs_built = 0;
   size_t catalog_topologies = 0;
-  size_t shards_swapped = 0;      // 0 for unsharded rebuilds.
+  size_t shards_swapped = 0;      // Shards rolled; 1 for a single store.
   double build_seconds = 0.0;     // Stage+commit (parallel, on the pool).
   double prune_seconds = 0.0;     // Per-pair prunes, fanned over the pool.
   double index_seconds = 0.0;     // Warm-index pre-build before the swap.
-  /// Sharded rebuilds: AllTops rows per shard of the new epoch, and the
-  /// skew factor max/mean (1.0 = perfectly balanced). Also published to
-  /// the service metrics — the observability half of shard rebalancing.
+  /// AllTops rows per shard of the new epoch, and the skew factor
+  /// max/mean (1.0 = perfectly balanced). Also published to the service
+  /// metrics — the observability half of shard rebalancing.
   std::vector<uint64_t> shard_rows;
   double ShardSkew() const;
 };
@@ -147,35 +147,44 @@ using BatchCallback = std::function<void(BatchOutcome)>;
 ///     rejections, sheds, p50/p95 latency, per-shard row skew
 ///   - a text frontend (SubmitLine) driven by RequestParser
 ///   - live store rebuilds: Rebuild() stages a fresh epoch on the same
-///     pool and swaps it in behind traffic (see AttachLiveStore)
+///     pool and swaps it in behind traffic
 ///
 /// The future-based Submit/Execute and the ExecuteBatch/ExecuteBatchAsync
 /// pair are thin adapters over the stream surface, kept for compatibility.
 ///
-/// The engine must outlive the service. Engine::Execute is concurrency-safe
-/// and pins a store snapshot per query, and TopologyCatalog interning is
-/// thread-safe, so 2-queries, 3-queries, and rebuild staging all run
-/// concurrently — no service-level reader/writer lock remains.
+/// Every query runs through one shard::ScatterGatherExecutor. A single
+/// store is a one-shard fleet: the Engine* constructor wraps the engine in
+/// an owned one-shard executor whose shard-0 engine is that engine, and a
+/// one-shard executor returns the engine's own answer untouched. The
+/// engine (or executor) must outlive the service. Engine::Execute is
+/// concurrency-safe and pins a store snapshot per query, and
+/// TopologyCatalog interning is thread-safe, so 2-queries, 3-queries, and
+/// rebuild staging all run concurrently — no service-level reader/writer
+/// lock remains.
 ///
-/// Rebuild flow: construct the engine with a core::StoreHandle, call
-/// AttachLiveStore(schema, view), then Rebuild(options) at any time.
-/// Rebuild builds a complete new store (parallel BuildAllPairs over the
-/// worker pool, competing fairly with live queries), prunes it, swaps the
-/// handle, and drops the result caches in the same step. In-flight queries
-/// finish on the epoch they started with; the retired epoch's tables are
-/// dropped when its last snapshot is released. Do not call Rebuild from a
-/// pool worker (it waits on staging futures executed by that pool).
+/// Rebuild flow: construct the engine over a core::StoreHandle (or the
+/// executor over a ShardedTopologyStore), then call Rebuild(options) at
+/// any time. Rebuild builds a complete new store per shard (parallel
+/// BuildAllPairs over the worker pool, competing fairly with live
+/// queries), prunes it, swaps each shard's handle, and drops the result
+/// caches in the same step. In-flight queries finish on the epoch they
+/// started with; the retired epoch's tables are dropped when its last
+/// snapshot is released. An engine built over a raw TopologyStore* serves
+/// queries and 3-queries but refuses Rebuild and EnableMutations. Do not
+/// call Rebuild from a pool worker (it waits on staging futures executed
+/// by that pool).
 class TopologyService {
  public:
+  /// Single-store construction: an owned one-shard executor over
+  /// `engine` (borrowed, not copied; see the class comment).
   TopologyService(const engine::Engine* engine, storage::Catalog* db,
                   ServiceConfig config = ServiceConfig{});
 
-  /// Sharded construction: queries scatter-gather over `executor`'s shard
-  /// set instead of a single engine; 3-queries and Rebuild() are wired
-  /// through the executor's shard handles automatically (no AttachLiveStore
-  /// needed). Cache fingerprints carry the per-shard epoch stamp, so a
-  /// shard rolling forward orphans exactly the entries derived from it.
-  /// The executor must outlive the service.
+  /// Queries scatter-gather over `executor`'s shard set; 3-queries,
+  /// Rebuild() and mutations run through its shard handles. 3-query cache
+  /// fingerprints carry the per-shard epoch stamp, so a shard rolling
+  /// forward orphans exactly the entries derived from it. The executor
+  /// must outlive the service.
   TopologyService(shard::ScatterGatherExecutor* executor,
                   storage::Catalog* db,
                   ServiceConfig config = ServiceConfig{});
@@ -185,47 +194,40 @@ class TopologyService {
   TopologyService(const TopologyService&) = delete;
   TopologyService& operator=(const TopologyService&) = delete;
 
-  /// Enables SubmitTriple against a fixed store; the pointers must outlive
-  /// the service. Prefer AttachLiveStore when rebuilds are needed — a
-  /// store enabled this way never follows epoch swaps.
-  void EnableTripleQueries(core::TopologyStore* store,
-                           const graph::SchemaGraph* schema,
-                           const graph::DataGraphView* view);
-
-  /// Enables Rebuild() and SubmitTriple through the engine's StoreHandle,
-  /// so 3-queries and rebuilds always target the live epoch. Fails with
-  /// FailedPrecondition when the engine was built with the legacy
-  /// raw-pointer constructor: its non-owning store wrapper cannot honor
-  /// the retired-epoch table cleanup (tables would leak, and the cleanup
-  /// could fire after the database catalog is gone). Handle stores must be
-  /// heap-owned and must not outlive `db`.
+  /// Checks that the service can rebuild and mutate its store: fails
+  /// with FailedPrecondition when the shard-0 engine was built with the
+  /// raw-pointer constructor (its non-owning store wrapper cannot honor
+  /// the retired-epoch table cleanup: tables would leak, and the cleanup
+  /// could fire after the database catalog is gone), and with
+  /// InvalidArgument when `schema`/`view` are not the ones the engines
+  /// query. Enables nothing: Rebuild and EnableMutations make the same
+  /// store check themselves. Handle stores must be heap-owned and must not
+  /// outlive `db`.
   Status AttachLiveStore(const graph::SchemaGraph* schema,
                          const graph::DataGraphView* view);
 
   /// Rebuilds the topology store behind live traffic (see class comment).
   /// Serialized against itself; queries keep flowing throughout.
   ///
-  /// Sharded services stage a complete new shard set ("e<N>.s<i>." table
-  /// namespaces), prune and warm-index it off the critical path, then roll
-  /// the shards independently — one per-shard epoch swap at a time, each
-  /// retiring its predecessor when the last in-flight sub-query releases
-  /// it. Queries scattering mid-roll see a mix of old and new shard
-  /// epochs; both partition the same pair set, so merged results stay
-  /// correct throughout.
-  ///
-  /// Unsharded and sharded alike: per-pair PruneFrequentTopologies scans
-  /// fan out over the worker pool (they are independent per pair), and the
-  /// new epoch's TID hash indexes are pre-built before the swap so the
-  /// first post-swap queries pay nothing.
+  /// Stages a complete new shard set ("e<N>." table namespaces, with an
+  /// "s<i>." segment per shard when there are several), prunes and
+  /// warm-indexes it off the critical path, then rolls the shards
+  /// independently — one per-shard epoch swap at a time, each retiring its
+  /// predecessor when the last in-flight sub-query releases it. Queries
+  /// scattering mid-roll see a mix of old and new shard epochs; both
+  /// partition the same pair set, so merged results stay correct
+  /// throughout. Per-pair PruneFrequentTopologies scans fan out over the
+  /// worker pool (they are independent per pair), and the new epoch's TID
+  /// hash indexes are pre-built before the swap so the first post-swap
+  /// queries pay nothing.
   Result<RebuildStats> Rebuild(const RebuildOptions& options);
 
   /// --- Incremental updates -------------------------------------------------
 
-  /// Enables ApplyMutations: constructs a MutationEngine over the live
-  /// store (every shard handle when sharded; the AttachLiveStore handle
-  /// otherwise — call AttachLiveStore first). `log` (not owned, may be
-  /// null) makes applies durable: each accepted batch is fsync'd to the
-  /// WAL before its overlay epoch becomes visible.
+  /// Enables ApplyMutations: constructs a MutationEngine over every shard
+  /// handle. `log` (not owned, may be null) makes applies durable: each
+  /// accepted batch is fsync'd to the WAL before its overlay epoch becomes
+  /// visible.
   Status EnableMutations(mutation::MutationEngine::Options options,
                          mutation::DeltaLog* log = nullptr);
 
@@ -299,9 +301,9 @@ class TopologyService {
   void ExecuteBatchAsync(std::vector<ParsedRequest> requests,
                          BatchCallback callback);
 
-  /// 3-query submission (requires EnableTripleQueries or AttachLiveStore).
-  /// Runs concurrently with 2-queries: interning into the shared catalog
-  /// is thread-safe, so triples no longer exclude other traffic.
+  /// 3-query submission against the live shard set. Runs concurrently
+  /// with 2-queries: interning into the shared catalog is thread-safe, so
+  /// triples no longer exclude other traffic.
   std::future<TripleResponse> SubmitTriple(const engine::TripleQuery& query);
 
   /// Drops all cached results. Rebuild() folds this into its swap; call it
@@ -330,9 +332,6 @@ class TopologyService {
   size_t ClassInFlight(wire::Priority priority) const {
     return class_in_flight_[static_cast<size_t>(priority)].load();
   }
-
-  /// True when this service scatter-gathers over a sharded store.
-  bool sharded() const { return sharded_exec_ != nullptr; }
 
  private:
   /// Shared state of one response stream (a single Submit is a stream of
@@ -411,13 +410,13 @@ class TopologyService {
                               const std::shared_ptr<obs::QueryTrace>& trace,
                               double queue_seconds);
 
-  /// Engine dispatch: scatter-gather when sharded, else the single engine.
-  Result<engine::QueryResult> Evaluate(
-      const engine::TopologyQuery& query, engine::MethodKind method,
-      const engine::ExecOptions& options,
-      const std::shared_ptr<obs::QueryTrace>& trace) const;
+  /// Adopts the Engine* constructor's one-shard executor.
+  TopologyService(std::unique_ptr<shard::ScatterGatherExecutor> owned,
+                  storage::Catalog* db, ServiceConfig config);
 
-  Result<RebuildStats> RebuildSharded(const RebuildOptions& options);
+  /// FailedPrecondition unless the shard-0 store can be swapped (see
+  /// AttachLiveStore); Rebuild and EnableMutations check it.
+  Status CheckStoreSwappable() const;
 
   /// Fans per-pair PruneFrequentTopologies over the pool for every store
   /// in `stores` (all still private to the rebuild). Adds to *seconds.
@@ -453,11 +452,6 @@ class TopologyService {
   /// Rebuild epilogue: new rebuild generation, per-pair generations reset.
   void BumpRebuildGeneration();
 
-  /// The store 3-queries run against: the live epoch when attached via
-  /// AttachLiveStore, else the fixed EnableTripleQueries store (wrapped
-  /// non-owning). Null when neither was called.
-  std::shared_ptr<core::TopologyStore> TripleBackend() const;
-
   template <typename Response>
   static std::future<Response> Ready(Response response) {
     std::promise<Response> promise;
@@ -465,9 +459,9 @@ class TopologyService {
     return promise.get_future();
   }
 
-  /// Exactly one of engine_ / sharded_exec_ is set (by the two ctors).
-  const engine::Engine* engine_;
-  shard::ScatterGatherExecutor* sharded_exec_ = nullptr;
+  /// Set only by the Engine* constructor; executor_ points into it then.
+  std::unique_ptr<shard::ScatterGatherExecutor> owned_executor_;
+  shard::ScatterGatherExecutor* executor_;
   storage::Catalog* db_;
   ServiceConfig config_;
   RequestParser parser_;
@@ -500,18 +494,12 @@ class TopologyService {
   std::atomic<size_t> in_flight_{0};
   std::atomic<bool> accepting_{true};
 
-  /// Triple-query backend (null until EnableTripleQueries/AttachLiveStore).
-  core::TopologyStore* triple_store_ = nullptr;
-  const graph::SchemaGraph* triple_schema_ = nullptr;
-  const graph::DataGraphView* triple_view_ = nullptr;
-
-  /// Live-rebuild state (null until AttachLiveStore).
-  std::shared_ptr<core::StoreHandle> live_handle_;
   /// Serializes Rebuild() and ApplyMutations() — the two store writers —
   /// against each other; never taken on the query path.
   std::mutex rebuild_mu_;
 
-  /// Incremental-update state (null until EnableMutations).
+  /// Incremental-update state (null until EnableMutations, which sets it
+  /// under rebuild_mu_; ApplyMutations reads it under the same lock).
   std::unique_ptr<mutation::MutationEngine> mutation_engine_;
   mutation::DeltaLog* mutation_log_ = nullptr;
   /// Full-rebuild generation in every cache key: Rebuild bumps it (and

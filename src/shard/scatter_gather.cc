@@ -26,6 +26,23 @@ size_t ResolveScatterThreads(size_t requested, size_t num_shards) {
   return std::max<size_t>(1, std::min(num_shards, hw));
 }
 
+std::vector<std::shared_ptr<const engine::Engine>> MakeShardEngines(
+    storage::Catalog* db, const ShardedTopologyStore& store,
+    const graph::SchemaGraph* schema, const graph::DataGraphView* view,
+    const core::DomainKnowledge& knowledge,
+    const engine::SqlBaselineOptions& sql_options) {
+  std::vector<std::shared_ptr<const engine::Engine>> engines;
+  engines.reserve(store.num_shards());
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    const std::shared_ptr<core::StoreHandle>& handle = store.handle(i);
+    engines.push_back(std::make_shared<const engine::Engine>(
+        db, handle, schema, view,
+        core::ScoreModel(&handle->Snapshot()->catalog(), knowledge),
+        sql_options));
+  }
+  return engines;
+}
+
 }  // namespace
 
 std::vector<engine::ResultEntry> MergeRankedPartials(
@@ -73,27 +90,43 @@ ScatterGatherExecutor::ScatterGatherExecutor(
     const graph::SchemaGraph* schema, const graph::DataGraphView* view,
     core::DomainKnowledge knowledge, engine::SqlBaselineOptions sql_options,
     ScatterGatherConfig config)
+    : ScatterGatherExecutor(
+          db, store, schema, view,
+          MakeShardEngines(db, *store, schema, view, knowledge, sql_options),
+          config) {}
+
+ScatterGatherExecutor::ScatterGatherExecutor(storage::Catalog* db,
+                                             const engine::Engine* engine,
+                                             ScatterGatherConfig config)
+    : ScatterGatherExecutor(
+          db,
+          std::make_shared<ShardedTopologyStore>(
+              std::vector<std::shared_ptr<core::StoreHandle>>{
+                  engine->store_handle()}),
+          engine->schema(), engine->view(),
+          {std::shared_ptr<const engine::Engine>(
+              engine, [](const engine::Engine*) {})},
+          config) {}
+
+ScatterGatherExecutor::ScatterGatherExecutor(
+    storage::Catalog* db, std::shared_ptr<ShardedTopologyStore> store,
+    const graph::SchemaGraph* schema, const graph::DataGraphView* view,
+    std::vector<std::shared_ptr<const engine::Engine>> engines,
+    ScatterGatherConfig config)
     : db_(db),
       store_(std::move(store)),
       schema_(schema),
       view_(view),
       config_(config),
+      engines_(std::move(engines)),
       scatter_pool_(ResolveScatterThreads(config.num_scatter_threads,
                                           store_->num_shards())),
       transport_metrics_(store_->num_shards()) {
   TSB_CHECK(db_ != nullptr);
-  TSB_CHECK(store_ != nullptr);
-  engines_.reserve(store_->num_shards());
-  for (size_t i = 0; i < store_->num_shards(); ++i) {
-    const std::shared_ptr<core::StoreHandle>& handle = store_->handle(i);
-    engines_.push_back(std::make_unique<engine::Engine>(
-        db_, handle, schema_, view_,
-        core::ScoreModel(&handle->Snapshot()->catalog(), knowledge),
-        sql_options));
-  }
+  TSB_CHECK_EQ(engines_.size(), store_->num_shards());
   std::vector<const engine::Engine*> engine_ptrs;
   engine_ptrs.reserve(engines_.size());
-  for (const std::unique_ptr<engine::Engine>& e : engines_) {
+  for (const std::shared_ptr<const engine::Engine>& e : engines_) {
     engine_ptrs.push_back(e.get());
   }
   loopback_ = std::make_unique<LoopbackTransport>(
@@ -133,6 +166,18 @@ Result<engine::QueryResult> ScatterGatherExecutor::Execute(
     const engine::TopologyQuery& query, engine::MethodKind method,
     const engine::ExecOptions& options,
     const std::shared_ptr<obs::QueryTrace>& trace) const {
+  if (num_shards() == 1) {
+    // One shard is the whole store: its answer is the answer, untouched
+    // (plan text and seconds included); nothing to route or merge.
+    Result<engine::QueryResult> result =
+        engines_[0]->Execute(query, method, options);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.queries;
+    ++stats_.single_shard_queries;
+    ++stats_.subqueries;
+    if (result.ok()) stats_.subquery_seconds += result->stats.seconds;
+    return result;
+  }
   Stopwatch watch;
   const bool traced = trace != nullptr;
   const double start_unix = traced ? obs::UnixSeconds() : 0.0;
@@ -442,9 +487,9 @@ Result<engine::TripleQueryResult> ScatterGatherExecutor::ExecuteTriple(
   return result;
 }
 
-void ScatterGatherExecutor::PrepareIndexes(const std::string& entity_set1,
-                                           const std::string& entity_set2) {
-  for (const std::unique_ptr<engine::Engine>& shard_engine : engines_) {
+void ScatterGatherExecutor::PrepareIndexes(
+    const std::string& entity_set1, const std::string& entity_set2) const {
+  for (const std::shared_ptr<const engine::Engine>& shard_engine : engines_) {
     shard_engine->PrepareIndexes(entity_set1, entity_set2);
   }
 }

@@ -121,6 +121,13 @@ class ScatterGatherExecutor {
                         engine::SqlBaselineOptions sql_options =
                             engine::SqlBaselineOptions{},
                         ScatterGatherConfig config = ScatterGatherConfig{});
+  /// One-shard construction over a caller's engine: the store is a
+  /// one-shard ShardedTopologyStore over `engine`'s own StoreHandle, and
+  /// shard 0's engine is `engine` itself (borrowed; it must outlive the
+  /// executor). Schema and view are the engine's. With one shard every
+  /// query is the engine's own answer, returned untouched.
+  ScatterGatherExecutor(storage::Catalog* db, const engine::Engine* engine,
+                        ScatterGatherConfig config = ScatterGatherConfig{});
   ~ScatterGatherExecutor();
 
   ScatterGatherExecutor(const ScatterGatherExecutor&) = delete;
@@ -129,6 +136,8 @@ class ScatterGatherExecutor {
   /// Scatter-gather evaluation of a 2-query. Result entries are
   /// byte-identical to single-store Engine::Execute; stats are summed over
   /// the sub-queries (plus wall-clock seconds and a scatter plan line).
+  /// With one shard the shard's own result comes back untouched: its plan
+  /// text, its seconds, no scatter spans.
   ///
   /// With `trace` set the execution records its span tree into it —
   /// scatter fan-out, one rpc span per remote sub-query (the sub-request
@@ -147,7 +156,7 @@ class ScatterGatherExecutor {
 
   /// Pre-builds the hash indexes every shard's plans use for this pair.
   void PrepareIndexes(const std::string& entity_set1,
-                      const std::string& entity_set2);
+                      const std::string& entity_set2) const;
 
   ShardedTopologyStore* mutable_store() { return store_.get(); }
   const ShardedTopologyStore& store() const { return *store_; }
@@ -192,6 +201,14 @@ class ScatterGatherExecutor {
       std::optional<std::chrono::steady_clock::time_point>;
   GatherDeadline StartGatherDeadline() const;
 
+  /// The shared tail of both public constructors: `engines` holds one
+  /// engine per shard of `store`, owned or (with a no-op deleter) borrowed.
+  ScatterGatherExecutor(
+      storage::Catalog* db, std::shared_ptr<ShardedTopologyStore> store,
+      const graph::SchemaGraph* schema, const graph::DataGraphView* view,
+      std::vector<std::shared_ptr<const engine::Engine>> engines,
+      ScatterGatherConfig config);
+
   /// Waits for one transport response until `deadline`. On timeout
   /// returns an error and sets *timed_out (the abandoned future stays
   /// valid — the transport task owns its data).
@@ -205,7 +222,7 @@ class ScatterGatherExecutor {
   const graph::DataGraphView* view_;
   ScatterGatherConfig config_;
   ShardRouter router_;
-  std::vector<std::unique_ptr<engine::Engine>> engines_;
+  std::vector<std::shared_ptr<const engine::Engine>> engines_;
   /// Dedicated sub-query lane (see ScatterGatherConfig).
   mutable service::ThreadPool scatter_pool_;
   /// Shared per-shard transport telemetry (loopback records into it; an

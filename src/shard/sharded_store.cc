@@ -8,13 +8,24 @@ namespace tsb {
 namespace shard {
 
 ShardedTopologyStore::ShardedTopologyStore(
-    std::vector<std::shared_ptr<core::TopologyStore>> shards) {
-  TSB_CHECK(!shards.empty()) << "a sharded store needs at least one shard";
-  handles_.reserve(shards.size());
-  for (std::shared_ptr<core::TopologyStore>& shard : shards) {
-    TSB_CHECK(shard != nullptr);
-    handles_.push_back(
-        std::make_shared<core::StoreHandle>(std::move(shard)));
+    std::vector<std::shared_ptr<core::TopologyStore>> shards)
+    : ShardedTopologyStore([&shards]() {
+        std::vector<std::shared_ptr<core::StoreHandle>> handles;
+        handles.reserve(shards.size());
+        for (std::shared_ptr<core::TopologyStore>& shard : shards) {
+          TSB_CHECK(shard != nullptr);
+          handles.push_back(
+              std::make_shared<core::StoreHandle>(std::move(shard)));
+        }
+        return handles;
+      }()) {}
+
+ShardedTopologyStore::ShardedTopologyStore(
+    std::vector<std::shared_ptr<core::StoreHandle>> handles)
+    : handles_(std::move(handles)) {
+  TSB_CHECK(!handles_.empty()) << "a sharded store needs at least one shard";
+  for (const std::shared_ptr<core::StoreHandle>& handle : handles_) {
+    TSB_CHECK(handle != nullptr);
   }
 }
 
@@ -81,6 +92,7 @@ double ShardRowSkew(const std::vector<uint64_t>& rows) {
 }
 
 std::string ShardedTopologyStore::EpochStamp() const {
+  if (handles_.size() == 1) return "e" + std::to_string(handles_[0]->epoch());
   std::string stamp = "s" + std::to_string(handles_.size()) + "[";
   for (size_t i = 0; i < handles_.size(); ++i) {
     if (i > 0) stamp += ",";

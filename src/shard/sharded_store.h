@@ -48,6 +48,11 @@ class ShardedTopologyStore {
   explicit ShardedTopologyStore(
       std::vector<std::shared_ptr<core::TopologyStore>> shards);
 
+  /// Wraps existing epoch handles, e.g. one engine's own handle, so a
+  /// one-shard store reads and swaps exactly the store that engine serves.
+  explicit ShardedTopologyStore(
+      std::vector<std::shared_ptr<core::StoreHandle>> handles);
+
   /// Convenience: `num_shards` fresh empty stores.
   explicit ShardedTopologyStore(size_t num_shards);
 
@@ -83,7 +88,8 @@ class ShardedTopologyStore {
 
   /// Builds all pairs into the current shard stores with the shard-aware
   /// TopologyBuilder overload; tables land under
-  /// storage::ShardNamespace(config.table_namespace, i) per shard.
+  /// storage::ShardNamespace(config.table_namespace, i) per shard (a
+  /// single shard keeps the base namespace).
   Status Build(core::TopologyBuilder* builder,
                const core::BuildConfig& config,
                service::ThreadPool* pool = nullptr);
@@ -98,7 +104,8 @@ class ShardedTopologyStore {
   /// Compact per-shard epoch stamp, e.g. "s2[0,0]" for 2 fresh shards —
   /// the shard-aware component of the service's cache fingerprints. Any
   /// shard rolling forward changes the stamp, so post-swap lookups can
-  /// never hit a retired epoch's cached result.
+  /// never hit a retired epoch's cached result. One shard is the whole
+  /// store and stamps like one: "e<epoch>".
   std::string EpochStamp() const;
 
  private:

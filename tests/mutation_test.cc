@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -1406,6 +1408,92 @@ TEST_F(ServiceMutationTest, ApplyMutationsRequiresEnableMutations) {
   auto stats = svc.ApplyMutations(batch);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(ServiceMutationTest, CallersEngineAndHandleFollowRebuildAndMutations) {
+  // A service built from the caller's engine writes through the caller's
+  // own StoreHandle, so that engine keeps answering what the service does.
+  service::TopologyService svc(live_->engine.get(), &live_->db,
+                               service::ServiceConfig{});
+  auto expect_engine_agrees = [&](const std::string& what) {
+    for (const engine::TopologyQuery& query : FixtureQueries(live_->db)) {
+      for (MethodKind method : kAllMethods) {
+        auto direct = live_->engine->Execute(query, method);
+        auto served = svc.Execute(query, method);
+        ASSERT_EQ(direct.ok(), served.result.ok())
+            << what << " " << engine::MethodKindToString(method);
+        if (!direct.ok()) continue;
+        EXPECT_EQ(direct->entries, served.result->entries)
+            << what << " " << engine::MethodKindToString(method);
+      }
+    }
+  };
+
+  ASSERT_EQ(live_->handle->epoch(), 0u);
+  service::RebuildOptions rebuild;
+  rebuild.build = Fig3BuildConfig();
+  rebuild.prune_threshold = 0;
+  auto rebuilt = svc.Rebuild(rebuild);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  EXPECT_EQ(rebuilt->epoch, 1u);
+  EXPECT_EQ(live_->handle->epoch(), 1u);
+  // One shard is the whole store: the epoch namespace has no shard part.
+  EXPECT_NE(live_->db.FindTable("e1.AllTops_Protein_DNA"), nullptr);
+  expect_engine_agrees("after Rebuild");
+
+  mutation::MutationEngine::Options options;
+  options.build = Fig3BuildConfig();
+  ASSERT_TRUE(svc.EnableMutations(options).ok());
+  for (const mutation::MutationBatch& batch : MixedHistory()) {
+    const uint64_t before = live_->handle->epoch();
+    auto applied = svc.ApplyMutations(batch);
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    EXPECT_GT(live_->handle->epoch(), before);
+  }
+  expect_engine_agrees("after ApplyMutations");
+}
+
+TEST_F(ServiceMutationTest, ApplyMutationsRacingEnableMutationsIsSafe) {
+  // EnableMutations assigns the mutation engine under the writers' lock;
+  // ApplyMutations must read it under that lock too (TSan checks this).
+  // Every call either lands or is refused as not yet enabled.
+  service::TopologyService svc(live_->engine.get(), &live_->db,
+                               service::ServiceConfig{});
+  mutation::MutationBatch batch;
+  batch.ops = {mutation::UpdateAttribute("DNA", 215, "TYPE",
+                                         storage::Value(std::string("rRNA")))};
+  std::atomic<bool> enabled{false};
+  std::atomic<size_t> refused{0};
+  std::atomic<size_t> applied{0};
+  std::atomic<size_t> unexpected{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&]() {
+      // Keep applying until three calls started after the enable returned.
+      for (size_t after_enable = 0; after_enable < 3;) {
+        const bool was_enabled = enabled.load();
+        auto stats = svc.ApplyMutations(batch);
+        if (stats.ok()) {
+          ++applied;
+        } else if (stats.status().code() == StatusCode::kFailedPrecondition) {
+          ++refused;
+        } else {
+          ++unexpected;
+        }
+        if (was_enabled) ++after_enable;
+      }
+    });
+  }
+  while (refused.load() < 4) std::this_thread::yield();
+  mutation::MutationEngine::Options options;
+  options.build = Fig3BuildConfig();
+  const Status enable = svc.EnableMutations(options);
+  enabled.store(true);
+  for (std::thread& writer : writers) writer.join();
+  ASSERT_TRUE(enable.ok()) << enable;
+  EXPECT_EQ(unexpected.load(), 0u);
+  EXPECT_GE(refused.load(), 4u);
+  EXPECT_GE(applied.load(), 12u);
 }
 
 }  // namespace

@@ -466,7 +466,6 @@ TEST_F(StreamFig3Test, BatchFloodDoesNotRejectTripleQueries) {
   config.max_in_flight = 4;  // Small interactive bound.
   config.max_concurrent_batch = 1;
   service::TopologyService svc(engine_.get(), &db_, config);
-  svc.EnableTripleQueries(&store_, schema_.get(), view_.get());
 
   BlockingSink blocker;
   svc.Submit(Request(0, core::RankScheme::kFreq, MethodKind::kFullTop,

@@ -22,6 +22,7 @@
 #include "core/builder.h"
 #include "core/pruner.h"
 #include "engine/engine.h"
+#include "engine/nquery.h"
 #include "obs/registry.h"
 #include "service/metrics.h"
 #include "service/query_cache.h"
@@ -698,7 +699,6 @@ TEST_F(ServiceFig3Test, TextFrontendMatchesHandBuiltQuery) {
 
 TEST_F(ServiceFig3Test, TripleQueriesAreServedAndCached) {
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  svc.EnableTripleQueries(&store_, schema_.get(), view_.get());
 
   engine::TripleQuery q;
   q.entity_set1 = "Protein";
@@ -729,7 +729,6 @@ TEST_F(ServiceFig3Test, TriplesAndTwoQueriesRunConcurrently) {
   config.num_threads = 4;
   config.enable_cache = false;
   service::TopologyService svc(engine_.get(), &db_, config);
-  svc.EnableTripleQueries(&store_, schema_.get(), view_.get());
 
   std::atomic<size_t> failures{0};
   std::vector<std::thread> clients;
@@ -770,16 +769,32 @@ TEST_F(ServiceFig3Test, AttachLiveStoreRejectsLegacyEngines) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(ServiceFig3Test, TripleQueriesWithoutBackendFail) {
+TEST_F(ServiceFig3Test, RawStoreEngineServesTriplesButRefusesStoreWriters) {
+  // No enable call: every service answers 3-queries, here straight off
+  // the caller-owned store the raw-pointer engine wraps.
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
   engine::TripleQuery q;
   q.entity_set1 = "Protein";
   q.entity_set2 = "Unigene";
   q.entity_set3 = "DNA";
+  auto expected =
+      engine::ExecuteTripleQuery(&db_, &store_, *schema_, *view_, q);
+  ASSERT_TRUE(expected.ok()) << expected.status();
   auto response = svc.SubmitTriple(q).get();
-  EXPECT_FALSE(response.result.ok());
-  EXPECT_EQ(response.result.status().code(),
+  ASSERT_TRUE(response.result.ok()) << response.result.status();
+  ASSERT_EQ(response.result->entries.size(), expected->entries.size());
+  for (size_t i = 0; i < expected->entries.size(); ++i) {
+    EXPECT_EQ(response.result->entries[i].tid, expected->entries[i].tid);
+    EXPECT_EQ(response.result->entries[i].frequency,
+              expected->entries[i].frequency);
+  }
+
+  // That store can never be retired, so both store writers refuse it.
+  EXPECT_EQ(svc.Rebuild(service::RebuildOptions{}).status().code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(svc.EnableMutations(mutation::MutationEngine::Options{}).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(svc.mutation_engine(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -872,12 +887,26 @@ class LiveRebuildTest : public ::testing::Test {
   std::unique_ptr<engine::Engine> engine_;
 };
 
-TEST_F(LiveRebuildTest, RebuildRequiresAttachedLiveStore) {
+TEST_F(LiveRebuildTest, AttachLiveStoreOnlyChecksTheEnginesGraph) {
+  // A handle-backed engine's service rebuilds with no attach call.
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
   service::RebuildOptions options;
-  auto result = svc.Rebuild(options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  options.build.max_path_length = 2;
+  auto stats = svc.Rebuild(options);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->epoch, 1u);
+  EXPECT_EQ(stats->shards_swapped, 1u);
+  EXPECT_EQ(handle_->epoch(), 1u);
+
+  // AttachLiveStore accepts the engine's own schema and view, and names
+  // any other graph a caller error.
+  EXPECT_TRUE(svc.AttachLiveStore(schema_.get(), view_.get()).ok());
+  graph::SchemaGraph other_schema(db_);
+  graph::DataGraphView other_view(db_);
+  EXPECT_EQ(svc.AttachLiveStore(&other_schema, view_.get()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.AttachLiveStore(schema_.get(), &other_view).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(LiveRebuildTest, RebuildSwapsEpochBehindLiveTrafficZeroFailures) {

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -22,10 +24,13 @@
 #include "core/pruner.h"
 #include "engine/engine.h"
 #include "engine/nquery.h"
+#include "engine/result_io.h"
 #include "service/service.h"
 #include "shard/router.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
+#include "wire/codec.h"
+#include "wire/message.h"
 
 namespace tsb {
 namespace {
@@ -474,7 +479,6 @@ class ShardedServiceTest : public ShardFig3Test {
 
 TEST_F(ShardedServiceTest, ServesIdenticalResultsAndCaches) {
   service::TopologyService svc(executor_.get(), &db_, SvcConfig());
-  EXPECT_TRUE(svc.sharded());
   engine::TopologyQuery q =
       Query("Protein", "DNA", core::RankScheme::kFreq, 10, true);
 
@@ -598,6 +602,86 @@ TEST_F(ShardedServiceTest, TripleQueriesFlowThroughShardSet) {
     EXPECT_EQ(response.result->entries[i].frequency,
               expected->entries[i].frequency);
   }
+}
+
+/// Holds the one terminal frame a single Submit delivers.
+class OneFrameSink : public wire::StreamSink {
+ public:
+  void OnFrame(const wire::WireFrame& frame) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    response_ = frame.response;
+    done_ = true;
+    cv_.notify_all();
+  }
+
+  wire::WireResponse Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this]() { return done_; });
+    return response_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  wire::WireResponse response_;
+};
+
+/// The response frame payload `svc` sends for `request`, encoded, with the
+/// clock readings (wall seconds, thread CPU) zeroed: they are the only
+/// bytes two equivalent services may disagree on.
+std::string ServedBytes(service::TopologyService* svc,
+                        const wire::WireRequest& request) {
+  OneFrameSink sink;
+  svc->Submit(request, sink);
+  wire::WireResponse response = sink.Wait();
+  response.service_seconds = 0.0;
+  response.result.stats.seconds = 0.0;
+  response.result.stats.cpu_ns = 0;
+  std::string bytes;
+  wire::EncodeQueryResponse(response, &bytes);
+  return bytes;
+}
+
+TEST_F(ShardFig3Test, EngineServiceSendsTheBytesOfAOneShardExecutorService) {
+  // The Engine* constructor wraps the caller's engine in a one-shard
+  // executor; a service over an explicitly built one-shard executor must
+  // send the very same bytes: entries, plan text, counters, cache flags.
+  auto executor = MakeSharded(1);
+  service::TopologyService single(engine_.get(), &db_,
+                                  service::ServiceConfig{});
+  service::TopologyService fleet(executor.get(), &db_,
+                                 service::ServiceConfig{});
+  uint64_t id = 1;
+  for (const char* pass : {"cold", "cached"}) {
+    for (MethodKind method : kAllMethods) {
+      wire::WireRequest request;
+      request.id = id++;
+      request.query =
+          Query("Protein", "DNA", core::RankScheme::kDomain, 10, true);
+      request.method = method;
+      EXPECT_EQ(ServedBytes(&single, request), ServedBytes(&fleet, request))
+          << engine::MethodKindToString(method) << " " << pass;
+    }
+  }
+
+  engine::TripleQuery triple;
+  triple.entity_set1 = "Protein";
+  triple.entity_set2 = "Unigene";
+  triple.entity_set3 = "DNA";
+  for (const char* pass : {"cold", "cached"}) {
+    service::TripleResponse a = single.SubmitTriple(triple).get();
+    service::TripleResponse b = fleet.SubmitTriple(triple).get();
+    ASSERT_TRUE(a.result.ok()) << a.result.status();
+    ASSERT_TRUE(b.result.ok()) << b.result.status();
+    EXPECT_EQ(a.from_cache, b.from_cache) << pass;
+    std::string a_bytes;
+    std::string b_bytes;
+    engine::EncodeTripleQueryResult(*a.result, &a_bytes);
+    engine::EncodeTripleQueryResult(*b.result, &b_bytes);
+    EXPECT_EQ(a_bytes, b_bytes) << pass;
+  }
+  EXPECT_EQ(single.CacheStats().bytes, fleet.CacheStats().bytes);
 }
 
 // ---------------------------------------------------------------------------
