@@ -209,8 +209,7 @@ int main(int argc, char** argv) {
               kReplicas, binary.c_str());
   std::vector<std::string> uds_paths(kShards * kReplicas);
   std::vector<pid_t> pids(kShards * kReplicas, -1);
-  std::vector<std::vector<std::unique_ptr<replica::ReplicaChannel>>>
-      channels(kShards);
+  std::vector<std::vector<net::ShardEndpoint>> endpoints(kShards);
   for (size_t s = 0; s < kShards; ++s) {
     for (size_t r = 0; r < kReplicas; ++r) {
       const size_t i = s * kReplicas + r;
@@ -218,29 +217,23 @@ int main(int argc, char** argv) {
                      "_s" + std::to_string(s) + "r" + std::to_string(r) +
                      ".sock";
       pids[i] = SpawnServer(binary, s, r, uds_paths[i]);
+      endpoints[s].push_back(net::ShardEndpoint::Unix(uds_paths[i]));
     }
   }
   for (size_t i = 0; i < uds_paths.size(); ++i) {
     TSB_CHECK(WaitForServer(uds_paths[i], 30.0))
         << "server " << i << " never came up";
   }
-  for (size_t s = 0; s < kShards; ++s) {
-    for (size_t r = 0; r < kReplicas; ++r) {
-      net::EndpointClientConfig client_config;
-      client_config.backoff_initial_seconds = 0.002;
-      client_config.backoff_max_seconds = 0.05;
-      channels[s].push_back(std::make_unique<replica::SocketReplicaChannel>(
-          net::ShardEndpoint::Unix(uds_paths[s * kReplicas + r]),
-          client_config));
-    }
-  }
+  net::EndpointClientConfig client_config;
+  client_config.backoff_initial_seconds = 0.002;
+  client_config.backoff_max_seconds = 0.05;
 
   auto executor = MakeExecutor("bf.");
   replica::ReplicaSetConfig transport_config;
   transport_config.health.probe_interval_seconds = 0.05;
-  replica::ReplicaSetTransport transport(std::move(channels),
-                                         transport_config,
-                                         executor->transport_metrics());
+  replica::ReplicaSetTransport transport(
+      replica::MakeSocketReplicaGrid(endpoints, client_config),
+      transport_config, executor->transport_metrics());
   executor->set_transport(&transport);
 
   std::printf("flooding %zu queries, then SIGKILL one replica, then %zu "

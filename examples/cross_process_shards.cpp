@@ -1,6 +1,7 @@
 // Cross-process sharding end to end: spawn N shard-server processes
-// (tools/shard_server) listening on Unix-domain sockets, point a
-// connection-pooled net::SocketTransport at them, and run the full
+// (tools/shard_server) listening on Unix-domain sockets, point an R=1
+// replica::ReplicaSetTransport of pooled socket channels at them, and run
+// the full
 // nine-method byte-identity check through real process boundaries — then
 // kill one server to show graceful degradation (partial=true) and
 // restart it to show reconnect recovery.
@@ -13,7 +14,8 @@
 // checks), and only the non-designated sub-queries cross the wire.
 //
 // What to look for in the output:
-//   - nine methods, each byte-identical across direct / loopback / socket,
+//   - nine methods, each byte-identical across direct / in-process /
+//     socket,
 //   - the per-shard transport telemetry (bytes, RTT, reconnects),
 //   - SIGKILL of one server answering with a ranked partial result,
 //   - the restarted server healing the pool (reconnects > 0).
@@ -42,7 +44,7 @@
 #include "graph/data_graph.h"
 #include "graph/schema_graph.h"
 #include "net/frame_conn.h"
-#include "net/socket_transport.h"
+#include "replica/replica_set.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
 
@@ -155,12 +157,12 @@ int main(int argc, char** argv) {
   std::printf("spawning %zu shard servers (%s)\n", kShards, binary.c_str());
   std::vector<std::string> uds_paths;
   std::vector<pid_t> pids;
-  std::vector<net::ShardEndpoint> endpoints;
+  std::vector<std::vector<net::ShardEndpoint>> endpoints;
   for (size_t i = 0; i < kShards; ++i) {
     uds_paths.push_back("/tmp/tsb_xps_" + std::to_string(::getpid()) + "_" +
                         std::to_string(i) + ".sock");
     pids.push_back(SpawnServer(binary, i, uds_paths.back()));
-    endpoints.push_back(net::ShardEndpoint::Unix(uds_paths.back()));
+    endpoints.push_back({net::ShardEndpoint::Unix(uds_paths.back())});
   }
   for (size_t i = 0; i < kShards; ++i) {
     TSB_CHECK(WaitForServer(uds_paths[i], 30.0))
@@ -178,11 +180,12 @@ int main(int argc, char** argv) {
   };
 
   // 3. The nine-method byte-identity check, through real processes.
-  net::SocketTransportConfig transport_config;
-  transport_config.backoff_initial_seconds = 0.005;
-  transport_config.backoff_max_seconds = 0.1;
-  net::SocketTransport transport(endpoints, transport_config,
-                                 executor.transport_metrics());
+  net::EndpointClientConfig client_config;
+  client_config.backoff_initial_seconds = 0.005;
+  client_config.backoff_max_seconds = 0.1;
+  replica::ReplicaSetTransport transport(
+      replica::MakeSocketReplicaGrid(endpoints, client_config),
+      replica::ReplicaSetConfig{}, executor.transport_metrics());
 
   engine::TopologyQuery query;
   query.entity_set1 = "Protein";
@@ -199,17 +202,17 @@ int main(int argc, char** argv) {
       engine::MethodKind::kFastTopKEt,  engine::MethodKind::kFullTopKOpt,
       engine::MethodKind::kFastTopKOpt,
   };
-  std::printf("\nnine-method identity, direct vs loopback vs socket:\n");
+  std::printf("\nnine-method identity, direct vs in-process vs socket:\n");
   for (engine::MethodKind method : methods) {
     auto direct = single.Execute(query, method);
-    auto loopback = executor.Execute(query, method);
+    auto in_process = executor.Execute(query, method);
     executor.set_transport(&transport);
     auto socket = executor.Execute(query, method);
     executor.set_transport(nullptr);
-    TSB_CHECK(direct.ok() && loopback.ok() && socket.ok())
+    TSB_CHECK(direct.ok() && in_process.ok() && socket.ok())
         << engine::MethodKindToString(method);
     const bool identical = socket->entries == direct->entries &&
-                           socket->entries == loopback->entries;
+                           socket->entries == in_process->entries;
     std::printf("  %-14s %2zu entries  %s\n",
                 engine::MethodKindToString(method), socket->entries.size(),
                 identical ? "identical" : "<< MISMATCH");

@@ -160,12 +160,14 @@ int main(int argc, char** argv) {
               kShards, kReplicas, binary.c_str());
   std::vector<std::string> uds_paths(kShards * kReplicas);
   std::vector<pid_t> pids(kShards * kReplicas, -1);
+  std::vector<std::vector<net::ShardEndpoint>> endpoints(kShards);
   for (size_t s = 0; s < kShards; ++s) {
     for (size_t r = 0; r < kReplicas; ++r) {
       const size_t i = s * kReplicas + r;
       uds_paths[i] = "/tmp/tsb_repl_" + std::to_string(::getpid()) + "_s" +
                      std::to_string(s) + "r" + std::to_string(r) + ".sock";
       pids[i] = SpawnServer(binary, s, r, uds_paths[i]);
+      endpoints[s].push_back(net::ShardEndpoint::Unix(uds_paths[i]));
     }
   }
   for (size_t i = 0; i < uds_paths.size(); ++i) {
@@ -183,24 +185,15 @@ int main(int argc, char** argv) {
     }
   };
 
-  std::vector<std::vector<std::unique_ptr<replica::ReplicaChannel>>>
-      channels(kShards);
-  for (size_t s = 0; s < kShards; ++s) {
-    for (size_t r = 0; r < kReplicas; ++r) {
-      net::EndpointClientConfig client_config;
-      client_config.backoff_initial_seconds = 0.002;
-      client_config.backoff_max_seconds = 0.05;
-      channels[s].push_back(std::make_unique<replica::SocketReplicaChannel>(
-          net::ShardEndpoint::Unix(uds_paths[s * kReplicas + r]),
-          client_config));
-    }
-  }
+  net::EndpointClientConfig client_config;
+  client_config.backoff_initial_seconds = 0.002;
+  client_config.backoff_max_seconds = 0.05;
   replica::ReplicaSetConfig transport_config;
   transport_config.health.failures_to_eject = 3;
   transport_config.health.probe_interval_seconds = 0.05;
-  replica::ReplicaSetTransport transport(std::move(channels),
-                                         transport_config,
-                                         executor.transport_metrics());
+  replica::ReplicaSetTransport transport(
+      replica::MakeSocketReplicaGrid(endpoints, client_config),
+      transport_config, executor.transport_metrics());
   executor.set_transport(&transport);
 
   engine::TopologyQuery query;

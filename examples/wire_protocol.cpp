@@ -6,7 +6,7 @@
 // a binary frame crossing an encode → decode boundary byte-identically,
 // a stream of mixed-priority requests answered through a StreamSink with
 // deadline shedding, and a 2-shard scatter whose sub-queries travel as
-// encoded wire messages (LoopbackTransport).
+// encoded wire messages (the executor's default in-process transport).
 //
 // Build & run:  ./build/examples/wire_protocol
 
@@ -129,7 +129,9 @@ int main() {
               metrics.ToString().c_str());
 
   // 5. The transport seam: a 2-shard store whose scatter sub-queries cross
-  //    the wire (encoded frames over LoopbackTransport, in-process).
+  //    the wire as encoded frames, in-process: the executor's default
+  //    transport is a one-replica-per-shard replica set over loopback
+  //    channels, the same class a socket fleet uses.
   auto sharded = std::make_shared<shard::ShardedTopologyStore>(2);
   core::BuildConfig shard_build = build;
   shard_build.table_namespace = "demo.";

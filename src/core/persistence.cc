@@ -42,14 +42,6 @@ TableSchema PairsSchema() {
                       {"TABLE_NS", ColumnType::kString}});
 }
 
-/// Snapshots written before table namespaces existed lack the TABLE_NS
-/// column; they load with an empty namespace.
-TableSchema LegacyPairsSchema() {
-  std::vector<storage::ColumnDef> columns = PairsSchema().columns();
-  columns.pop_back();
-  return TableSchema(std::move(columns));
-}
-
 TableSchema ClassesSchema() {
   return TableSchema({{"ID", ColumnType::kInt64},
                       {"KEY_HEX", ColumnType::kString},
@@ -307,18 +299,10 @@ Status LoadTopologyArtifacts(storage::Catalog* db, TopologyStore* store,
     }
   }
 
-  // Pairs. Current snapshots carry TABLE_NS; pre-namespace ones fall back
-  // to the legacy 12-column layout (empty namespace).
-  bool has_table_ns = true;
-  Result<storage::Table*> pairs_or =
-      ReadCsvFile(&scratch, "pairs", PairsSchema(), root / "pairs.csv");
-  if (!pairs_or.ok()) {
-    has_table_ns = false;
-    pairs_or = ReadCsvFile(&scratch, "pairs_legacy", LegacyPairsSchema(),
-                           root / "pairs.csv");
-  }
-  TSB_RETURN_IF_ERROR(pairs_or.status());
-  storage::Table* pairs_table = pairs_or.value();
+  // Pairs.
+  TSB_ASSIGN_OR_RETURN(
+      storage::Table * pairs_table,
+      ReadCsvFile(&scratch, "pairs", PairsSchema(), root / "pairs.csv"));
   for (size_t i = 0; i < pairs_table->num_rows(); ++i) {
     PairTopologyData pair;
     pair.t1 = static_cast<storage::EntityTypeId>(pairs_table->GetInt64(i, 0));
@@ -338,8 +322,7 @@ Status LoadTopologyArtifacts(storage::Catalog* db, TopologyStore* store,
     pair.pruned = pairs_table->GetInt64(i, 9) != 0;
     pair.prune_threshold =
         static_cast<size_t>(pairs_table->GetInt64(i, 10));
-    pair.table_namespace =
-        has_table_ns ? pairs_table->GetString(i, 12) : "";
+    pair.table_namespace = pairs_table->GetString(i, 12);
     pair.alltops_table =
         pair.table_namespace + "AllTops_" + pair.pair_name;
     pair.pairclasses_table =

@@ -69,8 +69,8 @@ struct RoundTripTelemetry {
 };
 
 /// One endpoint's pooled, backoff-disciplined frame client: the
-/// connection-management core extracted from SocketTransport so the
-/// replica layer can pool per *replica* endpoint, not per shard.
+/// connection management behind replica::SocketReplicaChannel, so the
+/// replica layer pools per *replica* endpoint, not per shard.
 ///
 /// RoundTrip = checkout (pool hit, or dial under the backoff gate) →
 /// write frame → read frame → return conn to the pool. A round-trip that

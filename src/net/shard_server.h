@@ -37,8 +37,9 @@ struct ShardServerConfig {
 
 /// The shard server daemon core: accepts connections and serves wire
 /// frames through a shard::ShardFrameHandler — the same dispatch
-/// implementation LoopbackTransport runs in-process, so a query answered
-/// over a socket is byte-identical to one answered over the loopback.
+/// implementation shard::LoopbackReplicaChannel runs in-process, so a
+/// query answered over a socket is byte-identical to one answered
+/// in-process.
 ///
 /// One thread per connection, blocking frame loop: read request frame →
 /// handle → write response frame, until the peer disconnects or a

@@ -29,9 +29,7 @@ size_t ResolveAttemptThreads(size_t requested, size_t total_replicas) {
   return std::max<size_t>(2, std::min<size_t>(2 * total_replicas, 32));
 }
 
-std::vector<size_t> ReplicaCounts(
-    const std::vector<std::vector<std::unique_ptr<ReplicaChannel>>>&
-        channels) {
+std::vector<size_t> ReplicaCounts(const ReplicaChannelGrid& channels) {
   std::vector<size_t> counts;
   counts.reserve(channels.size());
   for (const auto& shard : channels) counts.push_back(shard.size());
@@ -45,6 +43,19 @@ size_t TotalReplicas(const std::vector<size_t>& counts) {
 }
 
 }  // namespace
+
+ReplicaChannelGrid MakeSocketReplicaGrid(
+    const std::vector<std::vector<net::ShardEndpoint>>& endpoints,
+    const net::EndpointClientConfig& config) {
+  ReplicaChannelGrid grid(endpoints.size());
+  for (size_t s = 0; s < endpoints.size(); ++s) {
+    for (const net::ShardEndpoint& endpoint : endpoints[s]) {
+      grid[s].push_back(
+          std::make_unique<SocketReplicaChannel>(endpoint, config));
+    }
+  }
+  return grid;
+}
 
 /// The rendezvous between one logical Send's coordinator and its physical
 /// attempts. Attempts own a shared_ptr, so the state (and the request
@@ -76,8 +87,8 @@ struct ReplicaSetTransport::SendState {
 };
 
 ReplicaSetTransport::ReplicaSetTransport(
-    std::vector<std::vector<std::unique_ptr<ReplicaChannel>>> channels,
-    ReplicaSetConfig config, service::TransportMetrics* transport_metrics)
+    ReplicaChannelGrid channels, ReplicaSetConfig config,
+    service::TransportMetrics* transport_metrics)
     : channels_(std::move(channels)),
       config_(config),
       transport_metrics_(transport_metrics),
@@ -355,8 +366,8 @@ Result<std::string> ReplicaSetTransport::RoundTripFrom(
   lock.unlock();
 
   if (transport_metrics_ != nullptr) {
-    // The logical per-shard row: one round-trip per Send, as with
-    // SocketTransport, so R=1 and R>1 dashboards stay comparable.
+    // The logical per-shard row: one round-trip per Send, so R=1 and R>1
+    // dashboards stay comparable.
     // (Bytes of attempts still in flight land in later rows.)
     const double rtt = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)

@@ -63,10 +63,24 @@ class SocketReplicaChannel : public ReplicaChannel {
   net::EndpointClient client_;
 };
 
+/// Shard s's replicas are `grid[s]`; every shard needs at least one.
+using ReplicaChannelGrid =
+    std::vector<std::vector<std::unique_ptr<ReplicaChannel>>>;
+
+/// One SocketReplicaChannel per endpoint: `endpoints[s][r]` is replica r
+/// of shard s, and every channel's client runs under `config`. The socket
+/// twin of shard::MakeLoopbackReplicaGrid; R=1 (one endpoint per shard) is
+/// the plain one-process-per-shard fleet.
+ReplicaChannelGrid MakeSocketReplicaGrid(
+    const std::vector<std::vector<net::ShardEndpoint>>& endpoints,
+    const net::EndpointClientConfig& config = net::EndpointClientConfig{});
+
 struct ReplicaSetConfig {
-  /// End-to-end deadline of one logical Send, covering every attempt
-  /// (primary, hedge, failovers) under it. Must stay finite — see
-  /// SocketTransportConfig::request_timeout_seconds for why.
+  /// End-to-end deadline of one logical Send, measured from Send (queue
+  /// wait included) and covering every attempt (primary, hedge, failovers)
+  /// under it. This must stay finite: the executor's gather deadline
+  /// abandons the future but cannot free the attempt thread, so a hung
+  /// shard would wedge threads forever with 0 (no deadline) here.
   double request_timeout_seconds = 30.0;
 
   /// Hedged reads: when the primary attempt has not answered within the
@@ -80,12 +94,12 @@ struct ReplicaSetConfig {
   double hedge_delay_factor = 2.0;
   uint64_t hedge_min_samples = 32;
 
-  /// Coordinator threads (one logical in-flight Send each); 0 means
-  /// min(2 × shards, 16) — mirroring SocketTransportConfig::io_threads.
+  /// Coordinator threads (one logical in-flight Send each, so this bounds
+  /// transport concurrency); 0 means max(2, min(2 × shards, 16)).
   size_t coordinator_threads = 0;
   /// Attempt threads (one per in-flight physical round-trip; a logical
   /// Send can hold several at once while hedging); 0 means
-  /// min(2 × total replicas, 32).
+  /// max(2, min(2 × total replicas, 32)).
   size_t attempt_threads = 0;
 
   HealthConfig health;
@@ -117,20 +131,21 @@ struct ReplicaSetConfig {
 ///    stamps lagging the shard's epoch high-water mark quarantine the
 ///    replica until it catches up.
 ///
-/// From the executor's point of view this is exactly a SocketTransport:
-/// Send never blocks, the future always becomes ready, failures come back
-/// as Status. Swapping R=1 SocketTransport for R>1 ReplicaSetTransport
-/// changes no executor code.
+/// It is the executor's only transport: its default is R=1 over in-process
+/// loopback channels, and a socket fleet is the same class over
+/// SocketReplicaChannels. Send never blocks, the future always becomes
+/// ready, and failures come back as Status. At R=1 routing is trivial, no
+/// hedge can fire, and one Send is one physical round-trip.
 class ReplicaSetTransport : public wire::ShardTransport {
  public:
   /// `channels[s]` are shard s's replicas, best-effort identical content;
   /// every shard needs ≥ 1. `transport_metrics` (optional, non-owning)
-  /// receives the per-shard logical view (one row per Send, as with
-  /// SocketTransport) — pass the executor's transport_metrics() so
+  /// receives the per-shard logical view (one row per Send, whatever the
+  /// replica count) — pass the executor's transport_metrics() so
   /// dashboards stay comparable across transports; per-replica telemetry
   /// lives in replica_metrics().
   ReplicaSetTransport(
-      std::vector<std::vector<std::unique_ptr<ReplicaChannel>>> channels,
+      ReplicaChannelGrid channels,
       ReplicaSetConfig config = ReplicaSetConfig{},
       service::TransportMetrics* transport_metrics = nullptr);
   ~ReplicaSetTransport();
@@ -196,7 +211,7 @@ class ReplicaSetTransport : public wire::ShardTransport {
                      bool is_hedge, bool is_failover,
                      const net::Deadline& deadline);
 
-  std::vector<std::vector<std::unique_ptr<ReplicaChannel>>> channels_;
+  ReplicaChannelGrid channels_;
   ReplicaSetConfig config_;
   service::TransportMetrics* transport_metrics_;
   service::ReplicaMetrics replica_metrics_;

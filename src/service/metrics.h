@@ -167,10 +167,10 @@ struct TransportMetricsSnapshot {
 };
 
 /// Thread-safe per-shard transport telemetry: send/recv byte counters,
-/// request RTT p50/p95, failure and reconnect counts. One implementation
-/// shared by every wire::ShardTransport — the in-process LoopbackTransport
-/// and the cross-process net::SocketTransport record through the same
-/// object, so swapping transports keeps the dashboards comparable.
+/// request RTT p50/p95, failure and reconnect counts. The executor's
+/// replica-set transport records one row per logical Send, whether its
+/// channels are in-process or sockets, so swapping transports keeps the
+/// dashboards comparable.
 class TransportMetrics : public obs::MetricsSource {
  public:
   explicit TransportMetrics(size_t num_shards);

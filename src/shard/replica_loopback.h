@@ -72,14 +72,14 @@ class LoopbackReplicaChannel : public replica::ReplicaChannel {
 /// ReplicaSetTransport; `raw[s][r]` keeps the injection handles (non-
 /// owning — valid for the transport's lifetime).
 struct LoopbackReplicaGrid {
-  std::vector<std::vector<std::unique_ptr<replica::ReplicaChannel>>>
-      channels;
+  replica::ReplicaChannelGrid channels;
   std::vector<std::vector<LoopbackReplicaChannel*>> raw;
 };
 
-/// `engines[s]` is shard s's engine (as for LoopbackTransport); every
-/// replica of a shard shares the shard's engine and store handle — the
-/// in-process analogue of R processes that built identical shards.
+/// `engines[s]` is shard s's engine; every replica of a shard shares the
+/// shard's engine and store handle — the in-process analogue of R
+/// processes that built identical shards. With R=1 this is the
+/// ScatterGatherExecutor's default transport.
 LoopbackReplicaGrid MakeLoopbackReplicaGrid(
     storage::Catalog* db, const ShardedTopologyStore* store,
     const std::vector<const engine::Engine*>& engines, size_t replicas);

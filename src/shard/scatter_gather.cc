@@ -1,30 +1,22 @@
 #include "shard/scatter_gather.h"
 
-#include <algorithm>
 #include <chrono>
 #include <future>
 #include <limits>
 #include <queue>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "obs/cost.h"
+#include "shard/replica_loopback.h"
 #include "wire/codec.h"
 
 namespace tsb {
 namespace shard {
 
 namespace {
-
-size_t ResolveScatterThreads(size_t requested, size_t num_shards) {
-  if (requested > 0) return requested;
-  size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 4;
-  return std::max<size_t>(1, std::min(num_shards, hw));
-}
 
 std::vector<std::shared_ptr<const engine::Engine>> MakeShardEngines(
     storage::Catalog* db, const ShardedTopologyStore& store,
@@ -41,6 +33,18 @@ std::vector<std::shared_ptr<const engine::Engine>> MakeShardEngines(
         sql_options));
   }
   return engines;
+}
+
+/// One R=1 loopback channel per shard, each over that shard's engine.
+replica::ReplicaChannelGrid DefaultChannels(
+    storage::Catalog* db, const ShardedTopologyStore* store,
+    const std::vector<std::shared_ptr<const engine::Engine>>& engines) {
+  std::vector<const engine::Engine*> engine_ptrs;
+  engine_ptrs.reserve(engines.size());
+  for (const std::shared_ptr<const engine::Engine>& e : engines) {
+    engine_ptrs.push_back(e.get());
+  }
+  return MakeLoopbackReplicaGrid(db, store, engine_ptrs, 1).channels;
 }
 
 }  // namespace
@@ -119,23 +123,12 @@ ScatterGatherExecutor::ScatterGatherExecutor(
       view_(view),
       config_(config),
       engines_(std::move(engines)),
-      scatter_pool_(ResolveScatterThreads(config.num_scatter_threads,
-                                          store_->num_shards())),
-      transport_metrics_(store_->num_shards()) {
+      transport_metrics_(store_->num_shards()),
+      default_transport_(DefaultChannels(db_, store_.get(), engines_),
+                         replica::ReplicaSetConfig{}, &transport_metrics_),
+      transport_(&default_transport_) {
   TSB_CHECK(db_ != nullptr);
-  TSB_CHECK_EQ(engines_.size(), store_->num_shards());
-  std::vector<const engine::Engine*> engine_ptrs;
-  engine_ptrs.reserve(engines_.size());
-  for (const std::shared_ptr<const engine::Engine>& e : engines_) {
-    engine_ptrs.push_back(e.get());
-  }
-  loopback_ = std::make_unique<LoopbackTransport>(
-      db_, store_.get(), std::move(engine_ptrs), &scatter_pool_,
-      &transport_metrics_);
-  transport_ = loopback_.get();
 }
-
-ScatterGatherExecutor::~ScatterGatherExecutor() { scatter_pool_.Shutdown(); }
 
 ScatterGatherExecutor::GatherDeadline
 ScatterGatherExecutor::StartGatherDeadline() const {
@@ -231,7 +224,7 @@ Result<engine::QueryResult> ScatterGatherExecutor::Execute(
 
   // Scatter: the designated shard runs on this thread (guaranteed
   // progress); every other shard's sub-query crosses the transport seam
-  // as an encoded wire frame and rides the dedicated scatter lane.
+  // as an encoded wire frame.
   // Non-designated shards skip the pruned online checks — those verify
   // against the shared data graph and replicated exception tables, so the
   // designated shard's verdicts already cover the whole store.

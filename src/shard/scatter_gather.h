@@ -15,8 +15,8 @@
 #include "engine/nquery.h"
 #include "engine/query.h"
 #include "obs/trace.h"
-#include "service/thread_pool.h"
-#include "shard/loopback_transport.h"
+#include "replica/replica_set.h"
+#include "service/metrics.h"
 #include "shard/router.h"
 #include "shard/sharded_store.h"
 #include "wire/transport.h"
@@ -65,13 +65,6 @@ struct ScatterStats {
 };
 
 struct ScatterGatherConfig {
-  /// Dedicated sub-query workers; 0 means min(num_shards,
-  /// hardware_concurrency). This lane is intentionally *not* the service's
-  /// request pool: an outer query blocks on its sub-queries, and blocking
-  /// pool tasks on tasks queued behind them in the same pool deadlocks
-  /// once every worker holds an outer query. A separate lane (same
-  /// service::ThreadPool class) keeps the wait-for graph acyclic.
-  size_t num_scatter_threads = 0;
   /// Per-shard sub-query deadline in seconds; 0 waits indefinitely. A
   /// sub-query still pending at the deadline counts as a failed shard.
   double subquery_timeout_seconds = 0.0;
@@ -101,16 +94,19 @@ struct ScatterGatherConfig {
 ///
 /// Transport seam: every non-designated sub-query (and every triple scan
 /// slice) travels as an encoded wire frame through a wire::ShardTransport
-/// — by default the in-process LoopbackTransport over this executor's own
-/// engines, so the serialize → dispatch → deserialize path is exercised
-/// (and byte-identity-tested) before a socket transport ever exists. A
-/// shard that fails or misses the sub-query deadline degrades the answer
-/// (partial=true) instead of failing it when tolerate_shard_failures is
-/// set.
+/// — by default an R=1 replica::ReplicaSetTransport whose one replica per
+/// shard is a LoopbackReplicaChannel over this executor's own engine, so
+/// the serialize → dispatch → deserialize path in-process is the one a
+/// socket replica set runs, minus the byte shipping. A shard that fails
+/// or misses the sub-query deadline degrades the answer (partial=true)
+/// instead of failing it when tolerate_shard_failures is set.
 ///
 /// Thread safety: Execute/ExecuteTriple are safe from any number of
-/// threads; per-shard engines are concurrency-safe and sub-queries ride a
-/// dedicated scatter pool.
+/// threads; per-shard engines are concurrency-safe. Sub-queries ride the
+/// transport's own coordinator pool, never the caller's: an outer query
+/// blocks on its sub-queries, and blocking pool tasks on tasks queued
+/// behind them in the same pool deadlocks once every worker holds an
+/// outer query.
 class ScatterGatherExecutor {
  public:
   ScatterGatherExecutor(storage::Catalog* db,
@@ -128,7 +124,6 @@ class ScatterGatherExecutor {
   /// query is the engine's own answer, returned untouched.
   ScatterGatherExecutor(storage::Catalog* db, const engine::Engine* engine,
                         ScatterGatherConfig config = ScatterGatherConfig{});
-  ~ScatterGatherExecutor();
 
   ScatterGatherExecutor(const ScatterGatherExecutor&) = delete;
   ScatterGatherExecutor& operator=(const ScatterGatherExecutor&) = delete;
@@ -169,20 +164,22 @@ class ScatterGatherExecutor {
   }
 
   /// Overrides the sub-query transport (tests inject failing/slow
-  /// wrappers; net::SocketTransport routes sub-queries to shard server
-  /// processes). Non-owning; the transport must outlive the executor.
-  /// Pass nullptr to restore the built-in loopback. Not safe to call
-  /// concurrently with queries.
+  /// wrappers; a ReplicaSetTransport over SocketReplicaChannels routes
+  /// sub-queries to shard server processes). Non-owning; the transport
+  /// must outlive the executor. Pass nullptr to restore the default
+  /// transport. Not safe to call concurrently with queries.
   void set_transport(wire::ShardTransport* transport) {
-    transport_ = transport != nullptr ? transport : loopback_.get();
+    transport_ = transport != nullptr ? transport : &default_transport_;
   }
   wire::ShardTransport* transport() const { return transport_; }
-  const LoopbackTransport& loopback() const { return *loopback_; }
-  LoopbackTransport* mutable_loopback() { return loopback_.get(); }
+  /// The built-in in-process transport (see class comment).
+  replica::ReplicaSetTransport& default_transport() {
+    return default_transport_;
+  }
 
   /// Per-shard transport telemetry (bytes, RTT p50/p95, reconnects). The
-  /// built-in loopback records into it; hand it to an injected
-  /// net::SocketTransport so a transport swap keeps one telemetry stream.
+  /// default transport records into it; hand it to an injected
+  /// ReplicaSetTransport so a transport swap keeps one telemetry stream.
   service::TransportMetrics* transport_metrics() const {
     return &transport_metrics_;
   }
@@ -223,15 +220,14 @@ class ScatterGatherExecutor {
   ScatterGatherConfig config_;
   ShardRouter router_;
   std::vector<std::shared_ptr<const engine::Engine>> engines_;
-  /// Dedicated sub-query lane (see ScatterGatherConfig).
-  mutable service::ThreadPool scatter_pool_;
-  /// Shared per-shard transport telemetry (loopback records into it; an
-  /// injected socket transport should too — see transport_metrics()).
+  /// Shared per-shard transport telemetry (the default transport records
+  /// into it; an injected one should too — see transport_metrics()).
   mutable service::TransportMetrics transport_metrics_;
-  /// Default in-process transport over engines_; transport_ points at it
-  /// unless a test (or the socket seam) overrides.
-  std::unique_ptr<LoopbackTransport> loopback_;
-  wire::ShardTransport* transport_ = nullptr;
+  /// Default in-process transport over engines_ and store_; declared after
+  /// them so it is destroyed (its pools joined) first. transport_ points
+  /// at it unless a test or a socket replica set overrides.
+  replica::ReplicaSetTransport default_transport_;
+  wire::ShardTransport* transport_;
 
   mutable std::mutex stats_mu_;
   mutable ScatterStats stats_;

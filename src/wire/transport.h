@@ -18,10 +18,11 @@ namespace wire {
 /// The process-boundary seam of the sharded executor: sub-queries travel
 /// to a shard as one encoded request frame (wire/codec.h) and come back as
 /// one encoded response frame, even in-process. ScatterGatherExecutor
-/// speaks only this interface for its fan-out, so swapping the in-process
-/// LoopbackTransport (shard/loopback_transport.h) for a socket transport
-/// changes no executor code — the serialization cost is already paid and
-/// tested for byte-identity.
+/// speaks only this interface for its fan-out. Its one implementation in
+/// the library is replica::ReplicaSetTransport, whose channels are either
+/// in-process (the executor's default) or sockets, so moving shards out of
+/// process changes no executor code — the serialization cost is already
+/// paid and tested for byte-identity. Tests wrap it to inject faults.
 ///
 /// Contract:
 ///  - `request` is a kQueryRequest or kTripleCollectRequest frame; the

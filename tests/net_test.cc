@@ -1,8 +1,9 @@
 // The cross-process sharding subsystem (src/net/): FrameConn partial-I/O
 // framing over real sockets, the shard server's frame loop, and the
-// connection-pooled SocketTransport — including the tentpole contract
-// that all nine query methods return byte-identical results through
-// direct, loopback, and UDS-socket execution at N ∈ {1, 2, 4} shards,
+// connection-pooled socket fleet (an R=1 replica::ReplicaSetTransport over
+// SocketReplicaChannels) — including the tentpole contract that all nine
+// query methods return byte-identical results through direct, default
+// in-process, and UDS-socket execution at N ∈ {1, 2, 4} shards,
 // and the fault-injection contract that a killed or hung shard server
 // degrades the answer to partial=true (PARTIAL plan tag, no cache
 // insert) with full recovery once the server restarts.
@@ -29,7 +30,7 @@
 #include "net/endpoint_client.h"
 #include "net/frame_conn.h"
 #include "net/shard_server.h"
-#include "net/socket_transport.h"
+#include "replica/replica_set.h"
 #include "service/service.h"
 #include "shard/frame_handler.h"
 #include "shard/scatter_gather.h"
@@ -277,8 +278,23 @@ class NetFig3Test : public ::testing::Test {
     return q;
   }
 
+  /// An R=1 replica set with one socket endpoint per shard: the plain
+  /// one-process-per-shard fleet.
+  static std::unique_ptr<replica::ReplicaSetTransport> SocketFleet(
+      const std::vector<net::ShardEndpoint>& endpoints,
+      const net::EndpointClientConfig& client = net::EndpointClientConfig{},
+      const replica::ReplicaSetConfig& config = replica::ReplicaSetConfig{},
+      service::TransportMetrics* metrics = nullptr) {
+    std::vector<std::vector<net::ShardEndpoint>> grid;
+    for (const net::ShardEndpoint& endpoint : endpoints) {
+      grid.push_back({endpoint});
+    }
+    return std::make_unique<replica::ReplicaSetTransport>(
+        replica::MakeSocketReplicaGrid(grid, client), config, metrics);
+  }
+
   /// N in-process shard servers over an executor's own engines — the
-  /// same handler objects the loopback path uses, behind real sockets,
+  /// same handler dispatch the in-process path uses, behind real sockets,
   /// so the only difference under test is the byte shipping. UDS by
   /// default; `use_tcp` listens on ephemeral 127.0.0.1 ports instead.
   struct ServerSet {
@@ -334,19 +350,18 @@ class NetFig3Test : public ::testing::Test {
 TEST_F(NetFig3Test,
        SocketScatterIsByteIdenticalToDirectAndLoopbackAtEveryShardCount) {
   // The acceptance contract: all nine methods byte-identical across
-  // direct, loopback, and UDS-socket execution at N ∈ {1, 2, 4}.
+  // direct, default in-process, and UDS-socket execution at N ∈ {1, 2, 4}.
   for (size_t n : {1u, 2u, 4u}) {
     auto executor = MakeSharded(n, "ni");
     ServerSet servers =
         StartServers(executor.get(), "id" + std::to_string(n));
-    net::SocketTransport transport(servers.endpoints,
-                                   net::SocketTransportConfig{},
-                                   executor->transport_metrics());
+    auto transport = SocketFleet(servers.endpoints, {}, {},
+                                 executor->transport_metrics());
 
     for (MethodKind method : kAllMethods) {
       auto direct = engine_->Execute(ScatteringQuery(), method);
       auto loopback = executor->Execute(ScatteringQuery(), method);
-      executor->set_transport(&transport);
+      executor->set_transport(transport.get());
       auto socket = executor->Execute(ScatteringQuery(), method);
       executor->set_transport(nullptr);
       ASSERT_EQ(direct.ok(), socket.ok())
@@ -376,8 +391,8 @@ TEST_F(NetFig3Test, TripleQueriesScatterTheirScanPhaseOverSockets) {
     auto executor = MakeSharded(n, "nt");
     ServerSet servers =
         StartServers(executor.get(), "tr" + std::to_string(n));
-    net::SocketTransport transport(servers.endpoints);
-    executor->set_transport(&transport);
+    auto transport = SocketFleet(servers.endpoints);
+    executor->set_transport(transport.get());
     auto actual = executor->ExecuteTriple(triple);
     executor->set_transport(nullptr);
     servers.StopAll();
@@ -399,8 +414,8 @@ TEST_F(NetFig3Test, TripleQueriesScatterTheirScanPhaseOverSockets) {
 TEST_F(NetFig3Test, TcpTransportServesTheSameResults) {
   auto executor = MakeSharded(2, "ntcp");
   ServerSet servers = StartServers(executor.get(), "tcp", /*use_tcp=*/true);
-  net::SocketTransport transport(servers.endpoints);
-  executor->set_transport(&transport);
+  auto transport = SocketFleet(servers.endpoints);
+  executor->set_transport(transport.get());
   for (MethodKind method :
        {MethodKind::kFullTop, MethodKind::kFastTopKEt}) {
     auto expected = engine_->Execute(ScatteringQuery(), method);
@@ -418,12 +433,12 @@ TEST_F(NetFig3Test, TcpTransportServesTheSameResults) {
 TEST_F(NetFig3Test, KilledShardServerDegradesToPartialAndRecovers) {
   auto executor = MakeSharded(4, "nk");
   ServerSet servers = StartServers(executor.get(), "kill");
-  net::SocketTransportConfig config;
-  config.backoff_initial_seconds = 0.005;
-  config.backoff_max_seconds = 0.05;
-  net::SocketTransport transport(servers.endpoints, config,
-                                 executor->transport_metrics());
-  executor->set_transport(&transport);
+  net::EndpointClientConfig client;
+  client.backoff_initial_seconds = 0.005;
+  client.backoff_max_seconds = 0.05;
+  auto transport = SocketFleet(servers.endpoints, client, {},
+                               executor->transport_metrics());
+  executor->set_transport(transport.get());
 
   service::ServiceConfig svc_config;
   svc_config.num_threads = 2;
@@ -604,8 +619,8 @@ TEST_F(NetFig3Test, AcknowledgedMutationsSurviveServerKillViaWalReplay) {
 
   // Served over sockets again: the acknowledged state survived the kill.
   ServerSet servers = StartServers(executor.get(), "mw3");
-  net::SocketTransport transport(servers.endpoints);
-  executor->set_transport(&transport);
+  auto transport = SocketFleet(servers.endpoints);
+  executor->set_transport(transport.get());
   auto recovered = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
   executor->set_transport(nullptr);
   servers.StopAll();
@@ -634,14 +649,14 @@ TEST_F(NetFig3Test, HungShardServerTimesOutUnderTheRequestDeadline) {
     }
   });
 
-  net::SocketTransportConfig config;
+  replica::ReplicaSetConfig config;
   config.request_timeout_seconds = 0.1;
   bool saw_degraded = false;
   for (size_t s = 0; s < 4 && !saw_degraded; ++s) {
     std::vector<net::ShardEndpoint> endpoints = servers.endpoints;
     endpoints[s] = net::ShardEndpoint::Unix(hole->uds_path());
-    net::SocketTransport transport(endpoints, config);
-    executor->set_transport(&transport);
+    auto transport = SocketFleet(endpoints, {}, config);
+    executor->set_transport(transport.get());
     auto result = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
     executor->set_transport(nullptr);
     ASSERT_TRUE(result.ok()) << s;
@@ -660,9 +675,9 @@ TEST_F(NetFig3Test, HungShardServerTimesOutUnderTheRequestDeadline) {
 TEST_F(NetFig3Test, ConnectionPoolReusesConnectionsAcrossQueries) {
   auto executor = MakeSharded(4, "np");
   ServerSet servers = StartServers(executor.get(), "pool");
-  net::SocketTransport transport(servers.endpoints, {},
-                                 executor->transport_metrics());
-  executor->set_transport(&transport);
+  auto transport = SocketFleet(servers.endpoints, {}, {},
+                               executor->transport_metrics());
+  executor->set_transport(transport.get());
 
   const int kQueries = 20;
   for (int i = 0; i < kQueries; ++i) {
@@ -766,17 +781,17 @@ TEST_F(NetFig3Test, UnreachableShardFailsFastUnderBackoff) {
   // Nothing listens on this endpoint (and never will).
   std::vector<net::ShardEndpoint> endpoints = {
       net::ShardEndpoint::Unix(UdsPath("nobody", 0))};
-  net::SocketTransportConfig config;
-  config.connect_timeout_seconds = 0.5;
-  config.backoff_initial_seconds = 10.0;  // Window outlasts the test.
-  net::SocketTransport transport(endpoints, config);
+  net::EndpointClientConfig client;
+  client.connect_timeout_seconds = 0.5;
+  client.backoff_initial_seconds = 10.0;  // Window outlasts the test.
+  auto transport = SocketFleet(endpoints, client);
 
   const std::string frame = ExampleFrame();
-  auto first = transport.Send(0, frame).get();
+  auto first = transport->Send(0, frame).get();
   EXPECT_FALSE(first.ok());
 
   const auto start = std::chrono::steady_clock::now();
-  auto second = transport.Send(0, frame).get();
+  auto second = transport->Send(0, frame).get();
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -6,7 +6,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "biozon/domain.h"
 #include "biozon/generator.h"
@@ -200,6 +203,44 @@ TEST_F(PersistenceTest, LoadFailsOnMissingDirectory) {
   EXPECT_FALSE(core::LoadTopologyArtifacts(&fresh, &loaded,
                                            (dir_ / "nope").string())
                    .ok());
+}
+
+TEST_F(PersistenceTest, LoadReportsTheBadPairsFieldAndItsLine) {
+  ASSERT_TRUE(
+      core::SaveTopologyArtifacts(db_, store_, dir_.string()).ok());
+  // Corrupt the T1 cell of the second pair record (line 3: header, then
+  // one record per pair).
+  const fs::path pairs = dir_ / "pairs.csv";
+  std::string text;
+  {
+    std::ifstream is(pairs);
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    text = buffer.str();
+  }
+  size_t line_start = 0;
+  for (int line = 1; line < 3; ++line) {
+    line_start = text.find('\n', line_start) + 1;
+    ASSERT_NE(line_start, 0u) << "pairs.csv has fewer than 3 lines";
+  }
+  const size_t comma = text.find(',', line_start);
+  ASSERT_NE(comma, std::string::npos);
+  text.replace(line_start, comma - line_start, "T1x");
+  {
+    std::ofstream os(pairs, std::ios::trunc);
+    os << text;
+  }
+
+  storage::Catalog fresh;
+  RebuildBaseCatalog(&fresh);
+  core::TopologyStore loaded;
+  const Status status =
+      core::LoadTopologyArtifacts(&fresh, &loaded, dir_.string());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("line 3: 'T1x' is not an INT64"),
+            std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

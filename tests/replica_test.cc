@@ -198,13 +198,10 @@ TEST(ReplicaMetricsTest, TracksOutstandingAndGatesTheP95Warmup) {
   config.hedge_min_samples = 8;
   config.attempt_threads = 1;
   config.coordinator_threads = 1;
-  std::vector<std::vector<std::unique_ptr<replica::ReplicaChannel>>>
-      channels(1);
-  for (int r = 0; r < 2; ++r) {
-    channels[0].push_back(std::make_unique<replica::SocketReplicaChannel>(
-        net::ShardEndpoint::Unix("/nonexistent/hedge-delay.sock")));
-  }
-  replica::ReplicaSetTransport transport(std::move(channels), config);
+  const net::ShardEndpoint nowhere =
+      net::ShardEndpoint::Unix("/nonexistent/hedge-delay.sock");
+  replica::ReplicaSetTransport transport(
+      replica::MakeSocketReplicaGrid({{nowhere, nowhere}}), config);
   service::ReplicaMetrics& live = transport.replica_metrics();
   obs::LatencyHistogram shard_rtt;
   auto record = [&](size_t replica, double rtt, bool ok) {
@@ -736,8 +733,7 @@ TEST_F(ReplicaFig3Test, SocketReplicaGridSurvivesServerStopAndRestart) {
   std::vector<std::unique_ptr<shard::ShardFrameHandler>> handlers;
   std::vector<std::unique_ptr<net::ShardServer>> servers;
   std::vector<net::ShardServerConfig> configs;
-  std::vector<std::vector<std::unique_ptr<replica::ReplicaChannel>>>
-      channels(2);
+  std::vector<std::vector<net::ShardEndpoint>> endpoints(2);
   for (size_t s = 0; s < 2; ++s) {
     for (size_t r = 0; r < 2; ++r) {
       auto handle = store->handle(s);
@@ -753,20 +749,19 @@ TEST_F(ReplicaFig3Test, SocketReplicaGridSurvivesServerStopAndRestart) {
       servers.push_back(std::make_unique<net::ShardServer>(
           handlers.back().get(), server_config));
       ASSERT_TRUE(servers.back()->Start().ok());
-      net::EndpointClientConfig client_config;
-      client_config.backoff_initial_seconds = 0.002;
-      client_config.backoff_max_seconds = 0.02;
-      channels[s].push_back(
-          std::make_unique<replica::SocketReplicaChannel>(
-              net::ShardEndpoint::Unix(server_config.uds_path),
-              client_config));
+      endpoints[s].push_back(
+          net::ShardEndpoint::Unix(server_config.uds_path));
     }
   }
+  net::EndpointClientConfig client_config;
+  client_config.backoff_initial_seconds = 0.002;
+  client_config.backoff_max_seconds = 0.02;
   replica::ReplicaSetConfig config;
   config.health.failures_to_eject = 2;
   config.health.probe_interval_seconds = 0.01;
-  replica::ReplicaSetTransport transport(std::move(channels), config,
-                                         executor->transport_metrics());
+  replica::ReplicaSetTransport transport(
+      replica::MakeSocketReplicaGrid(endpoints, client_config), config,
+      executor->transport_metrics());
   executor->set_transport(&transport);
   auto expected = engine_->Execute(ScatteringQuery(), MethodKind::kFullTop);
   ASSERT_TRUE(expected.ok());

@@ -25,7 +25,10 @@
 #include "engine/engine.h"
 #include "engine/nquery.h"
 #include "engine/result_io.h"
+#include "replica/health.h"
+#include "replica/replica_set.h"
 #include "service/service.h"
+#include "shard/replica_loopback.h"
 #include "shard/router.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
@@ -521,6 +524,70 @@ TEST_F(ShardedServiceTest, RebuildRollsShardsAndInvalidatesCache) {
   EXPECT_FALSE(after.from_cache);
   EXPECT_EQ(after.result->entries, before.result->entries);
   EXPECT_TRUE(svc.Execute(q, MethodKind::kFullTopK).from_cache);
+}
+
+TEST_F(ShardedServiceTest, DefaultTransportIsOneReplicaSetFollowingRebuilds) {
+  ASSERT_EQ(executor_->transport(), &executor_->default_transport());
+  service::TopologyService svc(executor_.get(), &db_, SvcConfig());
+  service::RebuildOptions rebuild;
+  rebuild.build = BuildCfg();
+  rebuild.prune_threshold = 0;
+  auto stats = svc.Rebuild(rebuild);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->shards_swapped, 4u);
+
+  const engine::TopologyQuery q =
+      Query("Protein", "DNA", core::RankScheme::kFreq);
+  for (MethodKind method : kAllMethods) {
+    auto expected = engine_->Execute(q, method);
+    auto actual = svc.Execute(q, method);
+    ASSERT_EQ(expected.ok(), actual.result.ok())
+        << engine::MethodKindToString(method);
+    if (!expected.ok()) continue;
+    EXPECT_EQ(actual.result->entries, expected->entries)
+        << engine::MethodKindToString(method);
+    EXPECT_FALSE(actual.result->partial);
+  }
+
+  // One replica per shard, healthy throughout: its stamps carry the
+  // swapped epoch, so it is never quarantined as stale.
+  replica::ReplicaSetTransport& transport = executor_->default_transport();
+  const service::TransportMetricsSnapshot rows =
+      executor_->GetTransportMetrics();
+  const service::ReplicaMetricsSnapshot replicas =
+      transport.replica_metrics().Snapshot();
+  size_t scattered = 0;
+  for (size_t s = 0; s < 4; ++s) {
+    ASSERT_EQ(transport.num_replicas(s), 1u);
+    EXPECT_EQ(transport.health().state(s, 0),
+              replica::ReplicaHealth::kHealthy)
+        << s;
+    const service::ReplicaSnapshot& r0 = replicas.shards[s].replicas[0];
+    EXPECT_EQ(r0.quarantines, 0u) << s;
+    EXPECT_EQ(rows.shards[s].requests, r0.attempts) << s;
+    if (r0.attempts == 0) continue;
+    ++scattered;
+    EXPECT_GT(rows.shards[s].bytes_sent, 0u) << s;
+    EXPECT_GT(rows.shards[s].bytes_received, 0u) << s;
+    EXPECT_EQ(rows.shards[s].failures, 0u) << s;
+    EXPECT_EQ(transport.health().shard_epoch(s),
+              executor_->store().handle(s)->epoch())
+        << s;
+  }
+  EXPECT_GT(scattered, 0u) << "fixture must scatter for this test to bite";
+
+  std::vector<const engine::Engine*> engines;
+  for (size_t s = 0; s < 4; ++s) {
+    engines.push_back(&executor_->shard_engine(s));
+  }
+  replica::ReplicaSetTransport other(
+      shard::MakeLoopbackReplicaGrid(&db_, &executor_->store(), engines, 1)
+          .channels);
+  executor_->set_transport(&other);
+  EXPECT_EQ(executor_->transport(), &other);
+  executor_->set_transport(nullptr);
+  EXPECT_EQ(executor_->transport(), &executor_->default_transport());
+  svc.Shutdown();
 }
 
 TEST_F(ShardedServiceTest, RebuildBehindLiveTrafficLosesNoQueries) {

@@ -2,9 +2,10 @@
 // every method's requests and results (byte-identical re-encodings), the
 // canonical text Format round-trip, parser error offsets, and the
 // ShardTransport seam — including the tentpole contract that
-// scatter-gather over LoopbackTransport returns results identical to the
-// direct per-shard-engine path, and that a failed or timed-out shard
-// degrades the answer with partial=true instead of failing the query.
+// scatter-gather over the executor's default in-process transport returns
+// results identical to the direct per-shard-engine path, and that a
+// failed or timed-out shard degrades the answer with partial=true instead
+// of failing the query.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,6 @@
 #include "service/request_parser.h"
 #include "service/service.h"
 #include "shard/frame_handler.h"
-#include "shard/loopback_transport.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
 #include "wire/codec.h"
@@ -984,7 +984,8 @@ TEST_F(WireTransportTest, LoopbackHandleMatchesDirectEngineExecution) {
   wire::EncodeQueryRequest(sub, &frame);
 
   for (size_t shard = 0; shard < 4; ++shard) {
-    auto response_frame = executor->loopback().Handle(shard, frame);
+    auto response_frame =
+        executor->default_transport().RoundTrip(shard, frame);
     ASSERT_TRUE(response_frame.ok()) << response_frame.status();
     auto response = wire::DecodeQueryResponse(*response_frame);
     ASSERT_TRUE(response.ok());
@@ -1061,8 +1062,7 @@ TEST_F(WireTransportTest, FailedShardDegradesToPartialInsteadOfFailing) {
 
   bool saw_degraded = false;
   for (size_t failing = 0; failing < 4; ++failing) {
-    FailingTransport failing_transport(executor->mutable_loopback(),
-                                       failing);
+    FailingTransport failing_transport(executor->transport(), failing);
     executor->set_transport(&failing_transport);
     auto result = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
     executor->set_transport(nullptr);
@@ -1144,7 +1144,7 @@ TEST_F(WireTransportTest, TimedOutShardsAreSkippedUnderTheDeadline) {
   config.subquery_timeout_seconds = 0.05;
   auto executor = MakeSharded(4, config);
 
-  SlowTransport slow(executor->mutable_loopback(), 0.5);
+  SlowTransport slow(executor->transport(), 0.5);
   executor->set_transport(&slow);
   auto result = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
   executor->set_transport(nullptr);
@@ -1162,7 +1162,7 @@ TEST_F(WireTransportTest, PartialResultsAreNeverCached) {
   // Find a shard whose failure actually degrades this query.
   size_t failing = SIZE_MAX;
   for (size_t s = 0; s < 4 && failing == SIZE_MAX; ++s) {
-    FailingTransport probe(executor->mutable_loopback(), s);
+    FailingTransport probe(executor->transport(), s);
     executor->set_transport(&probe);
     auto r = executor->Execute(ScatteringQuery(), MethodKind::kFullTop);
     executor->set_transport(nullptr);
@@ -1170,7 +1170,7 @@ TEST_F(WireTransportTest, PartialResultsAreNeverCached) {
   }
   ASSERT_NE(failing, SIZE_MAX) << "fixture never degraded";
 
-  FailingTransport broken(executor->mutable_loopback(), failing);
+  FailingTransport broken(executor->transport(), failing);
   service::ServiceConfig config;
   config.num_threads = 2;
   service::TopologyService svc(executor.get(), &db_, config);

@@ -2,8 +2,9 @@
 // topology store and serves wire frames (sub-queries and triple-collect
 // scans) over a Unix-domain or TCP socket — the storage-worker half of
 // cross-process sharding. A query frontend (ScatterGatherExecutor +
-// net::SocketTransport) fans sub-queries out to N of these processes and
-// merges the partials; see examples/cross_process_shards.cpp.
+// replica::ReplicaSetTransport over socket channels) fans sub-queries out
+// to N of these processes, or N×R with replicas, and merges the partials;
+// see examples/cross_process_shards.cpp and examples/replicated_shards.cpp.
 //
 // The process builds its own replica of the data set and the full sharded
 // precompute (deterministic, so TIDs and scores agree with every other
