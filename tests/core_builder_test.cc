@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
 
 #include "biozon/domain.h"
 #include "biozon/generator.h"
+#include "common/hash.h"
 #include "core/builder.h"
 #include "core/pruner.h"
 #include "core/scorer.h"
@@ -357,6 +359,92 @@ TEST(BuilderTest, TableNamespacePrefixesAllPrecomputeTables) {
   EXPECT_NE(built->db.FindTable(pair->lefttops_table), nullptr);
 
   EXPECT_EQ(built->store.PrecomputeTableNames().size(), 4u);
+}
+
+/// Stable digest of everything a build produces, in canonical order: the
+/// catalog (TID, code, canonical graph, class keys), each pair's metadata,
+/// class registry and freq map, and every AllTops and PairClasses row.
+Hash128 BuildDigest(const BuiltDb& built) {
+  StableHasher h;
+  const core::TopologyCatalog& catalog = built.store.catalog();
+  h.AddU64(catalog.size());
+  for (core::Tid tid = 1; tid <= static_cast<core::Tid>(catalog.size());
+       ++tid) {
+    const core::TopologyInfo& info = catalog.Get(tid);
+    h.AddU64(static_cast<uint64_t>(info.tid)).Add(info.code);
+    h.AddU64(info.num_classes).AddU64(info.is_path ? 1 : 0);
+    h.AddU64(info.graph.num_nodes());
+    for (uint32_t label : info.graph.node_labels()) h.AddU64(label);
+    h.AddU64(info.graph.num_edges());
+    for (const graph::LabeledGraph::Edge& e : info.graph.edges()) {
+      h.AddU64(e.u).AddU64(e.v).AddU64(e.label);
+    }
+    const std::vector<std::string> keys = catalog.ClassKeysOf(tid);
+    h.AddU64(keys.size());
+    for (const std::string& key : keys) h.Add(key);
+  }
+  h.AddU64(built.store.pairs().size());
+  for (const auto& [types, pair] : built.store.pairs()) {
+    h.AddU64(types.first).AddU64(types.second).Add(pair.pair_name);
+    h.AddU64(pair.num_related_pairs).AddU64(pair.truncated_pairs);
+    h.AddU64(pair.truncated_representatives);
+    h.AddU64(pair.classes.size());
+    for (const core::ClassInfo& c : pair.classes) {
+      h.AddU64(c.id).Add(c.key);
+      for (storage::EntityTypeId t : c.path.node_types) h.AddU64(t);
+      for (const graph::SchemaStep& step : c.path.steps) {
+        h.AddU64(step.rel).AddU64(step.forward ? 1 : 0);
+      }
+      h.AddU64(static_cast<uint64_t>(c.path_tid)).AddU64(c.instance_pairs);
+    }
+    std::vector<std::pair<core::Tid, size_t>> freq(pair.freq.begin(),
+                                                   pair.freq.end());
+    std::sort(freq.begin(), freq.end());
+    h.AddU64(freq.size());
+    for (const auto& [tid, count] : freq) {
+      h.AddU64(static_cast<uint64_t>(tid)).AddU64(count);
+    }
+    for (const std::string* name :
+         {&pair.alltops_table, &pair.pairclasses_table}) {
+      const storage::Table& table = *built.db.GetTable(*name);
+      h.Add(*name).AddU64(table.num_rows());
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        for (const storage::Value& v : table.GetRow(r)) {
+          h.AddU64(static_cast<uint64_t>(v.AsInt64()));
+        }
+      }
+    }
+  }
+  return h.Digest();
+}
+
+TEST(BuilderTest, BuildAllPairsDigestIsPinned) {
+  // Every byte the offline build produces at scale 0.1, pinned against a
+  // recorded digest: build optimizations must leave the store unchanged.
+  constexpr uint64_t kPinnedLo = 0x9c569f057bde6ae3ULL;
+  constexpr uint64_t kPinnedHi = 0x6032d6c7ba33b7f4ULL;
+  core::BuildConfig config;
+  config.max_path_length = 3;
+  config.max_class_representatives = 8;
+  config.max_union_combinations = 512;
+  config.max_paths_per_source = 200000;
+  for (size_t threads : {1u, 4u}) {
+    auto built = std::make_unique<BuiltDb>();
+    biozon::GeneratorConfig gen;
+    gen.seed = 42;
+    gen.scale = 0.1;
+    built->ids = biozon::GenerateBiozon(gen, &built->db);
+    built->view = std::make_unique<graph::DataGraphView>(built->db);
+    built->schema = std::make_unique<graph::SchemaGraph>(built->db);
+    core::TopologyBuilder builder(&built->db, built->schema.get(),
+                                  built->view.get());
+    service::ThreadPool pool(threads);
+    ASSERT_TRUE(builder.BuildAllPairs(config, &built->store, &pool).ok());
+    ASSERT_GT(built->store.catalog().size(), 10u);
+    const Hash128 digest = BuildDigest(*built);
+    EXPECT_EQ(digest.lo, kPinnedLo) << threads << " threads";
+    EXPECT_EQ(digest.hi, kPinnedHi) << threads << " threads";
+  }
 }
 
 TEST(StoreTest, AddPairReportsDuplicatesAndBadOrderAsStatus) {
