@@ -185,6 +185,37 @@ bool SameSweepCaps(const BuildConfig& a, const BuildConfig& b) {
          a.max_paths_per_source == b.max_paths_per_source;
 }
 
+/// Pool index of the topology of union graph `g`. The graph's exact bytes
+/// (see SourceMemo) are looked up in the shape index first; only a miss
+/// runs a canonical search. `key` is scratch space.
+uint32_t InternShape(const graph::LabeledGraph& g, std::string* key,
+                     SourceMemo* pools) {
+  auto put = [key](uint32_t v) {
+    key->append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  key->clear();
+  put(static_cast<uint32_t>(g.num_nodes()));
+  for (uint32_t label : g.node_labels()) put(label);
+  for (const graph::LabeledGraph::Edge& e : g.edges()) {
+    put(e.u);
+    put(e.v);
+    put(e.label);
+  }
+  auto shape = pools->shape_index.find(*key);
+  if (shape != pools->shape_index.end()) return shape->second;
+
+  ++pools->canonicalized;
+  graph::Canonical canonical = graph::Canonicalize(g);
+  auto [it, inserted] = pools->topology_index.try_emplace(
+      canonical.code, static_cast<uint32_t>(pools->topologies.size()));
+  if (inserted) {
+    pools->topologies.push_back(
+        {std::move(canonical.code), std::move(canonical.form)});
+  }
+  pools->shape_index.emplace(*key, it->second);
+  return it->second;
+}
+
 /// The canonical-direction schema path of a class (the smaller label
 /// sequence, matching ExtractSchemaPath and PathClassKey).
 graph::SchemaPath CanonicalDirection(graph::SchemaPath sp) {
@@ -225,6 +256,10 @@ size_t SourceMemo::ApproxBytes() const {
              sizeof(std::string) + kNode + sizeof(uint32_t) +
              t.graph.node_labels().capacity() * sizeof(uint32_t) +
              t.graph.edges().capacity() * sizeof(graph::LabeledGraph::Edge);
+  }
+  for (const auto& [shape, index] : shape_index) {
+    bytes += sizeof(std::string) + shape.capacity() + kNode +
+             sizeof(uint32_t);
   }
   for (const auto& [a, slice] : slices) {
     bytes += sizeof(a) + sizeof(Slice) + kNode +
@@ -286,33 +321,33 @@ SourceMemo::Slice TopologyBuilder::SweepSource(
   slice.reps_truncated = sweep.reps_truncated;
   slice.dests.reserve(sweep.by_dest.size());
 
-  // Union each destination's classes into topologies.
+  // Union each destination's classes into topologies, deduplicated by pool
+  // index (one-to-one with the canonical code) in first-seen order.
+  std::string shape_key;
   for (auto& [b, reps_by_key] : sweep.by_dest) {
     std::vector<std::vector<PathInstance>> class_reps;
-    std::vector<std::string> class_keys;
     class_reps.reserve(reps_by_key.size());
     for (auto& [key, reps] : reps_by_key) {
       slice.classes.push_back(InternClass(key, reps.front(), pools));
-      class_keys.push_back(key);
       class_reps.push_back(std::move(reps));
     }
 
     SourceMemo::Dest dest;
     dest.b = b;
     dest.num_classes = static_cast<uint32_t>(class_reps.size());
-    std::vector<ComputedTopology> topologies =
-        UnionTopologies(*view_, class_reps, class_keys, union_limits,
-                        &dest.union_truncated);
-    for (ComputedTopology& topo : topologies) {
-      auto [it, inserted] = pools->topology_index.try_emplace(
-          topo.code, static_cast<uint32_t>(pools->topologies.size()));
-      if (inserted) {
-        pools->topologies.push_back(
-            {std::move(topo.code), std::move(topo.graph)});
-      }
-      slice.topologies.push_back(it->second);
-    }
-    dest.num_topologies = static_cast<uint32_t>(topologies.size());
+    const size_t first = slice.topologies.size();
+    ForEachUnion(*view_, class_reps, union_limits, &dest.union_truncated,
+                 [&](UnionGraph& u) {
+                   const uint32_t topology =
+                       InternShape(u.graph, &shape_key, pools);
+                   if (std::find(slice.topologies.begin() + first,
+                                 slice.topologies.end(),
+                                 topology) == slice.topologies.end()) {
+                     slice.topologies.push_back(topology);
+                   }
+                 });
+    dest.num_topologies =
+        static_cast<uint32_t>(slice.topologies.size() - first);
     slice.dests.push_back(dest);
   }
   return slice;
@@ -360,6 +395,7 @@ Result<PairBuildStaging> TopologyBuilder::StagePair(
   }
   memo->sources_swept = 0;
   memo->sources_reused = 0;
+  memo->canonicalized = 0;
   StagingFold fold(*memo, &staging);
   for (EntityId a : view_->EntitiesOfType(t1)) {
     auto it = memo->slices.find(a);

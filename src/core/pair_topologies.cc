@@ -1,8 +1,6 @@
 #include "core/pair_topologies.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -12,51 +10,50 @@ namespace tsb {
 namespace core {
 namespace {
 
-/// Unions the chosen paths into an instance-level labeled graph.
+/// Unions the chosen paths into an instance-level labeled graph. A
+/// relationship row shared by several paths adds one edge, and so do
+/// distinct rows with identical endpoints and type: parallel duplicates
+/// carry no information for topology identity. The graph equals building
+/// every edge and then calling DedupeParallelEdges. Unions have a few dozen
+/// nodes at most, so lookups are linear scans.
 void BuildUnionGraph(const graph::DataGraphView& view,
                      const std::vector<const graph::PathInstance*>& chosen,
-                     graph::LabeledGraph* out,
-                     std::vector<graph::EntityId>* node_ids) {
-  std::unordered_map<graph::EntityId, graph::LabeledGraph::NodeId> node_of;
-  std::unordered_set<int64_t> edge_seen;
+                     UnionGraph* out) {
+  auto node_of = [out](graph::EntityId id) {
+    return static_cast<graph::LabeledGraph::NodeId>(
+        std::find(out->node_ids.begin(), out->node_ids.end(), id) -
+        out->node_ids.begin());
+  };
   for (const graph::PathInstance* path : chosen) {
     for (graph::EntityId id : path->nodes) {
-      if (node_of.count(id) > 0) continue;
-      graph::LabeledGraph::NodeId nid = out->AddNode(view.NodeType(id));
-      node_of.emplace(id, nid);
-      node_ids->push_back(id);
+      if (node_of(id) < out->node_ids.size()) continue;
+      out->graph.AddNode(view.NodeType(id));
+      out->node_ids.push_back(id);
     }
-    for (size_t i = 0; i < path->edge_ids.size(); ++i) {
-      if (!edge_seen.insert(path->edge_ids[i]).second) continue;
-      out->AddEdge(node_of[path->nodes[i]], node_of[path->nodes[i + 1]],
-                   path->steps[i].rel);
+    for (size_t i = 0; i < path->steps.size(); ++i) {
+      const graph::LabeledGraph::NodeId u = node_of(path->nodes[i]);
+      const graph::LabeledGraph::NodeId v = node_of(path->nodes[i + 1]);
+      const uint32_t rel = path->steps[i].rel;
+      if (!out->graph.HasEdge(u, v, rel)) out->graph.AddEdge(u, v, rel);
     }
   }
-  // Distinct relationship rows with identical endpoints and type carry no
-  // extra information for topology identity.
-  out->DedupeParallelEdges();
 }
 
 }  // namespace
 
-std::vector<ComputedTopology> UnionTopologies(
+void ForEachUnion(
     const graph::DataGraphView& view,
     const std::vector<std::vector<graph::PathInstance>>& class_reps,
-    const std::vector<std::string>& class_keys, const UnionLimits& limits,
-    bool* truncated) {
-  std::vector<ComputedTopology> out;
-  if (class_reps.empty()) return out;
+    const UnionLimits& limits, bool* truncated,
+    const std::function<void(UnionGraph&)>& visit) {
+  if (class_reps.empty()) return;
   const size_t s = class_reps.size();
-  TSB_CHECK_EQ(class_keys.size(), s);
   for (const auto& reps : class_reps) {
     TSB_CHECK(!reps.empty()) << "empty path equivalence class";
   }
 
-  std::unordered_set<std::string> seen;
-  // Mixed-radix odometer over one representative per class. With a single
-  // class every choice yields the same (path) topology, so one combination
-  // suffices.
   std::vector<size_t> choice(s, 0);
+  std::vector<const graph::PathInstance*> chosen(s);
   size_t combos = 0;
   for (;;) {
     if (combos >= limits.max_union_combinations) {
@@ -64,19 +61,10 @@ std::vector<ComputedTopology> UnionTopologies(
       break;
     }
     ++combos;
-    std::vector<const graph::PathInstance*> chosen;
-    chosen.reserve(s);
-    for (size_t c = 0; c < s; ++c) chosen.push_back(&class_reps[c][choice[c]]);
-
-    ComputedTopology topo;
-    topo.num_classes = s;
-    topo.class_keys = class_keys;
-    BuildUnionGraph(view, chosen, &topo.witness, &topo.witness_ids);
-    topo.code = graph::CanonicalCode(topo.witness);
-    if (seen.insert(topo.code).second) {
-      topo.graph = graph::CanonicalForm(topo.witness);
-      out.push_back(std::move(topo));
-    }
+    for (size_t c = 0; c < s; ++c) chosen[c] = &class_reps[c][choice[c]];
+    UnionGraph u;
+    BuildUnionGraph(view, chosen, &u);
+    visit(u);
 
     if (s == 1) break;  // All single-class choices are isomorphic.
     // Advance the odometer.
@@ -87,7 +75,6 @@ std::vector<ComputedTopology> UnionTopologies(
     }
     if (c == s) break;
   }
-  return out;
 }
 
 SourceSweep SweepFromSource(const graph::DataGraphView& view,
@@ -169,10 +156,21 @@ PairComputation ComputePairTopologies(const graph::DataGraphView& view,
     class_reps.push_back(reps);
   }
 
-  bool union_truncated = false;
-  result.topologies = UnionTopologies(view, class_reps, class_keys,
-                                      limits.union_limits, &union_truncated);
-  if (union_truncated) result.truncated = true;
+  // Distinct topologies in first-seen order, each with its first witness.
+  std::unordered_set<std::string> seen;
+  ForEachUnion(view, class_reps, limits.union_limits, &result.truncated,
+               [&](UnionGraph& u) {
+                 graph::Canonical canonical = graph::Canonicalize(u.graph);
+                 if (!seen.insert(canonical.code).second) return;
+                 ComputedTopology topo;
+                 topo.code = std::move(canonical.code);
+                 topo.graph = std::move(canonical.form);
+                 topo.witness = std::move(u.graph);
+                 topo.witness_ids = std::move(u.node_ids);
+                 topo.num_classes = class_reps.size();
+                 topo.class_keys = class_keys;
+                 result.topologies.push_back(std::move(topo));
+               });
   return result;
 }
 

@@ -1,6 +1,7 @@
 #ifndef TSB_CORE_PAIR_TOPOLOGIES_H_
 #define TSB_CORE_PAIR_TOPOLOGIES_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,15 +34,25 @@ struct UnionLimits {
   size_t max_union_combinations = 4096;
 };
 
-/// Computes the distinct topologies obtainable by unioning one
-/// representative per class (classes given as representative lists, one
-/// entry per equivalence class, with `class_keys` aligned). Deduplicates by
-/// canonical code; sets `*truncated` if a cap fired.
-std::vector<ComputedTopology> UnionTopologies(
+/// The union graph of one choice of representatives: the chosen paths'
+/// nodes in first-visit order and their edges, parallel duplicates removed.
+struct UnionGraph {
+  graph::LabeledGraph graph;              // Node labels = entity types.
+  std::vector<graph::EntityId> node_ids;  // Node index -> entity id.
+};
+
+/// The mixed-radix odometer of Definition 2 over one representative per
+/// class (classes given as non-empty representative lists). Calls `visit`
+/// with the union graph of each combination in enumeration order, at most
+/// `max_union_combinations` times, and sets `*truncated` if that cap cut
+/// the enumeration short. With a single class every choice yields the same
+/// (path) topology, so only the first is visited. `visit` may move out of
+/// the graph it is handed.
+void ForEachUnion(
     const graph::DataGraphView& view,
     const std::vector<std::vector<graph::PathInstance>>& class_reps,
-    const std::vector<std::string>& class_keys, const UnionLimits& limits,
-    bool* truncated);
+    const UnionLimits& limits, bool* truncated,
+    const std::function<void(UnionGraph&)>& visit);
 
 /// Everything the library can say about one entity pair: its path classes
 /// and its topology set. This is the pair-at-a-time (online) evaluation

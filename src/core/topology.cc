@@ -91,7 +91,9 @@ std::optional<graph::SchemaPath> ExtractSchemaPath(
 }
 
 Tid TopologyCatalog::Intern(const graph::LabeledGraph& g, size_t num_classes) {
-  return InternWithCode(g, graph::CanonicalCode(g), num_classes);
+  graph::Canonical canonical = graph::Canonicalize(g);
+  return InternWithCode(canonical.form, std::move(canonical.code),
+                        num_classes);
 }
 
 Tid TopologyCatalog::InternWithCode(const graph::LabeledGraph& g,
@@ -116,7 +118,7 @@ Tid TopologyCatalog::InternWithCode(const graph::LabeledGraph& g,
   Tid tid = static_cast<Tid>(infos_.size()) + 1;
   TopologyInfo info;
   info.tid = tid;
-  info.graph = graph::CanonicalForm(g);
+  info.graph = g;
   info.code = code;
   info.num_classes = num_classes;
   info.is_path = IsPathShaped(info.graph);

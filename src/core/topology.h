@@ -68,9 +68,11 @@ class TopologyCatalog {
   /// observation).
   Tid Intern(const graph::LabeledGraph& g, size_t num_classes);
 
-  /// Interning by precomputed code; `g` must match the code. `class_keys`
-  /// (optional) records the constituent path classes of the first
-  /// observation; on re-observation, unseen keys are appended in order.
+  /// Interning by precomputed code; `g` must be the canonical form of that
+  /// code (graph::Canonicalize), and is stored as given, so interning runs
+  /// no canonical search. `class_keys` (optional) records the constituent
+  /// path classes of the first observation; on re-observation, unseen keys
+  /// are appended in order.
   Tid InternWithCode(const graph::LabeledGraph& g, std::string code,
                      size_t num_classes,
                      std::vector<std::string> class_keys = {});

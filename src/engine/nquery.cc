@@ -217,10 +217,10 @@ Result<TripleQueryResult> FinishTripleQuery(storage::Catalog* db,
         chosen.push_back(&per_pair[p][choice[p]]);
       }
       graph::LabeledGraph merged = MergeWitnesses(chosen);
-      std::string code = graph::CanonicalCode(merged);
-      if (seen.insert(code).second) {
+      graph::Canonical canonical = graph::Canonicalize(merged);
+      if (seen.insert(canonical.code).second) {
         core::Tid tid = store->mutable_catalog()->InternWithCode(
-            merged, code, total_classes);
+            canonical.form, std::move(canonical.code), total_classes);
         auto [it, inserted] = freq.emplace(tid, 1);
         if (!inserted) ++it->second;
       }

@@ -175,21 +175,17 @@ std::string CanonicalCode(const LabeledGraph& g) {
   return CanonicalCodeImpl(g, nullptr);
 }
 
-std::vector<uint32_t> CanonicalPermutation(const LabeledGraph& g) {
+Canonical Canonicalize(const LabeledGraph& g) {
   std::vector<uint32_t> pos;
-  CanonicalCodeImpl(g, &pos);
-  return pos;
-}
-
-LabeledGraph CanonicalForm(const LabeledGraph& g) {
-  std::vector<uint32_t> pos = CanonicalPermutation(g);
-  LabeledGraph out;
+  Canonical out;
+  out.code = CanonicalCodeImpl(g, &pos);
   std::vector<uint32_t> label_at(g.num_nodes());
   for (size_t v = 0; v < g.num_nodes(); ++v) {
     label_at[pos[v]] = g.node_label(static_cast<NodeId>(v));
   }
-  for (uint32_t l : label_at) out.AddNode(l);
+  for (uint32_t l : label_at) out.form.AddNode(l);
   std::vector<std::tuple<uint32_t, uint32_t, uint32_t>> es;
+  es.reserve(g.num_edges());
   for (const LabeledGraph::Edge& e : g.edges()) {
     uint32_t a = pos[e.u], b = pos[e.v];
     if (a > b) std::swap(a, b);
@@ -197,9 +193,13 @@ LabeledGraph CanonicalForm(const LabeledGraph& g) {
   }
   std::sort(es.begin(), es.end());
   for (const auto& [a, b, l] : es) {
-    out.AddEdge(a, b, l);
+    out.form.AddEdge(a, b, l);
   }
   return out;
+}
+
+LabeledGraph CanonicalForm(const LabeledGraph& g) {
+  return Canonicalize(g).form;
 }
 
 std::string CodeDigest(const std::string& code) {

@@ -2,7 +2,6 @@
 #define TSB_GRAPH_CANONICAL_H_
 
 #include <string>
-#include <vector>
 
 #include "graph/labeled_graph.h"
 
@@ -22,11 +21,23 @@ namespace graph {
 /// within the remaining color cells, keeping the lexicographically smallest
 /// serialization. Exact, and fast for the <= ~12-node graphs topologies
 /// produce; aborts loudly if a pathological graph exceeds the search budget.
+///
+/// Cost: every call runs the refinement and the search afresh, serializing
+/// the graph once per ordering consistent with the color cells (the product
+/// of the cell-size factorials). Nothing is cached across calls, so the
+/// offline builder canonicalizes once per distinct union shape of a pair
+/// (see core::SourceMemo), not once per union.
 std::string CanonicalCode(const LabeledGraph& g);
 
-/// Returns the canonical relabeling permutation: `perm[i]` is the canonical
-/// position of input node `i`. Useful for rendering a canonical form.
-std::vector<uint32_t> CanonicalPermutation(const LabeledGraph& g);
+/// A graph's canonical code together with its canonical form.
+struct Canonical {
+  std::string code;
+  LabeledGraph form;
+};
+
+/// CanonicalCode(g) and CanonicalForm(g) from a single search; callers that
+/// need both pay for one canonicalization, not two.
+Canonical Canonicalize(const LabeledGraph& g);
 
 /// Rebuilds the graph with nodes in canonical order and edges sorted; two
 /// isomorphic graphs produce structurally identical canonical forms.

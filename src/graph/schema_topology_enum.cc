@@ -141,16 +141,16 @@ std::vector<CandidateTopology> EnumerateCandidateTopologies(
       }
       g.DedupeParallelEdges();
 
-      std::string code = CanonicalCode(g);
-      if (!seen_codes.insert(code).second) return;
+      Canonical canonical = Canonicalize(g);
+      if (!seen_codes.insert(canonical.code).second) return;
       if (out.size() >= options.max_candidates) {
         capped = true;
         if (truncated != nullptr) *truncated = true;
         return;
       }
       CandidateTopology cand;
-      cand.graph = CanonicalForm(g);
-      cand.code = std::move(code);
+      cand.graph = std::move(canonical.form);
+      cand.code = std::move(canonical.code);
       cand.path_indices = subset;
       out.push_back(std::move(cand));
     });

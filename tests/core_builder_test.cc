@@ -447,6 +447,101 @@ TEST(BuilderTest, BuildAllPairsDigestIsPinned) {
   }
 }
 
+/// Stable digest of one pair's staging: class registry, staged topologies
+/// (code, canonical graph, class keys, frequency) and buffered rows.
+Hash128 StagingDigest(const core::PairBuildStaging& staging) {
+  StableHasher h;
+  const core::PairTopologyData& data = staging.data;
+  h.AddU64(data.num_related_pairs).AddU64(data.truncated_pairs);
+  h.AddU64(data.truncated_representatives).AddU64(data.classes.size());
+  for (const core::ClassInfo& c : data.classes) {
+    h.AddU64(c.id).Add(c.key).AddU64(c.instance_pairs);
+    for (storage::EntityTypeId t : c.path.node_types) h.AddU64(t);
+    for (const graph::SchemaStep& step : c.path.steps) {
+      h.AddU64(step.rel).AddU64(step.forward ? 1 : 0);
+    }
+  }
+  for (core::Tid tid : staging.class_path_local_tid) {
+    h.AddU64(static_cast<uint64_t>(tid));
+  }
+  h.AddU64(staging.topologies.size());
+  for (const auto& t : staging.topologies) {
+    h.Add(t.code).AddU64(t.num_classes).AddU64(t.frequency);
+    for (uint32_t label : t.graph.node_labels()) h.AddU64(label);
+    for (const graph::LabeledGraph::Edge& e : t.graph.edges()) {
+      h.AddU64(e.u).AddU64(e.v).AddU64(e.label);
+    }
+    h.AddU64(t.class_keys.size());
+    for (const std::string& key : t.class_keys) h.Add(key);
+  }
+  for (const auto* rows : {&staging.alltops_rows, &staging.pairclasses_rows}) {
+    h.AddU64(rows->size());
+    for (const core::PairBuildStaging::Row& row : *rows) {
+      h.AddU64(static_cast<uint64_t>(row.e1));
+      h.AddU64(static_cast<uint64_t>(row.e2));
+      h.AddU64(static_cast<uint64_t>(row.v));
+    }
+  }
+  return h.Digest();
+}
+
+TEST(BuilderTest, ShapeIndexCanonicalizesEachUnionShapeOnce) {
+  auto built = std::make_unique<BuiltDb>();
+  biozon::GeneratorConfig gen = SmallConfig(42);
+  gen.scale = 0.06;
+  built->ids = biozon::GenerateBiozon(gen, &built->db);
+  built->view = std::make_unique<graph::DataGraphView>(built->db);
+  built->schema = std::make_unique<graph::SchemaGraph>(built->db);
+  const graph::DataGraphView& view = *built->view;
+  core::TopologyBuilder builder(&built->db, built->schema.get(), &view);
+  const core::BuildConfig config;
+  const auto [t1, t2] =
+      core::TopologyStore::NormalizePair(built->ids.protein, built->ids.dna);
+
+  core::SourceMemo memo;
+  auto first = builder.StagePair(t1, t2, config, &memo);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_GT(memo.canonicalized, 0u);
+  EXPECT_EQ(memo.canonicalized, memo.shape_index.size());
+
+  // Count every union the sweeps formed, independently of the builder.
+  core::SweepLimits sweep_limits;
+  sweep_limits.max_path_length = config.max_path_length;
+  sweep_limits.max_class_representatives = config.max_class_representatives;
+  sweep_limits.max_paths_per_source = config.max_paths_per_source;
+  core::UnionLimits union_limits;
+  union_limits.max_union_combinations = config.max_union_combinations;
+  size_t unions = 0;
+  for (graph::EntityId a : view.EntitiesOfType(t1)) {
+    core::SourceSweep sweep = core::SweepFromSource(
+        view, *built->schema, a, t2, t1 == t2, sweep_limits);
+    for (auto& [b, reps_by_key] : sweep.by_dest) {
+      std::vector<std::vector<graph::PathInstance>> class_reps;
+      for (auto& [key, reps] : reps_by_key) {
+        class_reps.push_back(std::move(reps));
+      }
+      core::ForEachUnion(view, class_reps, union_limits, nullptr,
+                         [&unions](core::UnionGraph&) { ++unions; });
+    }
+  }
+  EXPECT_GE(unions, 10 * memo.canonicalized)
+      << unions << " unions, " << memo.canonicalized << " canonicalized";
+
+  // Erasing every slice but keeping the pools re-sweeps every source and
+  // finds every union shape in the index.
+  memo.slices.clear();
+  auto second = builder.StagePair(t1, t2, config, &memo);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(memo.canonicalized, 0u);
+  EXPECT_EQ(memo.sources_swept, view.EntitiesOfType(t1).size());
+  EXPECT_EQ(memo.sources_reused, 0u);
+  EXPECT_TRUE(StagingDigest(*second) == StagingDigest(*first));
+
+  auto fresh = builder.StagePair(t1, t2, config);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_TRUE(StagingDigest(*fresh) == StagingDigest(*first));
+}
+
 TEST(StoreTest, AddPairReportsDuplicatesAndBadOrderAsStatus) {
   core::TopologyStore store;
   core::PairTopologyData wrong_order;
@@ -714,10 +809,9 @@ TEST(TopologyCatalogTest, TidsAreDenseFromOne) {
 
 TEST(TopologyCatalogTest, ClassKeysMergeAcrossObservations) {
   core::TopologyCatalog catalog;
-  graph::LabeledGraph g = graph::MakePathGraph({0, 1}, {0});
-  std::string code = graph::CanonicalCode(g);
-  core::Tid tid = catalog.InternWithCode(g, code, 1, {"keyA"});
-  catalog.InternWithCode(g, code, 1, {"keyB", "keyA"});
+  graph::Canonical c = graph::Canonicalize(graph::MakePathGraph({0, 1}, {0}));
+  core::Tid tid = catalog.InternWithCode(c.form, c.code, 1, {"keyA"});
+  catalog.InternWithCode(c.form, c.code, 1, {"keyB", "keyA"});
   const core::TopologyInfo& info = catalog.Get(tid);
   ASSERT_EQ(info.class_keys.size(), 2u);
   EXPECT_EQ(info.class_keys[0], "keyA");
@@ -735,11 +829,12 @@ TEST(TopologyCatalogTest, ConcurrentInternAssignsConsistentTids) {
   std::vector<graph::LabeledGraph> graphs;
   std::vector<std::string> codes;
   for (size_t i = 0; i < kGraphs; ++i) {
-    graphs.push_back(graph::MakePathGraph(
+    graph::Canonical c = graph::Canonicalize(graph::MakePathGraph(
         {static_cast<uint32_t>(i % 7), static_cast<uint32_t>(i % 5) + 7,
          static_cast<uint32_t>(i % 3) + 13},
         {static_cast<uint32_t>(i % 4), static_cast<uint32_t>(i % 6)}));
-    codes.push_back(graph::CanonicalCode(graphs.back()));
+    graphs.push_back(std::move(c.form));
+    codes.push_back(std::move(c.code));
   }
   size_t distinct = std::set<std::string>(codes.begin(), codes.end()).size();
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/canonical.h"
@@ -224,6 +226,59 @@ TEST(CanonicalTest, SymmetricGraphWithinBudget) {
   Rng rng(5);
   LabeledGraph h = Permuted(g, &rng);
   EXPECT_EQ(CanonicalCode(g), CanonicalCode(h));
+}
+
+/// Edges as comparable (u, v, label) triples.
+std::vector<std::tuple<NodeId, NodeId, uint32_t>> EdgeTriples(
+    const LabeledGraph& g) {
+  std::vector<std::tuple<NodeId, NodeId, uint32_t>> out;
+  for (const LabeledGraph::Edge& e : g.edges()) {
+    out.emplace_back(e.u, e.v, e.label);
+  }
+  return out;
+}
+
+TEST(CanonicalTest, CanonicalizeEqualsCodeAndFormOverRelabelings) {
+  // The random graphs and relabelings of property_test's CanonicalSweep.
+  for (uint64_t seed : {11, 22, 33, 44}) {
+    Rng rng(seed);
+    for (int trial = 0; trial < 60; ++trial) {
+      size_t n = 2 + rng.NextBounded(7);
+      LabeledGraph g;
+      for (size_t i = 0; i < n; ++i) {
+        g.AddNode(static_cast<uint32_t>(rng.NextBounded(3)));
+      }
+      size_t m = rng.NextBounded(2 * n);
+      for (size_t i = 0; i < m; ++i) {
+        auto u = static_cast<NodeId>(rng.NextBounded(n));
+        auto v = static_cast<NodeId>(rng.NextBounded(n));
+        if (u == v) continue;
+        g.AddEdge(u, v, static_cast<uint32_t>(rng.NextBounded(3)));
+      }
+      g.DedupeParallelEdges();
+      std::vector<NodeId> perm(n);
+      for (size_t i = 0; i < n; ++i) perm[i] = static_cast<NodeId>(i);
+      rng.Shuffle(&perm);
+      std::vector<uint32_t> labels(n);
+      for (size_t i = 0; i < n; ++i) {
+        labels[perm[i]] = g.node_label(static_cast<NodeId>(i));
+      }
+      LabeledGraph h;
+      for (uint32_t l : labels) h.AddNode(l);
+      for (const auto& e : g.edges()) h.AddEdge(perm[e.u], perm[e.v], e.label);
+
+      for (const LabeledGraph* x : {&g, &h}) {
+        const Canonical canonical = Canonicalize(*x);
+        const LabeledGraph form = CanonicalForm(*x);
+        EXPECT_EQ(canonical.code, CanonicalCode(*x)) << "seed " << seed;
+        EXPECT_EQ(canonical.form.node_labels(), form.node_labels());
+        EXPECT_EQ(EdgeTriples(canonical.form), EdgeTriples(form));
+      }
+      EXPECT_EQ(Canonicalize(g).code, Canonicalize(h).code);
+      EXPECT_EQ(EdgeTriples(Canonicalize(g).form),
+                EdgeTriples(Canonicalize(h).form));
+    }
+  }
 }
 
 TEST(CanonicalTest, CodeDigestIsShortHex) {
