@@ -361,6 +361,29 @@ TEST(BuilderTest, TableNamespacePrefixesAllPrecomputeTables) {
   EXPECT_EQ(built->store.PrecomputeTableNames().size(), 4u);
 }
 
+void HashGraph(const graph::LabeledGraph& g, StableHasher* h) {
+  h->AddU64(g.num_nodes());
+  for (uint32_t label : g.node_labels()) h->AddU64(label);
+  h->AddU64(g.num_edges());
+  for (const graph::LabeledGraph::Edge& e : g.edges()) {
+    h->AddU64(e.u).AddU64(e.v).AddU64(e.label);
+  }
+}
+
+void HashKeys(const std::vector<std::string>& keys, StableHasher* h) {
+  h->AddU64(keys.size());
+  for (const std::string& key : keys) h->Add(key);
+}
+
+void HashClass(const core::ClassInfo& c, StableHasher* h) {
+  h->AddU64(c.id).Add(c.key);
+  for (storage::EntityTypeId t : c.path.node_types) h->AddU64(t);
+  for (const graph::SchemaStep& step : c.path.steps) {
+    h->AddU64(step.rel).AddU64(step.forward ? 1 : 0);
+  }
+  h->AddU64(static_cast<uint64_t>(c.path_tid)).AddU64(c.instance_pairs);
+}
+
 /// Stable digest of everything a build produces, in canonical order: the
 /// catalog (TID, code, canonical graph, class keys), each pair's metadata,
 /// class registry and freq map, and every AllTops and PairClasses row.
@@ -373,15 +396,8 @@ Hash128 BuildDigest(const BuiltDb& built) {
     const core::TopologyInfo& info = catalog.Get(tid);
     h.AddU64(static_cast<uint64_t>(info.tid)).Add(info.code);
     h.AddU64(info.num_classes).AddU64(info.is_path ? 1 : 0);
-    h.AddU64(info.graph.num_nodes());
-    for (uint32_t label : info.graph.node_labels()) h.AddU64(label);
-    h.AddU64(info.graph.num_edges());
-    for (const graph::LabeledGraph::Edge& e : info.graph.edges()) {
-      h.AddU64(e.u).AddU64(e.v).AddU64(e.label);
-    }
-    const std::vector<std::string> keys = catalog.ClassKeysOf(tid);
-    h.AddU64(keys.size());
-    for (const std::string& key : keys) h.Add(key);
+    HashGraph(info.graph, &h);
+    HashKeys(catalog.ClassKeysOf(tid), &h);
   }
   h.AddU64(built.store.pairs().size());
   for (const auto& [types, pair] : built.store.pairs()) {
@@ -389,14 +405,7 @@ Hash128 BuildDigest(const BuiltDb& built) {
     h.AddU64(pair.num_related_pairs).AddU64(pair.truncated_pairs);
     h.AddU64(pair.truncated_representatives);
     h.AddU64(pair.classes.size());
-    for (const core::ClassInfo& c : pair.classes) {
-      h.AddU64(c.id).Add(c.key);
-      for (storage::EntityTypeId t : c.path.node_types) h.AddU64(t);
-      for (const graph::SchemaStep& step : c.path.steps) {
-        h.AddU64(step.rel).AddU64(step.forward ? 1 : 0);
-      }
-      h.AddU64(static_cast<uint64_t>(c.path_tid)).AddU64(c.instance_pairs);
-    }
+    for (const core::ClassInfo& c : pair.classes) HashClass(c, &h);
     std::vector<std::pair<core::Tid, size_t>> freq(pair.freq.begin(),
                                                    pair.freq.end());
     std::sort(freq.begin(), freq.end());
@@ -454,25 +463,15 @@ Hash128 StagingDigest(const core::PairBuildStaging& staging) {
   const core::PairTopologyData& data = staging.data;
   h.AddU64(data.num_related_pairs).AddU64(data.truncated_pairs);
   h.AddU64(data.truncated_representatives).AddU64(data.classes.size());
-  for (const core::ClassInfo& c : data.classes) {
-    h.AddU64(c.id).Add(c.key).AddU64(c.instance_pairs);
-    for (storage::EntityTypeId t : c.path.node_types) h.AddU64(t);
-    for (const graph::SchemaStep& step : c.path.steps) {
-      h.AddU64(step.rel).AddU64(step.forward ? 1 : 0);
-    }
-  }
+  for (const core::ClassInfo& c : data.classes) HashClass(c, &h);
   for (core::Tid tid : staging.class_path_local_tid) {
     h.AddU64(static_cast<uint64_t>(tid));
   }
   h.AddU64(staging.topologies.size());
   for (const auto& t : staging.topologies) {
     h.Add(t.code).AddU64(t.num_classes).AddU64(t.frequency);
-    for (uint32_t label : t.graph.node_labels()) h.AddU64(label);
-    for (const graph::LabeledGraph::Edge& e : t.graph.edges()) {
-      h.AddU64(e.u).AddU64(e.v).AddU64(e.label);
-    }
-    h.AddU64(t.class_keys.size());
-    for (const std::string& key : t.class_keys) h.Add(key);
+    HashGraph(t.graph, &h);
+    HashKeys(t.class_keys, &h);
   }
   for (const auto* rows : {&staging.alltops_rows, &staging.pairclasses_rows}) {
     h.AddU64(rows->size());
