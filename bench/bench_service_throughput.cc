@@ -29,14 +29,14 @@
 #include "common/table_printer.h"
 #include "obs/cost.h"
 #include "service/service.h"
+#include "wire/message.h"
 
 namespace tsb {
 namespace bench {
 namespace {
 
 struct WorkItem {
-  engine::TopologyQuery query;
-  engine::MethodKind method;
+  wire::WireRequest request;
   std::vector<engine::ResultEntry> expected;
 };
 
@@ -57,23 +57,25 @@ std::vector<WorkItem> BuildWorkload(World* world) {
     for (const char* interaction_tier : tiers) {
       for (core::RankScheme scheme : schemes) {
         WorkItem item;
-        item.query.entity_set1 = "Protein";
-        item.query.pred1 = biozon::SelectivityPredicate(world->db, "Protein",
-                                                        protein_tier);
-        item.query.entity_set2 = "Interaction";
-        item.query.pred2 = biozon::SelectivityPredicate(
-            world->db, "Interaction", interaction_tier);
-        item.query.scheme = scheme;
-        item.query.k = 10;
-        item.method = methods[method_index++ % (sizeof(methods) /
-                                                sizeof(methods[0]))];
+        engine::TopologyQuery& query = item.request.query;
+        query.entity_set1 = "Protein";
+        query.pred1 = biozon::SelectivityPredicate(world->db, "Protein",
+                                                   protein_tier);
+        query.entity_set2 = "Interaction";
+        query.pred2 = biozon::SelectivityPredicate(world->db, "Interaction",
+                                                   interaction_tier);
+        query.scheme = scheme;
+        query.k = 10;
+        item.request.method = methods[method_index++ % (sizeof(methods) /
+                                                        sizeof(methods[0]))];
         workload.push_back(std::move(item));
       }
     }
   }
   // Sequential ground truth.
   for (WorkItem& item : workload) {
-    auto result = world->engine->Execute(item.query, item.method);
+    auto result =
+        world->engine->Execute(item.request.query, item.request.method);
     TSB_CHECK(result.ok()) << result.status();
     item.expected = result->entries;
   }
@@ -123,14 +125,16 @@ PhaseResult RunPhase(service::TopologyService* svc,
       for (size_t sweep = 0; sweep < sweeps; ++sweep) {
         for (size_t i = 0; i < workload.size(); ++i) {
           const WorkItem& item = workload[(i + offset) % workload.size()];
-          service::ServiceResponse response =
-              svc->Submit(item.query, item.method).get();
-          if (!response.result.ok()) {
+          wire::CollectingSink sink;
+          svc->Submit(item.request, sink);
+          sink.WaitForFrames(1);
+          const wire::WireResponse response = sink.Frames()[0].response;
+          if (!response.error.ok()) {
             ++failures;
             continue;
           }
-          if (response.result->entries != item.expected) ++mismatches;
-          per_client[t].Add(response.result->stats);
+          if (response.result.entries != item.expected) ++mismatches;
+          per_client[t].Add(response.result.stats);
           per_client_latency[t].push_back(response.service_seconds);
         }
       }

@@ -37,8 +37,7 @@ namespace bench {
 namespace {
 
 struct WorkItem {
-  engine::TopologyQuery query;
-  engine::MethodKind method;
+  wire::WireRequest request;
   std::vector<engine::ResultEntry> expected;
 };
 
@@ -55,18 +54,19 @@ std::vector<WorkItem> InteractiveWorkload(World* world) {
   for (const char* tier : tiers) {
     for (core::RankScheme scheme : schemes) {
       WorkItem item;
-      item.query.entity_set1 = "Protein";
-      item.query.pred1 =
-          biozon::SelectivityPredicate(world->db, "Protein", tier);
-      item.query.entity_set2 = "Interaction";
-      item.query.scheme = scheme;
-      item.query.k = 10;
-      item.method = methods[i++ % 3];
+      engine::TopologyQuery& query = item.request.query;
+      query.entity_set1 = "Protein";
+      query.pred1 = biozon::SelectivityPredicate(world->db, "Protein", tier);
+      query.entity_set2 = "Interaction";
+      query.scheme = scheme;
+      query.k = 10;
+      item.request.method = methods[i++ % 3];
       workload.push_back(std::move(item));
     }
   }
   for (WorkItem& item : workload) {
-    auto result = world->engine->Execute(item.query, item.method);
+    auto result =
+        world->engine->Execute(item.request.query, item.request.method);
     TSB_CHECK(result.ok()) << result.status();
     item.expected = result->entries;
   }
@@ -98,10 +98,13 @@ InteractivePhase RunInteractive(service::TopologyService* svc,
       for (size_t sweep = 0; sweep < sweeps; ++sweep) {
         for (size_t i = 0; i < workload.size(); ++i) {
           const WorkItem& item = workload[(i + offset) % workload.size()];
-          auto response = svc->Submit(item.query, item.method).get();
-          if (!response.result.ok()) {
+          wire::CollectingSink sink;
+          svc->Submit(item.request, sink);
+          sink.WaitForFrames(1);
+          const wire::WireResponse response = sink.Frames()[0].response;
+          if (!response.error.ok()) {
             ++failures;
-          } else if (response.result->entries != item.expected) {
+          } else if (response.result.entries != item.expected) {
             ++mismatches;
           }
         }

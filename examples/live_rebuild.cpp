@@ -23,7 +23,9 @@
 #include "engine/engine.h"
 #include "graph/data_graph.h"
 #include "graph/schema_graph.h"
+#include "service/request_parser.h"
 #include "service/service.h"
+#include "wire/message.h"
 
 int main() {
   using namespace tsb;
@@ -65,10 +67,22 @@ int main() {
   service::TopologyService svc(&engine, &db, config);
   TSB_CHECK(svc.AttachLiveStore(&schema, &view).ok());
 
-  // 3. Client threads hammer the service across the swap.
-  const char* line =
+  // 3. Client threads hammer the service across the swap with one parsed
+  //    text request.
+  auto parsed = service::RequestParser(&db).Parse(
       "TOPK k=10 method=full-topk scheme=freq "
-      "set1=Protein pred1=DESC.ct('enzyme') set2=DNA pred2=TYPE='mRNA'";
+      "set1=Protein pred1=DESC.ct('enzyme') set2=DNA pred2=TYPE='mRNA'");
+  TSB_CHECK(parsed.ok()) << parsed.status();
+  wire::WireRequest request;
+  request.query = parsed->query;
+  request.method = parsed->method;
+  request.options = parsed->options;
+  auto serve = [&svc, &request]() {
+    wire::CollectingSink sink;
+    svc.Submit(request, sink);
+    sink.WaitForFrames(1);
+    return sink.Frames()[0].response;
+  };
   std::atomic<bool> stop{false};
   std::atomic<size_t> served{0};
   std::atomic<size_t> failed{0};
@@ -76,8 +90,7 @@ int main() {
   for (int t = 0; t < 3; ++t) {
     clients.emplace_back([&]() {
       while (!stop.load(std::memory_order_acquire)) {
-        service::ServiceResponse r = svc.SubmitLine(line).get();
-        if (r.result.ok()) {
+        if (serve().error.ok()) {
           ++served;
         } else {
           ++failed;
@@ -112,10 +125,10 @@ int main() {
 
   // 5. The new epoch answers with the deeper topology set; the retired
   //    epoch's tables were dropped when its last snapshot released.
-  service::ServiceResponse after = svc.SubmitLine(line).get();
-  TSB_CHECK(after.result.ok());
+  wire::WireResponse after = serve();
+  TSB_CHECK(after.error.ok());
   std::printf("post-swap top-k has %zu entries; old AllTops dropped: %s\n",
-              after.result->entries.size(),
+              after.result.entries.size(),
               db.FindTable("AllTops_Protein_DNA") == nullptr ? "yes" : "no");
   std::printf("%s", svc.Metrics().ToString().c_str());
   svc.Shutdown();

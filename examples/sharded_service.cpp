@@ -22,9 +22,11 @@
 #include "engine/engine.h"
 #include "graph/data_graph.h"
 #include "graph/schema_graph.h"
+#include "service/request_parser.h"
 #include "service/service.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
+#include "wire/message.h"
 
 int main() {
   using namespace tsb;
@@ -91,30 +93,35 @@ int main() {
   svc_config.num_threads = 4;
   service::TopologyService service(&executor, &db, svc_config);
 
-  engine::TopologyQuery query;
-  query.entity_set1 = "Protein";
-  query.pred1 = storage::MakeContainsKeyword(db.GetTable("Protein")->schema(),
-                                             "DESC", "enzyme");
-  query.entity_set2 = "DNA";
-  query.pred2 = storage::MakeEquals(db.GetTable("DNA")->schema(), "TYPE",
-                                    storage::Value("mRNA"));
-  query.scheme = core::RankScheme::kDomain;
-  query.k = 5;
+  auto parsed = service::RequestParser(&db).Parse(
+      "TOPK k=5 method=fast-topk-et scheme=domain set1=Protein "
+      "pred1=DESC.ct('enzyme') set2=DNA pred2=TYPE='mRNA'");
+  TSB_CHECK(parsed.ok()) << parsed.status();
+  wire::WireRequest request;
+  request.query = parsed->query;
+  request.method = parsed->method;
+  request.options = parsed->options;
+  auto serve = [&service, &request]() {
+    wire::CollectingSink sink;
+    service.Submit(request, sink);
+    sink.WaitForFrames(1);
+    return sink.Frames()[0].response;
+  };
 
-  auto expected = single.Execute(query, engine::MethodKind::kFastTopKEt);
-  auto response = service.Execute(query, engine::MethodKind::kFastTopKEt);
-  TSB_CHECK(expected.ok() && response.result.ok());
+  auto expected = single.Execute(request.query, request.method);
+  wire::WireResponse response = serve();
+  TSB_CHECK(expected.ok() && response.error.ok());
   std::printf("top-%zu 'enzyme' proteins vs mRNA DNAs (Domain scheme):\n",
-              query.k);
-  for (size_t i = 0; i < response.result->entries.size(); ++i) {
-    const engine::ResultEntry& entry = response.result->entries[i];
+              request.query.k);
+  for (size_t i = 0; i < response.result.entries.size(); ++i) {
+    const engine::ResultEntry& entry = response.result.entries[i];
     std::printf("  #%zu TID=%lld score=%.1f%s\n", i + 1,
                 static_cast<long long>(entry.tid), entry.score,
                 entry == expected->entries[i] ? "" : "  << MISMATCH");
   }
-  TSB_CHECK(expected->entries == response.result->entries)
+  TSB_CHECK(expected->entries == response.result.entries)
       << "sharded ranking diverged from the single store";
-  std::printf("plan: %s\n\n", response.result->stats.plan.c_str());
+  std::printf("plan: %s\n\n", response.result.stats.plan.c_str());
 
   // 4. Roll every shard to a fresh epoch behind the service. The rebuild
   //    stages "e1.s<i>." tables on the worker pool, prunes and warm-indexes
@@ -131,9 +138,9 @@ int main() {
       stats->pairs_built, 1e3 * stats->build_seconds,
       1e3 * stats->prune_seconds, 1e3 * stats->index_seconds);
 
-  auto after = service.Execute(query, engine::MethodKind::kFastTopKEt);
-  TSB_CHECK(after.result.ok());
-  TSB_CHECK(after.result->entries == expected->entries);
+  wire::WireResponse after = serve();
+  TSB_CHECK(after.error.ok());
+  TSB_CHECK(after.result.entries == expected->entries);
   std::printf(
       "post-swap query served %s with identical ranking (epoch stamp %s)\n",
       after.from_cache ? "warm" : "cold",

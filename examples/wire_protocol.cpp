@@ -20,6 +20,7 @@
 #include "engine/engine.h"
 #include "graph/data_graph.h"
 #include "graph/schema_graph.h"
+#include "service/request_parser.h"
 #include "service/service.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"

@@ -56,6 +56,10 @@ std::string FingerprintQuery(const engine::TopologyQuery& query,
   // Sub-query-only flag; participates so a (hypothetical) cached partial
   // can never satisfy a full query or vice versa.
   if (options.skip_pruned_checks) key += ";nopruned=1";
+  // A row-path request runs a different plan than the columnar default.
+  // Only the non-default value adds to the key, so default keys keep
+  // their bytes.
+  if (!options.use_columnar) key += ";row=1";
   return key;
 }
 

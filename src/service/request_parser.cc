@@ -1,6 +1,7 @@
 #include "service/request_parser.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <vector>
 
@@ -74,11 +75,14 @@ std::string MaybeQuote(const std::string& s) {
   return s;
 }
 
+/// False for anything but a whole decimal integer in int64 range (strtoll
+/// would clamp an out-of-range one to its limit).
 bool ParseInt64(const std::string& s, int64_t* out) {
   if (s.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size() || errno == ERANGE) return false;
   *out = static_cast<int64_t>(v);
   return true;
 }

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "core/pruner.h"
+#include "service/request_parser.h"
 
 namespace tsb {
 namespace service {
@@ -54,7 +55,6 @@ TopologyService::TopologyService(shard::ScatterGatherExecutor* executor,
     : executor_(executor),
       db_(db),
       config_(config),
-      parser_(db),
       cache_(MainCacheConfig(config.cache)),
       triple_cache_(TripleCacheConfig(config.cache)),
       tracer_(config.trace),
@@ -353,24 +353,25 @@ Result<RebuildStats> TopologyService::Rebuild(const RebuildOptions& options) {
   return stats;
 }
 
-ServiceResponse TopologyService::RunQuery(
-    const engine::TopologyQuery& query, engine::MethodKind method,
-    const engine::ExecOptions& options,
+wire::WireResponse TopologyService::RunQuery(
+    const wire::WireRequest& request,
     std::shared_ptr<const engine::QueryResult> cached,
     std::string fingerprint, Stopwatch watch,
     const std::shared_ptr<obs::QueryTrace>& trace, double queue_seconds) {
+  const size_t slot = ServiceMetrics::SlotOf(request.method);
+  wire::WireResponse response;
+  response.request_id = request.id;
   if (cached != nullptr) {
-    ServiceResponse response{*cached, /*from_cache=*/true,
-                             watch.ElapsedSeconds()};
-    metrics_.RecordRequest(ServiceMetrics::SlotOf(method),
-                           response.service_seconds, /*cache_hit=*/true,
-                           /*ok=*/true);
+    response.result = *cached;
+    response.from_cache = true;
+    response.service_seconds = watch.ElapsedSeconds();
+    metrics_.RecordRequest(slot, response.service_seconds,
+                           /*cache_hit=*/true, /*ok=*/true);
     if (trace != nullptr) {
       trace->AddSpan("cache.lookup", trace->root_span_id(),
                      obs::UnixSeconds(), response.service_seconds, "hit=1");
     }
-    FinishQueryObservation(query, method, options, response, trace,
-                           queue_seconds);
+    FinishQueryObservation(request, response, trace, queue_seconds);
     return response;
   }
 
@@ -386,8 +387,8 @@ ServiceResponse TopologyService::RunQuery(
   const double exec_start_unix =
       trace != nullptr ? obs::UnixSeconds() : 0.0;
   Stopwatch exec_watch;
-  Result<engine::QueryResult> result =
-      executor_->Execute(query, method, options, trace);
+  Result<engine::QueryResult> result = executor_->Execute(
+      request.query, request.method, request.options, trace);
   const bool ok = result.ok();
   if (trace != nullptr) {
     std::string tags =
@@ -406,7 +407,7 @@ ServiceResponse TopologyService::RunQuery(
     cost.bytes_deserialized = result->stats.bytes_deserialized;
     cost.catalog_interns = result->stats.catalog_interns;
     cost.heap_bytes = result->stats.heap_bytes;
-    metrics_.RecordCost(ServiceMetrics::SlotOf(method), cost);
+    metrics_.RecordCost(slot, cost);
   }
   // Degraded answers (a shard failed or timed out; partial=true) are
   // never cached: the blip is transient, but a cached partial would keep
@@ -415,18 +416,20 @@ ServiceResponse TopologyService::RunQuery(
     cache_.Insert(fingerprint,
                   std::make_shared<engine::QueryResult>(*result));
   }
-  ServiceResponse response{std::move(result), /*from_cache=*/false,
-                           watch.ElapsedSeconds()};
-  metrics_.RecordRequest(ServiceMetrics::SlotOf(method),
-                         response.service_seconds, /*cache_hit=*/false, ok);
-  FinishQueryObservation(query, method, options, response, trace,
-                         queue_seconds);
+  if (ok) {
+    response.result = std::move(*result);
+  } else {
+    response.error = wire::WireErrorFromStatus(result.status());
+  }
+  response.service_seconds = watch.ElapsedSeconds();
+  metrics_.RecordRequest(slot, response.service_seconds, /*cache_hit=*/false,
+                         ok);
+  FinishQueryObservation(request, response, trace, queue_seconds);
   return response;
 }
 
 void TopologyService::FinishQueryObservation(
-    const engine::TopologyQuery& query, engine::MethodKind method,
-    const engine::ExecOptions& options, const ServiceResponse& response,
+    const wire::WireRequest& request, const wire::WireResponse& response,
     const std::shared_ptr<obs::QueryTrace>& trace, double queue_seconds) {
   if (trace != nullptr) {
     trace->Finish(response.service_seconds);
@@ -441,17 +444,18 @@ void TopologyService::FinishQueryObservation(
   record.service_seconds = response.service_seconds;
   record.queue_seconds = queue_seconds;
   ParsedRequest parsed;
-  parsed.query = query;
-  parsed.method = method;
-  parsed.options = options;
+  parsed.query = request.query;
+  parsed.method = request.method;
+  parsed.options = request.options;
   Result<std::string> line = RequestParser::Format(parsed);
   record.request = line.ok() ? std::move(*line)
-                             : query.entity_set1 + " / " + query.entity_set2;
-  record.method = engine::MethodKindToString(method);
+                             : request.query.entity_set1 + " / " +
+                                   request.query.entity_set2;
+  record.method = engine::MethodKindToString(request.method);
   record.from_cache = response.from_cache;
-  record.ok = response.result.ok();
+  record.ok = response.error.ok();
   if (record.ok) {
-    const engine::ExecStats& stats = response.result->stats;
+    const engine::ExecStats& stats = response.result.stats;
     record.plan = stats.plan;
     record.rows_scanned = stats.rows_scanned;
     record.rows_out = stats.rows_out;
@@ -469,30 +473,6 @@ void TopologyService::FinishQueryObservation(
 }
 
 /// --- The wire surface ------------------------------------------------------
-
-wire::WireResponse TopologyService::ToWire(uint64_t request_id,
-                                           ServiceResponse response) {
-  wire::WireResponse out;
-  out.request_id = request_id;
-  out.from_cache = response.from_cache;
-  out.service_seconds = response.service_seconds;
-  if (response.result.ok()) {
-    out.result = std::move(*response.result);
-  } else {
-    out.error = wire::WireErrorFromStatus(response.result.status());
-  }
-  return out;
-}
-
-ServiceResponse TopologyService::FromWire(
-    const wire::WireResponse& response) {
-  if (response.error.ok()) {
-    return ServiceResponse{response.result, response.from_cache,
-                           response.service_seconds};
-  }
-  return ServiceResponse{wire::StatusFromWireError(response.error),
-                         response.from_cache, response.service_seconds};
-}
 
 void TopologyService::DeliverFrame(
     const std::shared_ptr<StreamState>& stream, wire::WireFrame frame) {
@@ -537,8 +517,7 @@ void TopologyService::DeliverError(
 }
 
 void TopologyService::SubmitToStream(
-    wire::WireRequest request, const std::shared_ptr<StreamState>& stream,
-    bool bypass_admission) {
+    wire::WireRequest request, const std::shared_ptr<StreamState>& stream) {
   Stopwatch watch;
   if (!accepting_.load(std::memory_order_acquire)) {
     DeliverError(stream, request.id, wire::WireErrorCode::kShuttingDown,
@@ -569,11 +548,9 @@ void TopologyService::SubmitToStream(
   if (config_.enable_cache) {
     if (std::shared_ptr<const engine::QueryResult> hit =
             cache_.Lookup(fingerprint)) {
-      ServiceResponse response =
-          RunQuery(request.query, request.method, request.options,
-                   std::move(hit), std::move(fingerprint), watch, trace,
-                   /*queue_seconds=*/0.0);
-      DeliverResponse(stream, ToWire(request.id, std::move(response)));
+      DeliverResponse(stream, RunQuery(request, std::move(hit),
+                                       std::move(fingerprint), watch, trace,
+                                       /*queue_seconds=*/0.0));
       return;
     }
   }
@@ -585,7 +562,7 @@ void TopologyService::SubmitToStream(
                            : config_.batch_max_in_flight;
   const size_t in_class =
       class_in_flight_[cls].fetch_add(1, std::memory_order_acq_rel);
-  if (!bypass_admission && in_class >= bound) {
+  if (in_class >= bound) {
     class_in_flight_[cls].fetch_sub(1, std::memory_order_acq_rel);
     metrics_.RecordRejected(cls);
     DeliverError(
@@ -682,11 +659,11 @@ void TopologyService::DrainOne(
     // this one sat in the queue.
     std::shared_ptr<const engine::QueryResult> hit;
     if (config_.enable_cache) hit = cache_.Lookup(item.fingerprint);
-    ServiceResponse response = RunQuery(
-        item.req.query, item.req.method, item.req.options, std::move(hit),
-        std::move(item.fingerprint), item.watch, item.trace, waited);
+    wire::WireResponse response =
+        RunQuery(item.req, std::move(hit), std::move(item.fingerprint),
+                 item.watch, item.trace, waited);
     metrics_.RecordClassLatency(cls, response.service_seconds);
-    DeliverResponse(item.stream, ToWire(item.req.id, std::move(response)));
+    DeliverResponse(item.stream, std::move(response));
   }
   class_in_flight_[cls].fetch_sub(1, std::memory_order_acq_rel);
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -715,16 +692,14 @@ void TopologyService::Submit(const wire::WireRequest& request,
   stream->sink = &sink;
   stream->open = 1;
   stream->send_end = false;
-  SubmitToStream(request, stream, /*bypass_admission=*/false);
+  SubmitToStream(request, stream);
 }
 
-uint64_t TopologyService::SubmitStreamInternal(
-    std::vector<wire::WireRequest> requests, wire::StreamSink* sink,
-    std::shared_ptr<wire::StreamSink> owned, bool bypass_admission) {
+uint64_t TopologyService::SubmitStream(
+    std::vector<wire::WireRequest> requests, wire::StreamSink& sink) {
   auto stream = std::make_shared<StreamState>();
   stream->id = next_stream_id_.fetch_add(1, std::memory_order_relaxed);
-  stream->sink = sink;
-  stream->owned_sink = std::move(owned);
+  stream->sink = &sink;
   stream->open = requests.size();
   stream->send_end = true;
 
@@ -743,15 +718,9 @@ uint64_t TopologyService::SubmitStreamInternal(
     streams_.emplace(stream->id, stream);
   }
   for (wire::WireRequest& request : requests) {
-    SubmitToStream(std::move(request), stream, bypass_admission);
+    SubmitToStream(std::move(request), stream);
   }
   return stream->id;
-}
-
-uint64_t TopologyService::SubmitStream(
-    std::vector<wire::WireRequest> requests, wire::StreamSink& sink) {
-  return SubmitStreamInternal(std::move(requests), &sink, nullptr,
-                              /*bypass_admission=*/false);
 }
 
 bool TopologyService::CancelStream(uint64_t stream_id) {
@@ -760,157 +729,6 @@ bool TopologyService::CancelStream(uint64_t stream_id) {
   if (it == streams_.end()) return false;
   it->second->cancelled.store(true, std::memory_order_release);
   return true;
-}
-
-/// --- Legacy adapters -------------------------------------------------------
-
-namespace {
-
-/// One-shot sink bridging a single wire response to a future. The
-/// promise is fulfilled on the delivering thread, so the future behaves
-/// exactly like the pre-wire pool-backed one (wait_for sees it become
-/// ready; no deferred-launch surprises).
-class PromiseSink : public wire::StreamSink {
- public:
-  explicit PromiseSink(
-      std::function<ServiceResponse(const wire::WireResponse&)> convert)
-      : convert_(std::move(convert)) {}
-
-  std::future<ServiceResponse> Future() { return promise_.get_future(); }
-
-  void OnFrame(const wire::WireFrame& frame) override {
-    if (frame.kind != wire::FrameKind::kResponse) return;
-    promise_.set_value(convert_(frame.response));
-  }
-
- private:
-  std::function<ServiceResponse(const wire::WireResponse&)> convert_;
-  std::promise<ServiceResponse> promise_;
-};
-
-}  // namespace
-
-std::future<ServiceResponse> TopologyService::Submit(
-    const engine::TopologyQuery& query, engine::MethodKind method,
-    const engine::ExecOptions& options) {
-  auto sink = std::make_shared<PromiseSink>(&TopologyService::FromWire);
-  std::future<ServiceResponse> future = sink->Future();
-
-  wire::WireRequest request;
-  request.query = query;
-  request.method = method;
-  request.options = options;
-  request.priority = wire::Priority::kInteractive;
-
-  // A single-submit stream of one; the stream state keeps `sink` alive
-  // until its frame is delivered (guaranteed even through Shutdown).
-  auto stream = std::make_shared<StreamState>();
-  stream->sink = sink.get();
-  stream->owned_sink = sink;
-  stream->open = 1;
-  stream->send_end = false;
-  SubmitToStream(std::move(request), stream, /*bypass_admission=*/false);
-  return future;
-}
-
-std::future<ServiceResponse> TopologyService::SubmitLine(
-    const std::string& line) {
-  Result<ParsedRequest> parsed = parser_.Parse(line);
-  if (!parsed.ok()) {
-    return Ready(ServiceResponse{parsed.status(), false, 0.0});
-  }
-  return Submit(parsed->query, parsed->method, parsed->options);
-}
-
-ServiceResponse TopologyService::Execute(const engine::TopologyQuery& query,
-                                         engine::MethodKind method,
-                                         const engine::ExecOptions& options) {
-  return Submit(query, method, options).get();
-}
-
-namespace {
-
-/// Sink assembling a whole batch outcome from its stream frames; fires the
-/// callback on the kStreamEnd frame (the worker that finished last).
-class BatchSink : public wire::StreamSink {
- public:
-  BatchSink(size_t size, BatchCallback callback)
-      : callback_(std::move(callback)) {
-    responses_.resize(size);
-  }
-
-  void OnFrame(const wire::WireFrame& frame) override {
-    if (frame.kind == wire::FrameKind::kResponse) {
-      // Request ids are the batch slots; frames arrive in completion
-      // order but land in input order.
-      const size_t slot = static_cast<size_t>(frame.response.request_id);
-      if (slot < responses_.size()) responses_[slot] = frame.response;
-      return;
-    }
-    BatchOutcome outcome;
-    outcome.responses.reserve(responses_.size());
-    for (wire::WireResponse& response : responses_) {
-      if (response.error.ok()) {
-        outcome.total += response.result.stats;  // ExecStats::operator+=.
-        if (response.from_cache) ++outcome.cache_hits;
-        outcome.responses.push_back(
-            ServiceResponse{std::move(response.result), response.from_cache,
-                            response.service_seconds});
-      } else {
-        ++outcome.failures;
-        outcome.responses.push_back(
-            ServiceResponse{wire::StatusFromWireError(response.error),
-                            response.from_cache, response.service_seconds});
-      }
-    }
-    callback_(std::move(outcome));
-  }
-
- private:
-  std::vector<wire::WireResponse> responses_;
-  BatchCallback callback_;
-};
-
-}  // namespace
-
-void TopologyService::ExecuteBatchAsync(std::vector<ParsedRequest> requests,
-                                        BatchCallback callback) {
-  TSB_CHECK(callback != nullptr);
-  if (requests.empty()) {
-    callback(BatchOutcome{});
-    return;
-  }
-
-  std::vector<wire::WireRequest> wire_requests;
-  wire_requests.reserve(requests.size());
-  for (size_t slot = 0; slot < requests.size(); ++slot) {
-    wire::WireRequest request;
-    request.id = slot;
-    request.priority = wire::Priority::kBatch;
-    request.query = std::move(requests[slot].query);
-    request.method = requests[slot].method;
-    request.options = requests[slot].options;
-    wire_requests.push_back(std::move(request));
-  }
-  auto sink =
-      std::make_shared<BatchSink>(requests.size(), std::move(callback));
-  // The batch is one admitted unit: it charges the batch class (so
-  // concurrent submissions see the load) but is not itself bounced.
-  SubmitStreamInternal(std::move(wire_requests), sink.get(), sink,
-                       /*bypass_admission=*/true);
-}
-
-BatchOutcome TopologyService::ExecuteBatch(
-    const std::vector<ParsedRequest>& requests) {
-  // Blocking flavor: delegate to the asynchronous path and wait. Safe to
-  // call from any non-pool thread (a pool worker would deadlock the last
-  // batch task behind itself — same contract as Rebuild).
-  std::promise<BatchOutcome> done;
-  std::future<BatchOutcome> future = done.get_future();
-  ExecuteBatchAsync(requests, [&done](BatchOutcome outcome) {
-    done.set_value(std::move(outcome));
-  });
-  return future.get();
 }
 
 std::future<TripleResponse> TopologyService::SubmitTriple(

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -25,7 +24,6 @@
 #include "obs/trace.h"
 #include "service/metrics.h"
 #include "service/query_cache.h"
-#include "service/request_parser.h"
 #include "service/thread_pool.h"
 #include "shard/scatter_gather.h"
 #include "wire/message.h"
@@ -38,13 +36,10 @@ struct ServiceConfig {
   size_t num_threads = 0;
   /// Admission bound of the interactive class: kInteractive requests in
   /// flight (queued + executing) beyond this are rejected with a
-  /// kOverloaded wire error (kResourceExhausted through the legacy API)
-  /// instead of queuing unboundedly.
+  /// kOverloaded wire error instead of queuing unboundedly.
   size_t max_in_flight = 256;
-  /// Admission bound of the batch class. The legacy batch APIs
-  /// (ExecuteBatch / ExecuteBatchAsync) bypass it — a batch is admitted as
-  /// one unit — but their requests still count toward it, throttling
-  /// concurrent wire-level batch submissions.
+  /// Admission bound of the batch class, applied the same way to each
+  /// kBatch request — also to each request of a SubmitStream batch.
   size_t batch_max_in_flight = 1024;
   /// Workers a batch flood may occupy at once; 0 means num_threads - 1
   /// (minimum 1). Keeping at least one worker batch-free bounds an
@@ -70,28 +65,12 @@ struct ServiceConfig {
   obs::SlowQueryConfig slow_query;
 };
 
-/// One served answer. `result` carries the engine outcome (or the
-/// rejection/shutdown status); `from_cache` is true when the result was a
-/// cache hit; `service_seconds` is end-to-end latency including queue wait.
-struct ServiceResponse {
-  Result<engine::QueryResult> result;
-  bool from_cache = false;
-  double service_seconds = 0.0;
-};
-
+/// One served 3-query answer; `from_cache` and `service_seconds` mean
+/// what they mean on a wire::WireResponse.
 struct TripleResponse {
   Result<engine::TripleQueryResult> result;
   bool from_cache = false;
   double service_seconds = 0.0;
-};
-
-/// Aggregate outcome of a batch: one response per request (input order)
-/// plus ExecStats totals accumulated with ExecStats::operator+=.
-struct BatchOutcome {
-  std::vector<ServiceResponse> responses;
-  engine::ExecStats total;
-  size_t cache_hits = 0;
-  size_t failures = 0;
 };
 
 /// Configuration of a live store rebuild (see TopologyService::Rebuild).
@@ -122,11 +101,6 @@ struct RebuildStats {
   double ShardSkew() const;
 };
 
-/// Completion hook of ExecuteBatchAsync: invoked exactly once, on the pool
-/// worker that finishes the batch's last request (or on the submitting
-/// thread when every request completes inline, e.g. after shutdown).
-using BatchCallback = std::function<void(BatchOutcome)>;
-
 /// The concurrent query frontend over engine::Engine — the serving layer
 /// that turns the single-caller library into a shared multi-user service.
 /// Its public API is the wire protocol (wire/message.h):
@@ -145,12 +119,11 @@ using BatchCallback = std::function<void(BatchOutcome)>;
 ///     (keys are canonical fingerprints; see FingerprintQuery)
 ///   - per-method and per-class metrics: requests, cache hits, errors,
 ///     rejections, sheds, p50/p95 latency, per-shard row skew
-///   - a text frontend (SubmitLine) driven by RequestParser
 ///   - live store rebuilds: Rebuild() stages a fresh epoch on the same
 ///     pool and swaps it in behind traffic
 ///
-/// The future-based Submit/Execute and the ExecuteBatch/ExecuteBatchAsync
-/// pair are thin adapters over the stream surface, kept for compatibility.
+/// Text requests are parsed by the caller (RequestParser) into the
+/// WireRequest it submits. 3-queries go through SubmitTriple.
 ///
 /// Every query runs through one shard::ScatterGatherExecutor. A single
 /// store is a one-shard fleet: the Engine* constructor wraps the engine in
@@ -269,37 +242,7 @@ class TopologyService {
   /// once. Returns false when the stream already ended (or never existed).
   bool CancelStream(uint64_t stream_id);
 
-  /// --- Legacy adapters over the wire surface -------------------------------
-
-  /// Asynchronous submission (interactive class, no deadline). The
-  /// returned future is always valid: errors (rejection, shutdown, engine
-  /// failure) surface in the response.
-  std::future<ServiceResponse> Submit(
-      const engine::TopologyQuery& query, engine::MethodKind method,
-      const engine::ExecOptions& options = engine::ExecOptions{});
-
-  /// Parses a request line (see RequestParser) and submits it. Parse
-  /// errors come back as an immediately-ready errored response.
-  std::future<ServiceResponse> SubmitLine(const std::string& line);
-
-  /// Synchronous convenience wrapper around Submit.
-  ServiceResponse Execute(
-      const engine::TopologyQuery& query, engine::MethodKind method,
-      const engine::ExecOptions& options = engine::ExecOptions{});
-
-  /// Runs all requests on the pool and waits for completion. The batch is
-  /// admitted as one unit in the batch class (it bypasses the class bound
-  /// but counts toward it, throttling concurrent batches). Delegates to
-  /// ExecuteBatchAsync.
-  BatchOutcome ExecuteBatch(const std::vector<ParsedRequest>& requests);
-
-  /// Asynchronous batch: returns immediately; `callback` fires once with
-  /// the complete outcome (responses in input order) when the last request
-  /// finishes. Same admission semantics as ExecuteBatch. The callback runs
-  /// on a pool worker — keep it light and never call blocking service
-  /// methods from it.
-  void ExecuteBatchAsync(std::vector<ParsedRequest> requests,
-                         BatchCallback callback);
+  /// --- 3-queries -----------------------------------------------------------
 
   /// 3-query submission against the live shard set. Runs concurrently
   /// with 2-queries: interning into the shared catalog is thread-safe, so
@@ -325,7 +268,6 @@ class TopologyService {
   /// This service's metrics as a registry source (register it with an
   /// obs::MetricsRegistry for Prometheus/JSON export).
   const obs::MetricsSource& metrics_source() const { return metrics_; }
-  const RequestParser& parser() const { return parser_; }
   size_t num_threads() const { return pool_.num_threads(); }
   size_t InFlight() const { return in_flight_.load(); }
   /// Queued + executing requests of one admission class.
@@ -336,13 +278,10 @@ class TopologyService {
  private:
   /// Shared state of one response stream (a single Submit is a stream of
   /// one with no end frame). Frames are delivered under sink_mu, so sink
-  /// calls never overlap for one stream.
+  /// calls never overlap for one stream. The sink is the caller's.
   struct StreamState {
     uint64_t id = 0;  // 0 for single submits (not cancellable).
     wire::StreamSink* sink = nullptr;
-    /// Keeps adapter-owned sinks (promise/batch) alive until the stream
-    /// ends; user-provided sinks are non-owned.
-    std::shared_ptr<wire::StreamSink> owned_sink;
     std::mutex sink_mu;
     size_t open = 0;  // Responses not yet delivered; guarded by sink_mu.
     bool send_end = false;
@@ -359,16 +298,9 @@ class TopologyService {
   };
 
   /// Core submission path: cache fast path, per-class admission, enqueue +
-  /// drain token. `bypass_admission` admits regardless of the class bound
-  /// (legacy whole-batch admission).
+  /// drain token.
   void SubmitToStream(wire::WireRequest request,
-                      const std::shared_ptr<StreamState>& stream,
-                      bool bypass_admission);
-
-  uint64_t SubmitStreamInternal(std::vector<wire::WireRequest> requests,
-                                wire::StreamSink* sink,
-                                std::shared_ptr<wire::StreamSink> owned,
-                                bool bypass_admission);
+                      const std::shared_ptr<StreamState>& stream);
 
   /// Pool token body: pops the highest-priority queued item and completes
   /// it — executes it, or sheds it (deadline passed, stream cancelled, or
@@ -389,24 +321,18 @@ class TopologyService {
                     uint64_t request_id, wire::WireErrorCode code,
                     std::string message);
 
-  static wire::WireResponse ToWire(uint64_t request_id,
-                                   ServiceResponse response);
-  static ServiceResponse FromWire(const wire::WireResponse& response);
-
-  ServiceResponse RunQuery(const engine::TopologyQuery& query,
-                           engine::MethodKind method,
-                           const engine::ExecOptions& options,
-                           std::shared_ptr<const engine::QueryResult> cached,
-                           std::string fingerprint, Stopwatch watch,
-                           const std::shared_ptr<obs::QueryTrace>& trace,
-                           double queue_seconds);
+  /// Answers `request` from `cached` when it is set, else executes it
+  /// (and caches a complete answer under `fingerprint`).
+  wire::WireResponse RunQuery(
+      const wire::WireRequest& request,
+      std::shared_ptr<const engine::QueryResult> cached,
+      std::string fingerprint, Stopwatch watch,
+      const std::shared_ptr<obs::QueryTrace>& trace, double queue_seconds);
 
   /// Finishes a sampled query's trace and applies the slow-query
   /// threshold (both no-ops when disabled).
-  void FinishQueryObservation(const engine::TopologyQuery& query,
-                              engine::MethodKind method,
-                              const engine::ExecOptions& options,
-                              const ServiceResponse& response,
+  void FinishQueryObservation(const wire::WireRequest& request,
+                              const wire::WireResponse& response,
                               const std::shared_ptr<obs::QueryTrace>& trace,
                               double queue_seconds);
 
@@ -464,7 +390,6 @@ class TopologyService {
   shard::ScatterGatherExecutor* executor_;
   storage::Catalog* db_;
   ServiceConfig config_;
-  RequestParser parser_;
   QueryCache cache_;
   TripleQueryCache triple_cache_;
   ServiceMetrics metrics_;

@@ -111,8 +111,8 @@ struct WireError {
 WireErrorCode WireErrorCodeFromStatus(const Status& status);
 WireError WireErrorFromStatus(const Status& status);
 
-/// Inverse mapping, for adapters that surface wire frames through the
-/// legacy Result<QueryResult> API.
+/// Inverse mapping, for callers that fold a wire error back into a Status
+/// (the scatter-gather executor does, for a shard's sub-response).
 Status StatusFromWireError(const WireError& error);
 
 /// One request on the wire: a 2-query evaluation call plus the envelope
@@ -257,9 +257,9 @@ class StreamSink {
   virtual void OnFrame(const WireFrame& frame) = 0;
 };
 
-/// A sink that buffers frames and lets a test or adapter block until the
-/// stream completes — the convenience implementation used by the legacy
-/// batch adapters and throughout the tests.
+/// A sink that buffers frames and lets the caller block until one response
+/// (WaitForFrames) or a whole stream (WaitForEnd) arrived — how tests,
+/// benches and examples wait on the service's wire surface.
 class CollectingSink : public StreamSink {
  public:
   void OnFrame(const WireFrame& frame) override {

@@ -37,6 +37,7 @@
 #include "obs/registry.h"
 #include "service/query_cache.h"
 #include "service/service.h"
+#include "service_test_util.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
 #include "storage/predicate.h"
@@ -47,6 +48,7 @@ namespace tsb {
 namespace {
 
 using engine::MethodKind;
+using service_test::Serve;
 
 const std::vector<MethodKind> kAllMethods = {
     MethodKind::kSql,         MethodKind::kFullTop,
@@ -1360,14 +1362,14 @@ TEST_F(ServiceMutationTest, ApplyMutationsEvictsDirtyPairsAndKeepsCleanOnes) {
   EXPECT_FALSE(svc.EnableMutations(options).ok());
 
   // Warm both pairs.
-  auto pu_cold = svc.Execute(ProteinUnigene(), MethodKind::kFullTop);
-  ASSERT_TRUE(pu_cold.result.ok());
+  auto pu_cold = Serve(svc, ProteinUnigene(), MethodKind::kFullTop);
+  ASSERT_TRUE(pu_cold.error.ok());
   EXPECT_FALSE(pu_cold.from_cache);
-  auto pd_cold = svc.Execute(ProteinDnaTyped(), MethodKind::kFullTop);
-  ASSERT_TRUE(pd_cold.result.ok());
+  auto pd_cold = Serve(svc, ProteinDnaTyped(), MethodKind::kFullTop);
+  ASSERT_TRUE(pd_cold.error.ok());
   EXPECT_FALSE(pd_cold.from_cache);
-  EXPECT_TRUE(svc.Execute(ProteinUnigene(), MethodKind::kFullTop).from_cache);
-  EXPECT_TRUE(svc.Execute(ProteinDnaTyped(), MethodKind::kFullTop).from_cache);
+  EXPECT_TRUE(Serve(svc, ProteinUnigene(), MethodKind::kFullTop).from_cache);
+  EXPECT_TRUE(Serve(svc, ProteinDnaTyped(), MethodKind::kFullTop).from_cache);
 
   // A DNA attribute flip invalidates only pairs that can read DNA bytes:
   // Protein-DNA is evicted, Protein-Unigene survives in cache.
@@ -1379,25 +1381,25 @@ TEST_F(ServiceMutationTest, ApplyMutationsEvictsDirtyPairsAndKeepsCleanOnes) {
   EXPECT_EQ(stats->structural_pairs, 0u);
   EXPECT_GT(stats->cache_only_pairs, 0u);
 
-  auto pu_warm = svc.Execute(ProteinUnigene(), MethodKind::kFullTop);
-  ASSERT_TRUE(pu_warm.result.ok());
+  auto pu_warm = Serve(svc, ProteinUnigene(), MethodKind::kFullTop);
+  ASSERT_TRUE(pu_warm.error.ok());
   EXPECT_TRUE(pu_warm.from_cache)
       << "clean-pair cache entries must survive a mutation";
-  EXPECT_EQ(pu_warm.result->entries, pu_cold.result->entries);
+  EXPECT_EQ(pu_warm.result.entries, pu_cold.result.entries);
 
-  auto pd_fresh = svc.Execute(ProteinDnaTyped(), MethodKind::kFullTop);
-  ASSERT_TRUE(pd_fresh.result.ok());
+  auto pd_fresh = Serve(svc, ProteinDnaTyped(), MethodKind::kFullTop);
+  ASSERT_TRUE(pd_fresh.error.ok());
   EXPECT_FALSE(pd_fresh.from_cache)
       << "dirty-pair cache entries must be evicted";
   // DNA 215 no longer matches TYPE = mRNA; the live engine agrees.
   auto direct = live_->engine->Execute(ProteinDnaTyped(), MethodKind::kFullTop);
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(pd_fresh.result->entries, direct->entries);
-  EXPECT_NE(pd_fresh.result->entries, pd_cold.result->entries)
+  EXPECT_EQ(pd_fresh.result.entries, direct->entries);
+  EXPECT_NE(pd_fresh.result.entries, pd_cold.result.entries)
       << "the attribute flip must be observable through the predicate";
 
   // The re-computed result is cached under the pair's new generation.
-  EXPECT_TRUE(svc.Execute(ProteinDnaTyped(), MethodKind::kFullTop).from_cache);
+  EXPECT_TRUE(Serve(svc, ProteinDnaTyped(), MethodKind::kFullTop).from_cache);
 }
 
 TEST_F(ServiceMutationTest, ApplyMutationsRequiresEnableMutations) {
@@ -1419,11 +1421,11 @@ TEST_F(ServiceMutationTest, CallersEngineAndHandleFollowRebuildAndMutations) {
     for (const engine::TopologyQuery& query : FixtureQueries(live_->db)) {
       for (MethodKind method : kAllMethods) {
         auto direct = live_->engine->Execute(query, method);
-        auto served = svc.Execute(query, method);
-        ASSERT_EQ(direct.ok(), served.result.ok())
+        auto served = Serve(svc, query, method);
+        ASSERT_EQ(direct.ok(), served.error.ok())
             << what << " " << engine::MethodKindToString(method);
         if (!direct.ok()) continue;
-        EXPECT_EQ(direct->entries, served.result->entries)
+        EXPECT_EQ(direct->entries, served.result.entries)
             << what << " " << engine::MethodKindToString(method);
       }
     }

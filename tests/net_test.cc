@@ -32,6 +32,7 @@
 #include "net/shard_server.h"
 #include "replica/replica_set.h"
 #include "service/service.h"
+#include "service_test_util.h"
 #include "shard/frame_handler.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
@@ -42,6 +43,7 @@ namespace tsb {
 namespace {
 
 using engine::MethodKind;
+using service_test::Serve;
 
 const std::vector<MethodKind> kAllMethods = {
     MethodKind::kSql,         MethodKind::kFullTop,
@@ -447,24 +449,24 @@ TEST_F(NetFig3Test, KilledShardServerDegradesToPartialAndRecovers) {
   // Warm pass: full answer over sockets (and find, by probing, a server
   // whose death actually degrades this query — the designated shard runs
   // inline and never crosses the transport).
-  auto clean = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(clean.result.ok());
-  EXPECT_FALSE(clean.result->partial);
+  auto clean = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(clean.error.ok());
+  EXPECT_FALSE(clean.result.partial);
 
   size_t victim = SIZE_MAX;
   for (size_t s = 0; s < 4 && victim == SIZE_MAX; ++s) {
     servers.servers[s]->Stop();
     svc.InvalidateCache();
-    auto probe = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-    ASSERT_TRUE(probe.result.ok())
-        << "server " << s << " down: " << probe.result.status().ToString();
-    if (probe.result->partial) {
+    auto probe = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+    ASSERT_TRUE(probe.error.ok())
+        << "server " << s << " down: " << probe.error.message;
+    if (probe.result.partial) {
       victim = s;
       // The degraded answer: PARTIAL plan tag, ranked subset.
-      EXPECT_NE(probe.result->stats.plan.find("PARTIAL"),
+      EXPECT_NE(probe.result.stats.plan.find("PARTIAL"),
                 std::string::npos);
-      EXPECT_LE(probe.result->entries.size(),
-                clean.result->entries.size());
+      EXPECT_LE(probe.result.entries.size(),
+                clean.result.entries.size());
     } else {
       servers.Restart(s);
     }
@@ -473,30 +475,30 @@ TEST_F(NetFig3Test, KilledShardServerDegradesToPartialAndRecovers) {
 
   // The partial answer must not have been cached: an immediate repeat is
   // a cache miss (and still partial while the server stays dead).
-  auto repeat = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(repeat.result.ok());
+  auto repeat = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(repeat.error.ok());
   EXPECT_FALSE(repeat.from_cache);
-  EXPECT_TRUE(repeat.result->partial);
+  EXPECT_TRUE(repeat.result.partial);
 
   // Restart the server on the same endpoint: the transport reconnects
   // (stale pooled conns retried on fresh dials) and the full ranking is
   // back — then, and only then, it caches.
   servers.Restart(victim);
-  service::ServiceResponse healed = svc.Execute(ScatteringQuery(),
-                                                MethodKind::kFullTop);
-  for (int attempt = 0; attempt < 100 && healed.result.ok() &&
-                        healed.result->partial;
+  wire::WireResponse healed =
+      Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  for (int attempt = 0; attempt < 100 && healed.error.ok() &&
+                        healed.result.partial;
        ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    healed = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
+    healed = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
   }
-  ASSERT_TRUE(healed.result.ok());
-  EXPECT_FALSE(healed.result->partial) << "shard never recovered";
-  EXPECT_EQ(healed.result->entries, clean.result->entries);
-  auto cached = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(cached.result.ok());
+  ASSERT_TRUE(healed.error.ok());
+  EXPECT_FALSE(healed.result.partial) << "shard never recovered";
+  EXPECT_EQ(healed.result.entries, clean.result.entries);
+  auto cached = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(cached.error.ok());
   EXPECT_TRUE(cached.from_cache);
-  EXPECT_FALSE(cached.result->partial);
+  EXPECT_FALSE(cached.result.partial);
 
   auto metrics = executor->GetTransportMetrics();
   EXPECT_GT(metrics.total.failures, 0u);

@@ -25,6 +25,7 @@
 #include "replica/health.h"
 #include "replica/replica_set.h"
 #include "service/service.h"
+#include "service_test_util.h"
 #include "shard/frame_handler.h"
 #include "shard/replica_loopback.h"
 #include "shard/scatter_gather.h"
@@ -36,6 +37,7 @@ namespace tsb {
 namespace {
 
 using engine::MethodKind;
+using service_test::Serve;
 
 const std::vector<MethodKind> kAllMethods = {
     MethodKind::kSql,         MethodKind::kFullTop,
@@ -670,12 +672,12 @@ TEST_F(ReplicaFig3Test, RebuildRollsEpochsUnderReplicaFailover) {
   for (int t = 0; t < 3; ++t) {
     clients.emplace_back([&]() {
       while (!stop.load(std::memory_order_acquire)) {
-        auto response = svc.Submit(q, MethodKind::kFullTop).get();
-        if (!response.result.ok()) {
+        auto response = Serve(svc, q, MethodKind::kFullTop);
+        if (!response.error.ok()) {
           ++failures;
         } else {
-          if (response.result->partial) ++partials;
-          if (response.result->entries != expected->entries) ++mismatches;
+          if (response.result.partial) ++partials;
+          if (response.result.entries != expected->entries) ++mismatches;
         }
         ++served;
       }
@@ -707,10 +709,10 @@ TEST_F(ReplicaFig3Test, RebuildRollsEpochsUnderReplicaFailover) {
   // Post-roll, post-revive: byte-identical and eventually fully healthy.
   rig.raw[1][0]->SetDown(false);
   svc.InvalidateCache();
-  auto after = svc.Execute(q, MethodKind::kFullTop);
-  ASSERT_TRUE(after.result.ok());
-  EXPECT_FALSE(after.result->partial);
-  EXPECT_EQ(after.result->entries, expected->entries);
+  auto after = Serve(svc, q, MethodKind::kFullTop);
+  ASSERT_TRUE(after.error.ok());
+  EXPECT_FALSE(after.result.partial);
+  EXPECT_EQ(after.result.entries, expected->entries);
   // The tracker's epoch high-water mark followed the swaps.
   uint64_t mark = 0;
   for (size_t s = 0; s < 4; ++s) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <future>
 #include <memory>
 #include <set>
@@ -23,12 +22,14 @@
 #include "core/pruner.h"
 #include "engine/engine.h"
 #include "service/service.h"
+#include "service_test_util.h"
 #include "wire/message.h"
 
 namespace tsb {
 namespace {
 
 using engine::MethodKind;
+using service_test::Serve;
 using wire::FrameKind;
 using wire::WireErrorCode;
 
@@ -513,41 +514,38 @@ TEST_F(StreamFig3Test, CacheHitsAnswerOnTheCallingThreadWithoutAdmission) {
   EXPECT_EQ(frames[0].response.request_id, 2u);
 }
 
-TEST_F(StreamFig3Test, LegacyFutureBecomesReadyWithoutGet) {
-  // The adapter future must behave like the pre-wire pool-backed one:
-  // pollable with wait_for, transitioning to ready on completion (a
-  // deferred future would report future_status::deferred forever).
+TEST_F(StreamFig3Test, RowPathRequestMissesTheColumnarCacheEntry) {
+  // use_columnar=false runs the row plan, so it must not be answered from
+  // the entry the default (columnar) request cached.
   service::TopologyService svc(engine_.get(), &db_, Config(2));
-  auto future = svc.Submit(Request(1, core::RankScheme::kFreq).query,
-                           MethodKind::kFullTop);
-  auto status = future.wait_for(std::chrono::seconds(30));
-  ASSERT_EQ(status, std::future_status::ready);
-  EXPECT_TRUE(future.get().result.ok());
-}
+  wire::WireRequest columnar =
+      Request(1, core::RankScheme::kFreq, MethodKind::kFullTopK);
+  engine::ExecOptions row_options;
+  row_options.use_columnar = false;
 
-TEST_F(StreamFig3Test, LegacyBatchAdaptersMatchTheStreamSurface) {
-  service::TopologyService svc(engine_.get(), &db_, Config(4));
+  auto direct_columnar = engine_->Execute(columnar.query, columnar.method);
+  auto direct_row =
+      engine_->Execute(columnar.query, columnar.method, row_options);
+  ASSERT_TRUE(direct_columnar.ok());
+  ASSERT_TRUE(direct_row.ok());
+  ASSERT_NE(direct_columnar->stats.plan, direct_row->stats.plan);
 
-  std::vector<service::ParsedRequest> batch(3);
-  batch[0].query = Request(0, core::RankScheme::kFreq).query;
-  batch[0].method = MethodKind::kFullTop;
-  batch[1].query = Request(0, core::RankScheme::kRare).query;
-  batch[1].method = MethodKind::kFullTopK;
-  batch[2].query = Request(0, core::RankScheme::kDomain).query;
-  batch[2].method = MethodKind::kFastTop;
+  wire::WireResponse first = Serve(svc, columnar.query, columnar.method);
+  ASSERT_TRUE(first.error.ok()) << first.error.message;
+  EXPECT_EQ(first.result.stats.plan, direct_columnar->stats.plan);
 
-  auto outcome = svc.ExecuteBatch(batch);
-  ASSERT_EQ(outcome.responses.size(), 3u);
-  EXPECT_EQ(outcome.failures, 0u);
-  for (size_t i = 0; i < 3; ++i) {
-    auto direct = engine_->Execute(batch[i].query, batch[i].method);
-    ASSERT_TRUE(direct.ok());
-    ASSERT_TRUE(outcome.responses[i].result.ok());
-    EXPECT_EQ(outcome.responses[i].result->entries, direct->entries) << i;
-  }
-  // Legacy batches ride the batch class.
-  auto metrics = svc.Metrics();
-  EXPECT_EQ(metrics.classes[1].admitted, 3u);
+  wire::WireResponse row =
+      Serve(svc, columnar.query, columnar.method, row_options);
+  ASSERT_TRUE(row.error.ok()) << row.error.message;
+  EXPECT_FALSE(row.from_cache);
+  EXPECT_EQ(row.result.stats.plan, direct_row->stats.plan);
+  EXPECT_EQ(row.result.stats.blocks_total, 0u);
+  EXPECT_EQ(row.result.entries, first.result.entries);
+
+  // Each path then hits its own entry.
+  EXPECT_TRUE(Serve(svc, columnar.query, columnar.method).from_cache);
+  EXPECT_TRUE(
+      Serve(svc, columnar.query, columnar.method, row_options).from_cache);
 }
 
 TEST_F(StreamFig3Test, ConcurrentStreamsKeepFramesOnTheirOwnSinks) {

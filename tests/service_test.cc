@@ -29,11 +29,15 @@
 #include "service/request_parser.h"
 #include "service/service.h"
 #include "service/thread_pool.h"
+#include "service_test_util.h"
+#include "wire/message.h"
 
 namespace tsb {
 namespace {
 
 using engine::MethodKind;
+using service_test::Serve;
+using service_test::ServeStream;
 
 // ---------------------------------------------------------------------------
 // ThreadPool
@@ -324,6 +328,11 @@ TEST(FingerprintTest, MethodSchemeAndKParticipate) {
   rare.scheme = core::RankScheme::kRare;
   EXPECT_NE(base,
             service::FingerprintQuery(rare, MethodKind::kFullTopK, opts));
+
+  // The row path runs a different plan than the columnar default.
+  engine::ExecOptions row = opts;
+  row.use_columnar = false;
+  EXPECT_NE(base, service::FingerprintQuery(q, MethodKind::kFullTopK, row));
 }
 
 TEST(FingerprintTest, TripleSidePermutationsCollide) {
@@ -514,11 +523,10 @@ TEST_F(ServiceFig3Test, ConcurrentClientsMatchSequentialExecution) {
         size_t case_index = 0;
         for (MethodKind method : methods) {
           for (core::RankScheme scheme : schemes) {
-            auto response =
-                svc.Submit(ExampleQuery(scheme), method).get();
-            if (!response.result.ok()) {
+            auto response = Serve(svc, ExampleQuery(scheme), method);
+            if (!response.error.ok()) {
               ++failures;
-            } else if (response.result->entries !=
+            } else if (response.result.entries !=
                        expected[case_index]) {
               ++mismatches;
             }
@@ -544,17 +552,17 @@ TEST_F(ServiceFig3Test, ConcurrentClientsMatchSequentialExecution) {
 
 TEST_F(ServiceFig3Test, CachedResultsAreIdenticalToUncached) {
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  auto cold = svc.Execute(ExampleQuery(core::RankScheme::kDomain),
-                          MethodKind::kFastTopKEt);
-  ASSERT_TRUE(cold.result.ok());
+  auto cold = Serve(svc, ExampleQuery(core::RankScheme::kDomain),
+                    MethodKind::kFastTopKEt);
+  ASSERT_TRUE(cold.error.ok());
   EXPECT_FALSE(cold.from_cache);
 
-  auto warm = svc.Execute(ExampleQuery(core::RankScheme::kDomain),
-                          MethodKind::kFastTopKEt);
-  ASSERT_TRUE(warm.result.ok());
+  auto warm = Serve(svc, ExampleQuery(core::RankScheme::kDomain),
+                    MethodKind::kFastTopKEt);
+  ASSERT_TRUE(warm.error.ok());
   EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(warm.result->entries, cold.result->entries);
-  EXPECT_EQ(warm.result->stats.plan, cold.result->stats.plan);
+  EXPECT_EQ(warm.result.entries, cold.result.entries);
+  EXPECT_EQ(warm.result.stats.plan, cold.result.stats.plan);
 
   auto stats = svc.CacheStats();
   EXPECT_GE(stats.hits, 1u);
@@ -563,9 +571,9 @@ TEST_F(ServiceFig3Test, CachedResultsAreIdenticalToUncached) {
 
 TEST_F(ServiceFig3Test, SwappedQueryOrderHitsTheSameCacheEntry) {
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  auto cold = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
-                          MethodKind::kFullTop);
-  ASSERT_TRUE(cold.result.ok());
+  auto cold = Serve(svc, ExampleQuery(core::RankScheme::kFreq),
+                    MethodKind::kFullTop);
+  ASSERT_TRUE(cold.error.ok());
 
   engine::TopologyQuery swapped;
   swapped.entity_set1 = "DNA";
@@ -575,28 +583,28 @@ TEST_F(ServiceFig3Test, SwappedQueryOrderHitsTheSameCacheEntry) {
   swapped.pred2 = storage::MakeContainsKeyword(
       db_.GetTable("Protein")->schema(), "DESC", "enzyme");
   swapped.scheme = core::RankScheme::kFreq;
-  auto warm = svc.Execute(swapped, MethodKind::kFullTop);
-  ASSERT_TRUE(warm.result.ok());
+  auto warm = Serve(svc, swapped, MethodKind::kFullTop);
+  ASSERT_TRUE(warm.error.ok());
   EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(warm.result->entries, cold.result->entries);
+  EXPECT_EQ(warm.result.entries, cold.result.entries);
 }
 
 TEST_F(ServiceFig3Test, InvalidationOnRebuildClearsTheCache) {
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  auto first = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
-                           MethodKind::kFullTop);
-  ASSERT_TRUE(first.result.ok());
+  auto first = Serve(svc, ExampleQuery(core::RankScheme::kFreq),
+                     MethodKind::kFullTop);
+  ASSERT_TRUE(first.error.ok());
   EXPECT_EQ(svc.CacheStats().entries, 1u);
 
   // A store rebuild must be followed by InvalidateCache(); afterwards the
   // same request is served cold (and correct) again.
   svc.InvalidateCache();
   EXPECT_EQ(svc.CacheStats().entries, 0u);
-  auto second = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
-                            MethodKind::kFullTop);
-  ASSERT_TRUE(second.result.ok());
+  auto second = Serve(svc, ExampleQuery(core::RankScheme::kFreq),
+                      MethodKind::kFullTop);
+  ASSERT_TRUE(second.error.ok());
   EXPECT_FALSE(second.from_cache);
-  EXPECT_EQ(second.result->entries, first.result->entries);
+  EXPECT_EQ(second.result.entries, first.result.entries);
 }
 
 TEST_F(ServiceFig3Test, AdmissionControlRejectsOverload) {
@@ -605,21 +613,20 @@ TEST_F(ServiceFig3Test, AdmissionControlRejectsOverload) {
   config.max_in_flight = 0;  // Everything cold is over the bound.
   config.enable_cache = false;
   service::TopologyService svc(engine_.get(), &db_, config);
-  auto response = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
-                              MethodKind::kFullTop);
-  EXPECT_FALSE(response.result.ok());
-  EXPECT_EQ(response.result.status().code(), StatusCode::kResourceExhausted);
+  auto response = Serve(svc, ExampleQuery(core::RankScheme::kFreq),
+                        MethodKind::kFullTop);
+  EXPECT_FALSE(response.error.ok());
+  EXPECT_EQ(response.error.code, wire::WireErrorCode::kOverloaded);
   EXPECT_EQ(svc.Metrics().total_rejected, 1u);
 }
 
 TEST_F(ServiceFig3Test, SubmitAfterShutdownFailsCleanly) {
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
   svc.Shutdown();
-  auto response = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
-                              MethodKind::kFullTop);
-  EXPECT_FALSE(response.result.ok());
-  EXPECT_EQ(response.result.status().code(),
-            StatusCode::kFailedPrecondition);
+  auto response = Serve(svc, ExampleQuery(core::RankScheme::kFreq),
+                        MethodKind::kFullTop);
+  EXPECT_FALSE(response.error.ok());
+  EXPECT_EQ(response.error.code, wire::WireErrorCode::kShuttingDown);
 }
 
 TEST_F(ServiceFig3Test, EngineErrorsSurfaceThroughTheService) {
@@ -627,9 +634,9 @@ TEST_F(ServiceFig3Test, EngineErrorsSurfaceThroughTheService) {
   engine::TopologyQuery bad;
   bad.entity_set1 = "Nope";
   bad.entity_set2 = "DNA";
-  auto response = svc.Execute(bad, MethodKind::kFullTop);
-  EXPECT_FALSE(response.result.ok());
-  EXPECT_EQ(response.result.status().code(), StatusCode::kNotFound);
+  auto response = Serve(svc, bad, MethodKind::kFullTop);
+  EXPECT_FALSE(response.error.ok());
+  EXPECT_EQ(response.error.code, wire::WireErrorCode::kNotFound);
   EXPECT_EQ(svc.Metrics().total_errors, 1u);
   // Errors are not cached.
   EXPECT_EQ(svc.CacheStats().entries, 0u);
@@ -640,61 +647,79 @@ TEST_F(ServiceFig3Test, BatchAccumulatesStatsWithOperatorPlusEquals) {
   config.enable_cache = false;
   service::TopologyService svc(engine_.get(), &db_, config);
 
-  std::vector<service::ParsedRequest> batch(3);
+  std::vector<wire::WireRequest> batch(3);
   batch[0].query = ExampleQuery(core::RankScheme::kFreq);
   batch[0].method = MethodKind::kFullTop;
   batch[1].query = ExampleQuery(core::RankScheme::kRare);
   batch[1].method = MethodKind::kFullTopK;
   batch[2].query = ExampleQuery(core::RankScheme::kDomain);
   batch[2].method = MethodKind::kFastTop;
-
-  auto outcome = svc.ExecuteBatch(batch);
-  ASSERT_EQ(outcome.responses.size(), 3u);
-  EXPECT_EQ(outcome.failures, 0u);
-
-  engine::ExecStats expected;
-  for (const auto& response : outcome.responses) {
-    ASSERT_TRUE(response.result.ok());
-    expected += response.result->stats;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].id = i;
+    batch[i].priority = wire::Priority::kBatch;
   }
-  EXPECT_EQ(outcome.total.rows_scanned, expected.rows_scanned);
-  EXPECT_EQ(outcome.total.probes, expected.probes);
-  EXPECT_EQ(outcome.total.subqueries, expected.subqueries);
-  EXPECT_DOUBLE_EQ(outcome.total.seconds, expected.seconds);
+
+  std::vector<wire::WireResponse> responses = ServeStream(svc, batch);
+  ASSERT_EQ(responses.size(), 3u);
+
+  // The stream's totals, summed with ExecStats::operator+=, equal the
+  // per-query stats of the engine run one query at a time.
+  engine::ExecStats total;
+  engine::ExecStats expected;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(responses[i].error.ok()) << responses[i].error.message;
+    total += responses[i].result.stats;
+    auto direct = engine_->Execute(batch[i].query, batch[i].method);
+    ASSERT_TRUE(direct.ok());
+    expected += direct->stats;
+  }
+  EXPECT_GT(total.rows_scanned, 0u);
+  EXPECT_EQ(total.rows_scanned, expected.rows_scanned);
+  EXPECT_EQ(total.probes, expected.probes);
+  EXPECT_EQ(total.subqueries, expected.subqueries);
+  EXPECT_EQ(total.rows_out, expected.rows_out);
 }
 
 TEST_F(ServiceFig3Test, RepeatedBatchIsServedFromCache) {
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  std::vector<service::ParsedRequest> batch(2);
+  std::vector<wire::WireRequest> batch(2);
   batch[0].query = ExampleQuery(core::RankScheme::kFreq);
   batch[0].method = MethodKind::kFullTop;
   batch[1].query = ExampleQuery(core::RankScheme::kDomain);
   batch[1].method = MethodKind::kFastTopKEt;
-
-  auto cold = svc.ExecuteBatch(batch);
-  ASSERT_EQ(cold.failures, 0u);
-  auto warm = svc.ExecuteBatch(batch);
-  ASSERT_EQ(warm.failures, 0u);
-  EXPECT_EQ(warm.cache_hits, 2u);
   for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(warm.responses[i].result->entries,
-              cold.responses[i].result->entries);
+    batch[i].id = i;
+    batch[i].priority = wire::Priority::kBatch;
+  }
+
+  std::vector<wire::WireResponse> cold = ServeStream(svc, batch);
+  std::vector<wire::WireResponse> warm = ServeStream(svc, batch);
+  ASSERT_EQ(cold.size(), 2u);
+  ASSERT_EQ(warm.size(), 2u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(cold[i].error.ok()) << cold[i].error.message;
+    ASSERT_TRUE(warm[i].error.ok()) << warm[i].error.message;
+    EXPECT_FALSE(cold[i].from_cache);
+    EXPECT_TRUE(warm[i].from_cache);
+    EXPECT_EQ(warm[i].result.entries, cold[i].result.entries);
   }
 }
 
 TEST_F(ServiceFig3Test, TextFrontendMatchesHandBuiltQuery) {
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  auto parsed = svc.SubmitLine(
-                       "TOPK k=10 method=fast-topk-et scheme=domain "
-                       "set1=Protein pred1=DESC.ct('enzyme') "
-                       "set2=DNA pred2=TYPE='mRNA'")
-                    .get();
-  ASSERT_TRUE(parsed.result.ok()) << parsed.result.status();
+  service::RequestParser parser(&db_);
+  auto parsed = parser.Parse(
+      "TOPK k=10 method=fast-topk-et scheme=domain "
+      "set1=Protein pred1=DESC.ct('enzyme') "
+      "set2=DNA pred2=TYPE='mRNA'");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto served = Serve(svc, parsed->query, parsed->method, parsed->options);
+  ASSERT_TRUE(served.error.ok()) << served.error.message;
 
   auto direct = engine_->Execute(ExampleQuery(core::RankScheme::kDomain),
                                  MethodKind::kFastTopKEt);
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(parsed.result->entries, direct->entries);
+  EXPECT_EQ(served.result.entries, direct->entries);
 }
 
 TEST_F(ServiceFig3Test, TripleQueriesAreServedAndCached) {
@@ -735,10 +760,9 @@ TEST_F(ServiceFig3Test, TriplesAndTwoQueriesRunConcurrently) {
   for (size_t t = 0; t < 4; ++t) {
     clients.emplace_back([&]() {
       for (int i = 0; i < 8; ++i) {
-        auto r = svc.Submit(ExampleQuery(core::RankScheme::kDomain),
-                            MethodKind::kFullTop)
-                     .get();
-        if (!r.result.ok()) ++failures;
+        auto r = Serve(svc, ExampleQuery(core::RankScheme::kDomain),
+                       MethodKind::kFullTop);
+        if (!r.error.ok()) ++failures;
       }
     });
   }
@@ -931,12 +955,11 @@ TEST_F(LiveRebuildTest, RebuildSwapsEpochBehindLiveTrafficZeroFailures) {
   for (size_t t = 0; t < 4; ++t) {
     clients.emplace_back([&]() {
       while (!stop.load(std::memory_order_acquire)) {
-        auto response =
-            svc.Submit(ProteinDnaQuery(), MethodKind::kFullTop).get();
-        if (!response.result.ok()) {
+        auto response = Serve(svc, ProteinDnaQuery(), MethodKind::kFullTop);
+        if (!response.error.ok()) {
           ++failures;
-        } else if (response.result->entries != pre &&
-                   response.result->entries != post) {
+        } else if (response.result.entries != pre &&
+                   response.result.entries != post) {
           ++inconsistent;
         }
         ++served;
@@ -967,13 +990,13 @@ TEST_F(LiveRebuildTest, RebuildSwapsEpochBehindLiveTrafficZeroFailures) {
 
   // Post-swap requests serve the new epoch (cache was folded into the
   // swap, so no stale entry survives).
-  auto after = svc.Execute(ProteinDnaQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(after.result.ok());
-  EXPECT_EQ(after.result->entries, post);
+  auto after = Serve(svc, ProteinDnaQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(after.error.ok());
+  EXPECT_EQ(after.result.entries, post);
 
   // Fast-Top paths work on the rebuilt epoch (it was pruned).
-  auto fast = svc.Execute(ProteinDnaQuery(), MethodKind::kFastTopKEt);
-  ASSERT_TRUE(fast.result.ok()) << fast.result.status();
+  auto fast = Serve(svc, ProteinDnaQuery(), MethodKind::kFastTopKEt);
+  ASSERT_TRUE(fast.error.ok()) << fast.error.message;
 
   // New-epoch tables are namespaced; the retired epoch's tables were
   // dropped once its last snapshot was released.
@@ -1024,8 +1047,8 @@ TEST_F(LiveRebuildTest, BackToBackRebuildsAdvanceEpochsAndDropOldTables) {
     ASSERT_TRUE(stats.ok()) << stats.status();
     EXPECT_EQ(stats->epoch, round);
     // A query both validates the epoch and releases the previous snapshot.
-    auto response = svc.Execute(ProteinDnaQuery(), MethodKind::kFullTop);
-    ASSERT_TRUE(response.result.ok());
+    auto response = Serve(svc, ProteinDnaQuery(), MethodKind::kFullTop);
+    ASSERT_TRUE(response.error.ok());
   }
   // Only the newest epoch's tables remain.
   EXPECT_EQ(db_.FindTable("AllTops_Protein_DNA"), nullptr);
@@ -1103,13 +1126,18 @@ TEST_F(ParserFig3Test, RejectsMalformedRequests) {
   // A '==' typo must error, not silently match the literal "='...'".
   EXPECT_FALSE(
       parser.Parse("TOPK set1=Protein set2=DNA pred2=TYPE=='mRNA'").ok());
-}
-
-TEST_F(ParserFig3Test, ParseErrorsComeBackThroughSubmitLine) {
-  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
-  auto response = svc.SubmitLine("TOPK set1=Protein").get();
-  EXPECT_FALSE(response.result.ok());
-  EXPECT_EQ(response.result.status().code(), StatusCode::kInvalidArgument);
+  // Integers outside int64 are errors, not clamped to its limits.
+  for (const char* line :
+       {"TOPK k=99999999999999999999 set1=Protein set2=DNA",
+        "TOPK set1=Protein pred1=ID.between(1,99999999999999999999) "
+        "set2=DNA",
+        "TOPK set1=Protein pred1=ID=99999999999999999999 set2=DNA"}) {
+    auto req = parser.Parse(line);
+    EXPECT_FALSE(req.ok()) << line;
+    EXPECT_EQ(req.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(req.status().message().find("at byte"), std::string::npos)
+        << req.status().message();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1119,13 +1147,13 @@ TEST_F(ParserFig3Test, ParseErrorsComeBackThroughSubmitLine) {
 TEST_F(ServiceFig3Test, MetricsTrackPerMethodTraffic) {
   service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
   for (int i = 0; i < 3; ++i) {
-    auto r = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
-                         MethodKind::kFullTop);
-    ASSERT_TRUE(r.result.ok());
+    auto r = Serve(svc, ExampleQuery(core::RankScheme::kFreq),
+                   MethodKind::kFullTop);
+    ASSERT_TRUE(r.error.ok());
   }
-  auto r = svc.Execute(ExampleQuery(core::RankScheme::kFreq),
-                       MethodKind::kFastTop);
-  ASSERT_TRUE(r.result.ok());
+  auto r = Serve(svc, ExampleQuery(core::RankScheme::kFreq),
+                 MethodKind::kFastTop);
+  ASSERT_TRUE(r.error.ok());
 
   auto snap = svc.Metrics();
   EXPECT_EQ(snap.total_requests, 4u);

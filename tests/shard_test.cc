@@ -8,10 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,6 +26,7 @@
 #include "replica/health.h"
 #include "replica/replica_set.h"
 #include "service/service.h"
+#include "service_test_util.h"
 #include "shard/replica_loopback.h"
 #include "shard/router.h"
 #include "shard/scatter_gather.h"
@@ -40,6 +39,7 @@ namespace {
 
 using engine::MethodKind;
 using engine::ResultEntry;
+using service_test::Serve;
 
 const std::vector<MethodKind> kAllMethods = {
     MethodKind::kSql,         MethodKind::kFullTop,
@@ -488,24 +488,24 @@ TEST_F(ShardedServiceTest, ServesIdenticalResultsAndCaches) {
   auto expected = engine_->Execute(q, MethodKind::kFastTopKEt);
   ASSERT_TRUE(expected.ok());
 
-  auto cold = svc.Execute(q, MethodKind::kFastTopKEt);
-  ASSERT_TRUE(cold.result.ok());
+  auto cold = Serve(svc, q, MethodKind::kFastTopKEt);
+  ASSERT_TRUE(cold.error.ok());
   EXPECT_FALSE(cold.from_cache);
-  EXPECT_EQ(cold.result->entries, expected->entries);
+  EXPECT_EQ(cold.result.entries, expected->entries);
 
-  auto warm = svc.Execute(q, MethodKind::kFastTopKEt);
-  ASSERT_TRUE(warm.result.ok());
+  auto warm = Serve(svc, q, MethodKind::kFastTopKEt);
+  ASSERT_TRUE(warm.error.ok());
   EXPECT_TRUE(warm.from_cache);
-  EXPECT_EQ(warm.result->entries, expected->entries);
+  EXPECT_EQ(warm.result.entries, expected->entries);
 }
 
 TEST_F(ShardedServiceTest, RebuildRollsShardsAndInvalidatesCache) {
   service::TopologyService svc(executor_.get(), &db_, SvcConfig());
   engine::TopologyQuery q =
       Query("Protein", "DNA", core::RankScheme::kDomain, 10, true);
-  auto before = svc.Execute(q, MethodKind::kFullTopK);
-  ASSERT_TRUE(before.result.ok());
-  ASSERT_TRUE(svc.Execute(q, MethodKind::kFullTopK).from_cache);
+  auto before = Serve(svc, q, MethodKind::kFullTopK);
+  ASSERT_TRUE(before.error.ok());
+  ASSERT_TRUE(Serve(svc, q, MethodKind::kFullTopK).from_cache);
 
   const std::string stamp_before = executor_->store().EpochStamp();
   service::RebuildOptions rebuild;
@@ -519,11 +519,11 @@ TEST_F(ShardedServiceTest, RebuildRollsShardsAndInvalidatesCache) {
 
   // Same data, new epoch: identical results, served cold (the shard-aware
   // fingerprint changed), then cached again.
-  auto after = svc.Execute(q, MethodKind::kFullTopK);
-  ASSERT_TRUE(after.result.ok());
+  auto after = Serve(svc, q, MethodKind::kFullTopK);
+  ASSERT_TRUE(after.error.ok());
   EXPECT_FALSE(after.from_cache);
-  EXPECT_EQ(after.result->entries, before.result->entries);
-  EXPECT_TRUE(svc.Execute(q, MethodKind::kFullTopK).from_cache);
+  EXPECT_EQ(after.result.entries, before.result.entries);
+  EXPECT_TRUE(Serve(svc, q, MethodKind::kFullTopK).from_cache);
 }
 
 TEST_F(ShardedServiceTest, DefaultTransportIsOneReplicaSetFollowingRebuilds) {
@@ -540,13 +540,13 @@ TEST_F(ShardedServiceTest, DefaultTransportIsOneReplicaSetFollowingRebuilds) {
       Query("Protein", "DNA", core::RankScheme::kFreq);
   for (MethodKind method : kAllMethods) {
     auto expected = engine_->Execute(q, method);
-    auto actual = svc.Execute(q, method);
-    ASSERT_EQ(expected.ok(), actual.result.ok())
+    auto actual = Serve(svc, q, method);
+    ASSERT_EQ(expected.ok(), actual.error.ok())
         << engine::MethodKindToString(method);
     if (!expected.ok()) continue;
-    EXPECT_EQ(actual.result->entries, expected->entries)
+    EXPECT_EQ(actual.result.entries, expected->entries)
         << engine::MethodKindToString(method);
-    EXPECT_FALSE(actual.result->partial);
+    EXPECT_FALSE(actual.result.partial);
   }
 
   // One replica per shard, healthy throughout: its stamps carry the
@@ -620,10 +620,10 @@ TEST_F(ShardedServiceTest, RebuildBehindLiveTrafficLosesNoQueries) {
         size_t index = 0;
         for (const engine::TopologyQuery& q : queries) {
           for (MethodKind m : methods) {
-            auto response = svc.Submit(q, m).get();
-            if (!response.result.ok()) {
+            auto response = Serve(svc, q, m);
+            if (!response.error.ok()) {
               ++failures;
-            } else if (response.result->entries != expected[index]) {
+            } else if (response.result.entries != expected[index]) {
               ++mismatches;
             }
             ++served;
@@ -671,37 +671,15 @@ TEST_F(ShardedServiceTest, TripleQueriesFlowThroughShardSet) {
   }
 }
 
-/// Holds the one terminal frame a single Submit delivers.
-class OneFrameSink : public wire::StreamSink {
- public:
-  void OnFrame(const wire::WireFrame& frame) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    response_ = frame.response;
-    done_ = true;
-    cv_.notify_all();
-  }
-
-  wire::WireResponse Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this]() { return done_; });
-    return response_;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  wire::WireResponse response_;
-};
-
 /// The response frame payload `svc` sends for `request`, encoded, with the
 /// clock readings (wall seconds, thread CPU) zeroed: they are the only
 /// bytes two equivalent services may disagree on.
 std::string ServedBytes(service::TopologyService* svc,
                         const wire::WireRequest& request) {
-  OneFrameSink sink;
+  wire::CollectingSink sink;
   svc->Submit(request, sink);
-  wire::WireResponse response = sink.Wait();
+  sink.WaitForFrames(1);
+  wire::WireResponse response = sink.Frames()[0].response;
   response.service_seconds = 0.0;
   response.result.stats.seconds = 0.0;
   response.result.stats.cpu_ns = 0;
@@ -749,102 +727,6 @@ TEST_F(ShardFig3Test, EngineServiceSendsTheBytesOfAOneShardExecutorService) {
     EXPECT_EQ(a_bytes, b_bytes) << pass;
   }
   EXPECT_EQ(single.CacheStats().bytes, fleet.CacheStats().bytes);
-}
-
-// ---------------------------------------------------------------------------
-// Async batch
-// ---------------------------------------------------------------------------
-
-TEST_F(ShardedServiceTest, AsyncBatchDeliversOrderedOutcomeOnce) {
-  service::TopologyService svc(executor_.get(), &db_, SvcConfig());
-
-  std::vector<service::ParsedRequest> requests;
-  std::vector<std::vector<ResultEntry>> expected;
-  for (core::RankScheme scheme : kAllSchemes) {
-    service::ParsedRequest req;
-    req.query = Query("Protein", "DNA", scheme, 10, true);
-    req.method = MethodKind::kFullTopK;
-    requests.push_back(req);
-    auto r = engine_->Execute(req.query, req.method);
-    ASSERT_TRUE(r.ok());
-    expected.push_back(r->entries);
-  }
-
-  std::promise<service::BatchOutcome> done;
-  std::atomic<int> calls{0};
-  svc.ExecuteBatchAsync(requests,
-                        [&](service::BatchOutcome outcome) {
-                          ++calls;
-                          done.set_value(std::move(outcome));
-                        });
-  service::BatchOutcome outcome = done.get_future().get();
-  EXPECT_EQ(calls.load(), 1);
-  ASSERT_EQ(outcome.responses.size(), requests.size());
-  EXPECT_EQ(outcome.failures, 0u);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(outcome.responses[i].result.ok());
-    EXPECT_EQ(outcome.responses[i].result->entries, expected[i]);
-  }
-}
-
-TEST_F(ShardedServiceTest, BlockingBatchDelegatesToAsync) {
-  service::TopologyService svc(executor_.get(), &db_, SvcConfig());
-  std::vector<service::ParsedRequest> requests(3);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    requests[i].query =
-        Query("Protein", "DNA", core::RankScheme::kFreq, 10, true);
-    requests[i].method = MethodKind::kFullTop;
-  }
-  service::BatchOutcome outcome = svc.ExecuteBatch(requests);
-  ASSERT_EQ(outcome.responses.size(), 3u);
-  EXPECT_EQ(outcome.failures, 0u);
-  // Identical requests: the later two hit the cache filled by the first
-  // (or race it; either way every response is correct).
-  auto expected = engine_->Execute(requests[0].query, requests[0].method);
-  ASSERT_TRUE(expected.ok());
-  for (const service::ServiceResponse& response : outcome.responses) {
-    ASSERT_TRUE(response.result.ok());
-    EXPECT_EQ(response.result->entries, expected->entries);
-  }
-}
-
-TEST(AsyncBatchShutdownTest, EmptyBatchAndShutdownStillFireCallback) {
-  // Minimal world: Figure-3 store, unsharded service.
-  storage::Catalog db;
-  biozon::BiozonSchema ids = biozon::BuildFigure3Database(&db);
-  graph::DataGraphView view(db);
-  graph::SchemaGraph schema(db);
-  core::TopologyStore store;
-  core::TopologyBuilder builder(&db, &schema, &view);
-  core::BuildConfig config;
-  config.max_path_length = 2;
-  ASSERT_TRUE(builder.BuildPair(ids.protein, ids.dna, config, &store).ok());
-  engine::Engine eng(&db, &store, &schema, &view,
-                     core::ScoreModel(&store.catalog(),
-                                      biozon::MakeBiozonDomainKnowledge(ids)));
-  service::TopologyService svc(&eng, &db, service::ServiceConfig{});
-
-  int empty_calls = 0;
-  svc.ExecuteBatchAsync({}, [&](service::BatchOutcome outcome) {
-    ++empty_calls;
-    EXPECT_TRUE(outcome.responses.empty());
-  });
-  EXPECT_EQ(empty_calls, 1);
-
-  svc.Shutdown();
-  std::vector<service::ParsedRequest> requests(2);
-  for (service::ParsedRequest& req : requests) {
-    req.query.entity_set1 = "Protein";
-    req.query.entity_set2 = "DNA";
-    req.method = MethodKind::kFullTop;
-  }
-  std::promise<service::BatchOutcome> done;
-  svc.ExecuteBatchAsync(requests, [&](service::BatchOutcome outcome) {
-    done.set_value(std::move(outcome));
-  });
-  service::BatchOutcome outcome = done.get_future().get();
-  EXPECT_EQ(outcome.responses.size(), 2u);
-  EXPECT_EQ(outcome.failures, 2u);  // Shut down: every slot errors.
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include "obs/trace.h"
 #include "replica/replica_set.h"
 #include "service/service.h"
+#include "service_test_util.h"
 #include "shard/replica_loopback.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
@@ -34,6 +35,7 @@ namespace tsb {
 namespace {
 
 using engine::MethodKind;
+using service_test::Serve;
 
 const std::vector<MethodKind> kAllMethods = {
     MethodKind::kSql,         MethodKind::kFullTop,
@@ -203,11 +205,11 @@ TEST_F(TraceFig3Test, FailoverQueryAssemblesOneCrossProcessTrace) {
 
   auto expected = engine_->Execute(ScatteringQuery(), MethodKind::kFullTop);
   ASSERT_TRUE(expected.ok());
-  auto response = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(response.result.ok()) << response.result.status();
+  auto response = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(response.error.ok()) << response.error.message;
   // The failover is invisible in results: byte-identical, not partial.
-  EXPECT_EQ(response.result->entries, expected->entries);
-  EXPECT_FALSE(response.result->partial);
+  EXPECT_EQ(response.result.entries, expected->entries);
+  EXPECT_FALSE(response.result.partial);
 
   // Exactly one trace was assembled for the one sampled query.
   auto recent = svc.tracer().Recent();
@@ -262,9 +264,9 @@ TEST_F(TraceFig3Test, HedgedQueryTracesBothAttempts) {
 
   auto expected = engine_->Execute(ScatteringQuery(), MethodKind::kFullTop);
   ASSERT_TRUE(expected.ok());
-  auto response = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(response.result.ok()) << response.result.status();
-  EXPECT_EQ(response.result->entries, expected->entries);
+  auto response = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(response.error.ok()) << response.error.message;
+  EXPECT_EQ(response.result.entries, expected->entries);
 
   auto recent = svc.tracer().Recent();
   ASSERT_EQ(recent.size(), 1u);
@@ -301,13 +303,13 @@ TEST_F(TraceFig3Test,
 
     for (MethodKind method : kAllMethods) {
       auto expected = engine_->Execute(ScatteringQuery(), method);
-      auto response = svc.Execute(ScatteringQuery(), method);
-      ASSERT_EQ(expected.ok(), response.result.ok())
+      auto response = Serve(svc, ScatteringQuery(), method);
+      ASSERT_EQ(expected.ok(), response.error.ok())
           << engine::MethodKindToString(method) << " @" << n;
       if (!expected.ok()) continue;
-      EXPECT_EQ(expected->entries, response.result->entries)
+      EXPECT_EQ(expected->entries, response.result.entries)
           << engine::MethodKindToString(method) << " @" << n << " shards";
-      EXPECT_FALSE(response.result->partial);
+      EXPECT_FALSE(response.result.partial);
     }
     // Every executed query yielded a recorded trace with a consistent
     // tree.
@@ -329,8 +331,8 @@ TEST_F(TraceFig3Test, SlowQueryLogCapturesStructuredRecordWithSpanTree) {
   svc_config.slow_query.threshold_seconds = 1e-9;  // Everything is slow.
   service::TopologyService svc(rig.executor.get(), &db_, svc_config);
 
-  auto response = svc.Execute(ScatteringQuery(), MethodKind::kFullTopK);
-  ASSERT_TRUE(response.result.ok());
+  auto response = Serve(svc, ScatteringQuery(), MethodKind::kFullTopK);
+  ASSERT_TRUE(response.error.ok());
 
   auto records = svc.slow_query_log().Recent();
   ASSERT_EQ(records.size(), 1u);
@@ -349,8 +351,8 @@ TEST_F(TraceFig3Test, SlowQueryLogCapturesStructuredRecordWithSpanTree) {
   EXPECT_NE(record.span_tree.find("scatter"), std::string::npos);
 
   // A cache hit is also recorded (threshold is epsilon) and flagged so.
-  auto hit = svc.Execute(ScatteringQuery(), MethodKind::kFullTopK);
-  ASSERT_TRUE(hit.result.ok());
+  auto hit = Serve(svc, ScatteringQuery(), MethodKind::kFullTopK);
+  ASSERT_TRUE(hit.error.ok());
   EXPECT_TRUE(hit.from_cache);
   records = svc.slow_query_log().Recent();
   ASSERT_EQ(records.size(), 2u);

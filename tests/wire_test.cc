@@ -26,6 +26,7 @@
 #include "engine/result_io.h"
 #include "service/request_parser.h"
 #include "service/service.h"
+#include "service_test_util.h"
 #include "shard/frame_handler.h"
 #include "shard/scatter_gather.h"
 #include "shard/sharded_store.h"
@@ -37,6 +38,7 @@ namespace tsb {
 namespace {
 
 using engine::MethodKind;
+using service_test::Serve;
 
 const std::vector<MethodKind> kAllMethods = {
     MethodKind::kSql,         MethodKind::kFullTop,
@@ -1176,25 +1178,25 @@ TEST_F(WireTransportTest, PartialResultsAreNeverCached) {
   service::TopologyService svc(executor.get(), &db_, config);
 
   executor->set_transport(&broken);
-  auto first = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(first.result.ok());
-  EXPECT_TRUE(first.result->partial);
+  auto first = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(first.error.ok());
+  EXPECT_TRUE(first.result.partial);
   // The degraded answer must not have been cached...
-  auto second = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(second.result.ok());
+  auto second = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(second.error.ok());
   EXPECT_FALSE(second.from_cache);
 
   // ... so the moment the shard recovers, the full ranking is served and
   // (only then) cached.
   executor->set_transport(nullptr);
-  auto healed = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(healed.result.ok());
+  auto healed = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(healed.error.ok());
   EXPECT_FALSE(healed.from_cache);
-  EXPECT_FALSE(healed.result->partial);
-  auto cached = svc.Execute(ScatteringQuery(), MethodKind::kFullTop);
-  ASSERT_TRUE(cached.result.ok());
+  EXPECT_FALSE(healed.result.partial);
+  auto cached = Serve(svc, ScatteringQuery(), MethodKind::kFullTop);
+  ASSERT_TRUE(cached.error.ok());
   EXPECT_TRUE(cached.from_cache);
-  EXPECT_FALSE(cached.result->partial);
+  EXPECT_FALSE(cached.result.partial);
   svc.Shutdown();
 }
 
