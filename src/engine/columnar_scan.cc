@@ -5,7 +5,6 @@
 
 #include "engine/methods_internal.h"
 #include "obs/cost.h"
-#include "storage/predicate.h"
 
 namespace tsb {
 namespace engine {
@@ -53,27 +52,18 @@ std::unique_ptr<ColumnarScan> ColumnarScan::TryCreate(
     return nullptr;
   }
 
+  // The query's per-side verdict masks (MethodContext::MaskA/MaskB) are
+  // evaluated once and shared with the row consumers of the same query.
   columnar::BlockScanCursor::Masks masks;
-  uint64_t entity_rows = 0;
+  const std::vector<uint8_t>& rows_a = ctx->MaskA();
+  const std::vector<uint8_t>& rows_b = ctx->MaskB();
   if (!rq.self_pair) {
-    const storage::Predicate& e1_pred =
-        rq.swapped ? *rq.pred_b : *rq.pred_a;
-    const storage::Predicate& e2_pred =
-        rq.swapped ? *rq.pred_a : *rq.pred_b;
-    std::vector<uint8_t> rows1;
-    std::vector<uint8_t> rows2;
-    storage::CompilePredicate(e1_pred).EvalAll(*e1_table, &rows1);
-    storage::CompilePredicate(e2_pred).EvalAll(*e2_table, &rows2);
-    entity_rows = e1_table->num_rows() + e2_table->num_rows();
+    const std::vector<uint8_t>& rows1 = rq.swapped ? rows_b : rows_a;
+    const std::vector<uint8_t>& rows2 = rq.swapped ? rows_a : rows_b;
     masks.e1_first = GatherCodes(rows1, slice->e1_dict_row);
     masks.e2_second = GatherCodes(rows2, slice->e2_dict_row);
   } else {
     // Self pair: one table, both predicates, both sweep orientations.
-    std::vector<uint8_t> rows_a;
-    std::vector<uint8_t> rows_b;
-    storage::CompilePredicate(*rq.pred_a).EvalAll(*e1_table, &rows_a);
-    storage::CompilePredicate(*rq.pred_b).EvalAll(*e1_table, &rows_b);
-    entity_rows = 2 * e1_table->num_rows();
     masks.e1_first = GatherCodes(rows_a, slice->e1_dict_row);
     masks.e2_second = GatherCodes(rows_b, slice->e2_dict_row);
     masks.e1_second = GatherCodes(rows_b, slice->e1_dict_row);
@@ -81,21 +71,15 @@ std::unique_ptr<ColumnarScan> ColumnarScan::TryCreate(
     masks.both_orientations = true;
   }
 
-  // The per-row verdict masks above cost one byte per entity row.
-  obs::CostTracker::ChargeHeapBytes(entity_rows);
   ctx->used_columnar = true;
-  return std::unique_ptr<ColumnarScan>(new ColumnarScan(
-      ctx, std::move(slice), std::move(masks), entity_rows));
+  return std::unique_ptr<ColumnarScan>(
+      new ColumnarScan(ctx, std::move(slice), std::move(masks)));
 }
 
 ColumnarScan::ColumnarScan(const MethodContext* ctx,
                            std::shared_ptr<const columnar::ColumnarSlice> slice,
-                           columnar::BlockScanCursor::Masks masks,
-                           uint64_t entity_rows)
-    : ctx_(ctx),
-      slice_(std::move(slice)),
-      cursor_(slice_, std::move(masks)),
-      entity_rows_(entity_rows) {}
+                           columnar::BlockScanCursor::Masks masks)
+    : ctx_(ctx), slice_(std::move(slice)), cursor_(slice_, std::move(masks)) {}
 
 std::vector<core::Tid> ColumnarScan::QualifiedTids() {
   std::vector<uint8_t> qualified;
@@ -141,7 +125,7 @@ std::optional<ResultEntry> ColumnarScan::NextRanked() {
 
 void ColumnarScan::FoldCounters(ExecStats* stats) {
   const columnar::ScanCounters c = cursor_.Counters();
-  stats->rows_scanned += entity_rows_ + c.rows_scanned;
+  stats->rows_scanned += c.rows_scanned;
   stats->blocks_total += c.blocks_total;
   stats->blocks_skipped += c.blocks_skipped;
   if (obs::CostTracker::enabled()) {

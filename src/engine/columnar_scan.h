@@ -15,10 +15,9 @@ namespace engine {
 struct MethodContext;
 
 /// Per-query columnar execution over one tops-table slice. On creation it
-/// compiles the query's predicate trees into flat column programs, runs
-/// them over the entity tables once, gathers the verdicts through the
-/// slice's endpoint dictionaries into per-code bitmaps, and then drives a
-/// BlockScanCursor.
+/// takes the query's per-side verdict masks (MethodContext::MaskA/MaskB,
+/// evaluated once per query), gathers them through the slice's endpoint
+/// dictionaries into per-code bitmaps, and then drives a BlockScanCursor.
 ///
 /// Byte-identity contract with the row engine:
 ///  - QualifiedTids() is set-equal to MethodContext::JoinTops over the
@@ -43,14 +42,15 @@ class ColumnarScan {
   /// under the query's scheme; nullopt when exhausted.
   std::optional<ResultEntry> NextRanked();
 
-  /// Folds scan counters (rows, blocks, zone-map skips) into `stats`.
-  /// Call once, after the last scan.
+  /// Folds scan counters (tops rows, blocks, zone-map skips) into `stats`.
+  /// Call once, after the last scan. The entity-table rows are charged when
+  /// the query's masks are evaluated, not here.
   void FoldCounters(ExecStats* stats);
 
  private:
   ColumnarScan(const MethodContext* ctx,
                std::shared_ptr<const columnar::ColumnarSlice> slice,
-               columnar::BlockScanCursor::Masks masks, uint64_t entity_rows);
+               columnar::BlockScanCursor::Masks masks);
 
   struct RankedGroup {
     core::Tid tid = core::kNoTid;
@@ -64,9 +64,6 @@ class ColumnarScan {
   const MethodContext* ctx_;  // Outlives the scan (both are per-query).
   std::shared_ptr<const columnar::ColumnarSlice> slice_;
   columnar::BlockScanCursor cursor_;
-  /// Entity-table rows charged to rows_scanned by the per-query predicate
-  /// programs (mirrors the row path's SelectedA/SelectedB accounting).
-  uint64_t entity_rows_ = 0;
   bool ranked_built_ = false;
   std::vector<RankedGroup> ranked_;
   size_t next_ranked_ = 0;

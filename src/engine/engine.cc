@@ -378,36 +378,42 @@ const std::unordered_set<core::Tid>& Engine::WeakTids(
 // MethodContext primitives
 // ---------------------------------------------------------------------------
 
-const MethodContext::Selected& MethodContext::SelectedA() {
-  if (!selected_a_.has_value()) {
-    Selected s;
-    std::vector<storage::RowIdx> rows =
-        storage::FilterRows(*rq.table_a, *rq.pred_a);
-    const auto& id_col = rq.table_a->column(0).ints();
-    s.ids.reserve(rows.size());
-    for (storage::RowIdx row : rows) s.ids.push_back(id_col[row]);
-    s.set.reserve(s.ids.size());
-    for (int64_t id : s.ids) s.set.insert(id);
-    stats.rows_scanned += rq.table_a->num_rows();
-    selected_a_ = std::move(s);
+const std::vector<uint8_t>& MethodContext::MaskA() { return Mask(true); }
+const std::vector<uint8_t>& MethodContext::MaskB() { return Mask(false); }
+
+const std::vector<uint8_t>& MethodContext::Mask(bool side_a) {
+  std::optional<std::vector<uint8_t>>& mask = side_a ? mask_a_ : mask_b_;
+  if (!mask.has_value()) {
+    const storage::Table& table = side_a ? *rq.table_a : *rq.table_b;
+    const storage::Predicate& pred = side_a ? *rq.pred_a : *rq.pred_b;
+    storage::CompilePredicate(pred).EvalAll(table, &mask.emplace());
+    stats.rows_scanned += table.num_rows();
+    obs::CostTracker::ChargeHeapBytes(table.num_rows());
   }
-  return *selected_a_;
+  return *mask;
 }
 
+const MethodContext::Selected& MethodContext::SelectedA() {
+  return Select(true);
+}
 const MethodContext::Selected& MethodContext::SelectedB() {
-  if (!selected_b_.has_value()) {
+  return Select(false);
+}
+
+const MethodContext::Selected& MethodContext::Select(bool side_a) {
+  std::optional<Selected>& selected = side_a ? selected_a_ : selected_b_;
+  if (!selected.has_value()) {
+    const std::vector<uint8_t>& mask = Mask(side_a);
+    const auto& id_col = (side_a ? rq.table_a : rq.table_b)->column(0).ints();
     Selected s;
-    std::vector<storage::RowIdx> rows =
-        storage::FilterRows(*rq.table_b, *rq.pred_b);
-    const auto& id_col = rq.table_b->column(0).ints();
-    s.ids.reserve(rows.size());
-    for (storage::RowIdx row : rows) s.ids.push_back(id_col[row]);
+    for (size_t row = 0; row < mask.size(); ++row) {
+      if (mask[row]) s.ids.push_back(id_col[row]);
+    }
     s.set.reserve(s.ids.size());
     for (int64_t id : s.ids) s.set.insert(id);
-    stats.rows_scanned += rq.table_b->num_rows();
-    selected_b_ = std::move(s);
+    selected = std::move(s);
   }
-  return *selected_b_;
+  return *selected;
 }
 
 double MethodContext::ScoreOf(core::Tid tid) const {

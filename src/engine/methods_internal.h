@@ -38,12 +38,20 @@ struct MethodContext {
     return weak_tids != nullptr && weak_tids->count(tid) > 0;
   }
 
+  /// Each side's predicate verdict, one byte per entity-table row (1 = the
+  /// row qualifies). Evaluated once per query, on first use, and shared by
+  /// every consumer of that side: SelectedA/B, the columnar scan and the
+  /// -Opt selectivity estimate. The evaluation charges the table's rows to
+  /// rows_scanned; reading the mask again charges nothing.
+  const std::vector<uint8_t>& MaskA();
+  const std::vector<uint8_t>& MaskB();
+
   /// Entities of one side satisfying its predicate.
   struct Selected {
     std::vector<int64_t> ids;
     std::unordered_set<int64_t> set;
   };
-  /// Lazily computed (scans count toward stats).
+  /// Lazily gathered from the side's mask.
   const Selected& SelectedA();
   const Selected& SelectedB();
 
@@ -75,6 +83,11 @@ struct MethodContext {
                                              int64_t b_side) const;
 
  private:
+  const std::vector<uint8_t>& Mask(bool side_a);
+  const Selected& Select(bool side_a);
+
+  std::optional<std::vector<uint8_t>> mask_a_;
+  std::optional<std::vector<uint8_t>> mask_b_;
   std::optional<Selected> selected_a_;
   std::optional<Selected> selected_b_;
 };

@@ -292,10 +292,11 @@ QueryResult RunOpt(MethodContext* ctx, bool fast) {
     driver.cardinality = static_cast<double>(groups.size());
     spec.relations.push_back(driver);
 
-    const double rho_a =
-        optimizer::EstimateSelectivity(*ctx->rq.table_a, *ctx->rq.pred_a);
-    const double rho_b =
-        optimizer::EstimateSelectivity(*ctx->rq.table_b, *ctx->rq.pred_b);
+    // ρ from the query's own masks at the estimator's sample rows: the
+    // same value the predicate sample gives, and the masks are reused by
+    // whichever plan runs.
+    const double rho_a = optimizer::EstimateSelectivity(ctx->MaskA());
+    const double rho_b = optimizer::EstimateSelectivity(ctx->MaskB());
     // Relation 1 is the E1-side table, relation 2 the E2-side, matching
     // ExecOptions::et_side_order indices.
     optimizer::RelationSpec e1;

@@ -5,20 +5,18 @@
 namespace tsb {
 namespace optimizer {
 
-double EstimateSelectivity(const storage::Table& table,
-                           const storage::Predicate& pred,
+double EstimateSelectivity(const std::vector<uint8_t>& row_mask,
                            size_t sample_size) {
-  const size_t n = table.num_rows();
-  if (n == 0) return 0.0;
+  const size_t n = row_mask.size();
   const size_t samples = std::min(sample_size, n);
+  if (samples == 0) return 0.0;
   const size_t stride = n / samples;
   size_t hits = 0;
   size_t looked = 0;
-  for (size_t i = 0; i < n && looked < samples; i += stride == 0 ? 1 : stride) {
+  for (size_t i = 0; i < n && looked < samples; i += stride) {
     ++looked;
-    if (pred.Eval(table, static_cast<storage::RowIdx>(i))) ++hits;
+    if (row_mask[i]) ++hits;
   }
-  if (looked == 0) return 0.0;
   return static_cast<double>(hits) / static_cast<double>(looked);
 }
 

@@ -31,7 +31,7 @@ Status Catalog::DropTable(const std::string& name) {
     }
     tables_.erase(it);
   }
-  // Outside tables_mu_: index registries have their own lock, and the two
+  // Outside tables_mu_: the index registry has its own lock, and the two
   // are never nested (see header).
   InvalidateIndexes(name);
   return Status::OK();
@@ -154,30 +154,18 @@ std::string IndexKey(const std::string& table, const std::string& column) {
 const HashIndex& Catalog::GetOrBuildHashIndex(const std::string& table_name,
                                               const std::string& column) {
   std::string key = IndexKey(table_name, column);
-  // Resolve the table before taking index_mu_ so the two locks never nest.
-  const Table* table = GetTable(table_name);
-  std::lock_guard<std::mutex> lock(index_mu_);
-  auto it = hash_indexes_.find(key);
-  if (it == hash_indexes_.end()) {
-    it = hash_indexes_
-             .emplace(key, std::make_unique<HashIndex>(*table, column))
-             .first;
+  {
+    std::lock_guard<std::mutex> lock(index_mu_);
+    auto it = hash_indexes_.find(key);
+    if (it != hash_indexes_.end()) return *it->second;
   }
-  return *it->second;
-}
-
-const KeywordIndex& Catalog::GetOrBuildKeywordIndex(
-    const std::string& table_name, const std::string& column) {
-  std::string key = IndexKey(table_name, column);
-  const Table* table = GetTable(table_name);
+  // Resolve and build outside index_mu_ (the two locks never nest, and a
+  // build on a fresh table must not block every other lookup); racing
+  // builders compute the same index, and the emplace keeps the first.
+  auto index = std::make_unique<HashIndex>(*GetTable(table_name), column);
   std::lock_guard<std::mutex> lock(index_mu_);
-  auto it = keyword_indexes_.find(key);
-  if (it == keyword_indexes_.end()) {
-    it = keyword_indexes_
-             .emplace(key, std::make_unique<KeywordIndex>(*table, column))
-             .first;
-  }
-  return *it->second;
+  return *hash_indexes_.emplace(std::move(key), std::move(index))
+              .first->second;
 }
 
 void Catalog::InvalidateIndexes(const std::string& table_name) {
@@ -186,13 +174,6 @@ void Catalog::InvalidateIndexes(const std::string& table_name) {
   for (auto it = hash_indexes_.begin(); it != hash_indexes_.end();) {
     if (it->first.rfind(prefix, 0) == 0) {
       it = hash_indexes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = keyword_indexes_.begin(); it != keyword_indexes_.end();) {
-    if (it->first.rfind(prefix, 0) == 0) {
-      it = keyword_indexes_.erase(it);
     } else {
       ++it;
     }

@@ -116,12 +116,11 @@ class Catalog {
   /// Safe to call from concurrent query threads: the index registry is
   /// guarded by a mutex, and returned references stay valid until
   /// InvalidateIndexes / DropTable (which must not race with queries).
+  /// A first use builds outside the mutex, so it never stalls lookups of
+  /// other indexes; racing builders keep the first index that lands.
+  /// (Keyword postings live on the table: Table::KeywordPostings.)
   const HashIndex& GetOrBuildHashIndex(const std::string& table_name,
                                        const std::string& column);
-  /// Builds (or returns the cached) keyword index on `table.column`.
-  /// Same synchronization contract as GetOrBuildHashIndex.
-  const KeywordIndex& GetOrBuildKeywordIndex(const std::string& table_name,
-                                             const std::string& column);
   /// Drops cached indexes for a table (after bulk appends).
   void InvalidateIndexes(const std::string& table_name);
 
@@ -135,11 +134,9 @@ class Catalog {
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   std::vector<EntitySetDef> entity_sets_;
   std::vector<RelationshipSetDef> relationship_sets_;
-  /// Guards the two index registries (lazy builds happen on query threads).
+  /// Guards the index registry (lazy builds happen on query threads).
   std::mutex index_mu_;
   std::unordered_map<std::string, std::unique_ptr<HashIndex>> hash_indexes_;
-  std::unordered_map<std::string, std::unique_ptr<KeywordIndex>>
-      keyword_indexes_;
 };
 
 }  // namespace storage

@@ -27,12 +27,10 @@ const std::vector<RowIdx>& HashIndex::Lookup(int64_t key) const {
   return it->second;
 }
 
-KeywordIndex::KeywordIndex(const Table& table, const std::string& column)
-    : column_(column) {
-  size_t col = table.schema().ColumnIndexOrDie(column);
-  TSB_CHECK(table.column(col).type() == ColumnType::kString)
+KeywordIndex::KeywordIndex(const Column& column) : num_rows_(column.size()) {
+  TSB_CHECK(column.type() == ColumnType::kString)
       << "keyword index requires STRING column";
-  const std::vector<std::string>& texts = table.column(col).strings();
+  const std::vector<std::string>& texts = column.strings();
   for (size_t i = 0; i < texts.size(); ++i) {
     std::vector<std::string> tokens = TokenizeKeywords(texts[i]);
     std::sort(tokens.begin(), tokens.end());

@@ -36,21 +36,25 @@ class HashIndex {
   std::vector<RowIdx> empty_;
 };
 
-/// An inverted keyword index over a STRING column, using the same token
-/// analysis as `MakeContainsKeyword`. Serves keyword predicates without a
-/// scan where profitable.
+/// The keyword postings of one STRING column: every token of the `.ct()`
+/// analysis (TokenizeKeywords) maps to the rows whose text holds it, in
+/// ascending order. A row is in Lookup(k) exactly when
+/// ContainsKeyword(text, k) holds. Tables own one per string column
+/// (Table::KeywordPostings), built on the first `.ct()` evaluation.
 class KeywordIndex {
  public:
-  KeywordIndex(const Table& table, const std::string& column);
+  /// Builds over `column`, which must be STRING.
+  explicit KeywordIndex(const Column& column);
 
   /// Rows whose text contains `keyword` as a token (case-insensitive),
   /// sorted ascending.
   const std::vector<RowIdx>& Lookup(const std::string& keyword) const;
 
-  size_t num_terms() const { return map_.size(); }
+  /// Rows of the column when the postings were built.
+  size_t num_rows() const { return num_rows_; }
 
  private:
-  std::string column_;
+  size_t num_rows_ = 0;
   std::unordered_map<std::string, std::vector<RowIdx>> map_;
   std::vector<RowIdx> empty_;
 };

@@ -1,11 +1,13 @@
 #include "storage/predicate.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string_view>
 
 #include "common/binary_io.h"
 #include "common/logging.h"
 #include "common/str_util.h"
+#include "storage/index.h"
 
 namespace tsb {
 namespace storage {
@@ -71,6 +73,40 @@ bool GrammarSafe(const std::string& s) {
 }
 
 using ProgOp = ColumnPredicateProgram::Op;
+
+/// Allocation-free equivalent of ContainsKeyword for the per-row paths
+/// (ContainsKeywordPredicate::Eval): walks the text's alphanumeric runs in
+/// place instead of materializing a token vector per row. `needle` must
+/// already be lowercase (ContainsKeywordPredicate stores its keyword that
+/// way), and runs are compared case-insensitively, so the verdict matches
+/// ContainsKeyword(text, needle) exactly.
+bool TokenMatchLower(std::string_view text, std::string_view needle) {
+  const size_t n = text.size();
+  size_t i = 0;
+  while (i < n) {
+    while (i < n &&
+           !std::isalnum(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    const size_t start = i;
+    while (i < n && std::isalnum(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    const size_t len = i - start;
+    if (len != needle.size() || len == 0) continue;
+    bool equal = true;
+    for (size_t j = 0; j < len; ++j) {
+      const char c = static_cast<char>(std::tolower(
+          static_cast<unsigned char>(text[start + j])));
+      if (c != needle[j]) {
+        equal = false;
+        break;
+      }
+    }
+    if (equal) return true;
+  }
+  return false;
+}
 
 class TruePredicate : public Predicate {
  public:
@@ -170,7 +206,7 @@ class ContainsKeywordPredicate : public Predicate {
         keyword_(AsciiToLower(keyword)) {}
 
   bool Eval(const Table& table, RowIdx row) const override {
-    return ContainsKeyword(table.column(col_).GetString(row), keyword_);
+    return TokenMatchLower(table.column(col_).GetString(row), keyword_);
   }
 
   std::string ToString() const override {
@@ -447,44 +483,6 @@ void Predicate::Compile(ColumnPredicateProgram* prog) const {
   prog->ops.push_back(std::move(op));
 }
 
-namespace {
-
-/// Allocation-free equivalent of ContainsKeyword for the columnar inner
-/// loop: walks the text's alphanumeric runs in place instead of
-/// materializing a token vector per row. `needle` must already be
-/// lowercase (ContainsKeywordPredicate stores its keyword that way), and
-/// runs are compared case-insensitively, so the verdict matches
-/// ContainsKeyword(text, needle) exactly.
-bool TokenMatchLower(std::string_view text, std::string_view needle) {
-  const size_t n = text.size();
-  size_t i = 0;
-  while (i < n) {
-    while (i < n &&
-           !std::isalnum(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    const size_t start = i;
-    while (i < n && std::isalnum(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    const size_t len = i - start;
-    if (len != needle.size() || len == 0) continue;
-    bool equal = true;
-    for (size_t j = 0; j < len; ++j) {
-      const char c = static_cast<char>(std::tolower(
-          static_cast<unsigned char>(text[start + j])));
-      if (c != needle[j]) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 void ColumnPredicateProgram::EvalAll(const Table& table,
                                      std::vector<uint8_t>* out) const {
   const size_t n = table.num_rows();
@@ -552,10 +550,11 @@ void ColumnPredicateProgram::EvalAll(const Table& table,
         std::vector<uint8_t> m(n, 0);
         const Column& c = table.column(op.col);
         if (c.type() == ColumnType::kString) {
-          const std::vector<std::string>& v = c.strings();
-          for (size_t i = 0; i < n; ++i) {
-            m[i] = static_cast<uint8_t>(TokenMatchLower(v[i], op.str));
-          }
+          // A row is posted under a token exactly when TokenMatchLower
+          // finds it, so the mask is the row path's verdict.
+          const std::shared_ptr<const KeywordIndex> postings =
+              table.KeywordPostings(op.col);
+          for (RowIdx row : postings->Lookup(op.str)) m[row] = 1;
         } else {
           row_fallback(op, m);
         }
@@ -668,22 +667,19 @@ PredicateRef MakeNot(PredicateRef inner) {
 }
 
 std::vector<RowIdx> FilterRows(const Table& table, const Predicate& pred) {
+  std::vector<uint8_t> mask;
+  CompilePredicate(pred).EvalAll(table, &mask);
   std::vector<RowIdx> out;
-  const size_t n = table.num_rows();
-  for (size_t i = 0; i < n; ++i) {
-    RowIdx row = static_cast<RowIdx>(i);
-    if (pred.Eval(table, row)) out.push_back(row);
+  for (size_t i = 0; i < mask.size(); ++i) {
+    if (mask[i]) out.push_back(static_cast<RowIdx>(i));
   }
   return out;
 }
 
 size_t CountRows(const Table& table, const Predicate& pred) {
-  size_t count = 0;
-  const size_t n = table.num_rows();
-  for (size_t i = 0; i < n; ++i) {
-    if (pred.Eval(table, static_cast<RowIdx>(i))) ++count;
-  }
-  return count;
+  std::vector<uint8_t> mask;
+  CompilePredicate(pred).EvalAll(table, &mask);
+  return static_cast<size_t>(std::count(mask.begin(), mask.end(), 1));
 }
 
 double Selectivity(const Table& table, const Predicate& pred) {

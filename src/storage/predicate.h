@@ -18,11 +18,17 @@ namespace storage {
 class Predicate;
 
 /// A predicate tree flattened into a postfix program of column operations,
-/// compiled once per query and evaluated over whole columns at a time
-/// (src/columnar/ block scans). Leaf ops read the typed column vectors in
-/// tight branch-light loops; predicate kinds without a columnar form fall
-/// back to a per-row op that calls Predicate::Eval, so every tree compiles
-/// and the program's verdict is bit-identical to row-at-a-time evaluation.
+/// compiled once per query and evaluated over whole columns at a time.
+/// Leaf ops read the typed column vectors in tight branch-light loops; a
+/// `.ct()` leaf reads the column's keyword postings (Table::KeywordPostings,
+/// built once per table) and sets only the posted rows, so no row's text is
+/// tokenized per query. Predicate kinds without a columnar form fall back
+/// to a per-row op that calls Predicate::Eval, so every tree compiles and
+/// the program's verdict is bit-identical to row-at-a-time evaluation.
+///
+/// This is the one whole-table evaluator: FilterRows and CountRows wrap it,
+/// and the engine runs it once per query side (MethodContext::MaskA/MaskB),
+/// sharing the verdict mask among every consumer of that side.
 class ColumnPredicateProgram {
  public:
   struct Op {
@@ -31,7 +37,7 @@ class ColumnPredicateProgram {
       kEqI64,        // push ints[col] == lo
       kEqF64,        // push doubles[col] == f64
       kEqStr,        // push strings[col] == str
-      kContains,     // push ContainsKeyword(strings[col], str)
+      kContains,     // push rows posted under str in col's postings
       kBetweenI64,   // push lo <= ints[col] <= hi
       kAnd,          // pop b, pop a, push a & b
       kOr,           // pop b, pop a, push a | b
@@ -125,10 +131,12 @@ PredicateRef MakeAnd(PredicateRef lhs, PredicateRef rhs);
 PredicateRef MakeOr(PredicateRef lhs, PredicateRef rhs);
 PredicateRef MakeNot(PredicateRef inner);
 
-/// Collects the row indexes of `table` satisfying `pred` (full scan).
+/// Collects the row indexes of `table` satisfying `pred` (ascending), via
+/// CompilePredicate(pred).EvalAll.
 std::vector<RowIdx> FilterRows(const Table& table, const Predicate& pred);
 
-/// Counts satisfying rows; `Selectivity` divides by the table size.
+/// Counts satisfying rows (via EvalAll); `Selectivity` divides by the
+/// table size.
 size_t CountRows(const Table& table, const Predicate& pred);
 double Selectivity(const Table& table, const Predicate& pred);
 

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
+#include "storage/index.h"
 
 namespace tsb {
 namespace storage {
@@ -38,6 +39,7 @@ Table::Table(std::string name, TableSchema schema)
   for (const ColumnDef& def : schema_.columns()) {
     columns_.emplace_back(def.type);
   }
+  postings_.resize(columns_.size());
 }
 
 namespace {
@@ -81,6 +83,18 @@ Status Table::AppendRow(const Tuple& values) {
 void Table::AppendRowOrDie(const Tuple& values) {
   Status s = AppendRow(values);
   TSB_CHECK(s.ok()) << s.ToString();
+}
+
+std::shared_ptr<const KeywordIndex> Table::KeywordPostings(size_t col) const {
+  TSB_CHECK_LT(col, columns_.size());
+  // Built under the lock: racing first users need the same postings, so
+  // they wait for one build instead of each tokenizing the column.
+  std::lock_guard<std::mutex> lock(postings_mu_);
+  std::shared_ptr<const KeywordIndex>& slot = postings_[col];
+  if (slot == nullptr || slot->num_rows() != num_rows_) {
+    slot = std::make_shared<const KeywordIndex>(columns_[col]);
+  }
+  return slot;
 }
 
 Tuple Table::GetRow(RowIdx row) const {

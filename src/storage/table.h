@@ -1,6 +1,8 @@
 #ifndef TSB_STORAGE_TABLE_H_
 #define TSB_STORAGE_TABLE_H_
 
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,6 +14,8 @@
 
 namespace tsb {
 namespace storage {
+
+class KeywordIndex;  // storage/index.h
 
 /// A named, typed column in a table schema.
 struct ColumnDef {
@@ -59,7 +63,13 @@ class Table {
   void AppendRowOrDie(const Tuple& values);
 
   const Column& column(size_t i) const { return columns_[i]; }
-  Column* mutable_column(size_t i) { return &columns_[i]; }
+
+  /// The keyword postings of STRING column `col`, which answer `.ct()`
+  /// predicates without tokenizing a row. Built on first use, rebuilt on
+  /// the first use after an append (so an appended row is never missed),
+  /// and dropped with the table. Safe from concurrent readers: tables are
+  /// append-only, and appends never race reads.
+  std::shared_ptr<const KeywordIndex> KeywordPostings(size_t col) const;
 
   /// Boxed cell access.
   Value GetValue(RowIdx row, size_t col) const {
@@ -84,6 +94,9 @@ class Table {
   TableSchema schema_;
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
+  /// One lazily built postings slot per column; see KeywordPostings.
+  mutable std::mutex postings_mu_;
+  mutable std::vector<std::shared_ptr<const KeywordIndex>> postings_;
 };
 
 }  // namespace storage

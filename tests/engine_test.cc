@@ -257,6 +257,29 @@ TEST_F(EngineFig3Test, FastTopCountsOnlineSubqueries) {
   EXPECT_EQ(result->stats.subqueries, 2u);
 }
 
+TEST_F(EngineFig3Test, FastTopKChargesEachEntityTableOnce) {
+  // Keyword predicates on both sides; k above every topology count, so the
+  // ranked cursor is drained with or without the pruned-topology checks.
+  engine::TopologyQuery q = ExampleQuery(core::RankScheme::kFreq, 1000);
+  q.pred2 = storage::MakeContainsKeyword(db_.GetTable("DNA")->schema(),
+                                         "DESC", "mrna");
+  engine::ExecOptions skip;
+  skip.skip_pruned_checks = true;
+  auto checked = engine_->Execute(q, MethodKind::kFastTopK);
+  auto unchecked = engine_->Execute(q, MethodKind::kFastTopK, skip);
+  ASSERT_TRUE(checked.ok());
+  ASSERT_TRUE(unchecked.ok());
+  ASSERT_NE(checked->stats.plan.find("[columnar]"), std::string::npos);
+  ASSERT_GT(checked->stats.subqueries, 0u);
+  EXPECT_EQ(unchecked->stats.subqueries, 0u);
+  // The online checks read the masks the columnar scan already evaluated:
+  // no entity row is charged a second time.
+  EXPECT_EQ(checked->stats.rows_scanned, unchecked->stats.rows_scanned);
+  const uint64_t entity_rows = db_.GetTable("Protein")->num_rows() +
+                               db_.GetTable("DNA")->num_rows();
+  EXPECT_GT(checked->stats.rows_scanned, entity_rows);
+}
+
 TEST_F(EngineFig3Test, ExcludeWeakDropsPupTopologies) {
   // T3 and T4 contain the P-U-P homolog motif (two proteins under one
   // Unigene); with exclude_weak the Example-2.1 result shrinks to the

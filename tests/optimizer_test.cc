@@ -26,14 +26,18 @@ TEST(StatsTest, SelectivityEstimateTracksTruth) {
         {Value(i), Value(i % 4 == 0 ? "hit keyword" : "miss")});
   }
   auto pred = storage::MakeContainsKeyword(t.schema(), "DESC", "keyword");
-  double est = EstimateSelectivity(t, *pred);
+  std::vector<uint8_t> mask;
+  storage::CompilePredicate(*pred).EvalAll(t, &mask);
+  double est = EstimateSelectivity(mask);
   EXPECT_NEAR(est, 0.25, 0.05);
 }
 
 TEST(StatsTest, EmptyTableSelectivityZero) {
   storage::Table t("T", TableSchema({{"ID", ColumnType::kInt64}}));
-  auto pred = storage::MakeTrue();
-  EXPECT_EQ(EstimateSelectivity(t, *pred), 0.0);
+  std::vector<uint8_t> mask;
+  storage::CompilePredicate(*storage::MakeTrue()).EvalAll(t, &mask);
+  EXPECT_EQ(EstimateSelectivity(mask), 0.0);
+  EXPECT_EQ(EstimateSelectivity({1, 1}, 0), 0.0);  // Nothing sampled.
 }
 
 TEST(StatsTest, JoinFanout) {

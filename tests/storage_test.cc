@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/str_util.h"
 #include "storage/catalog.h"
 #include "storage/column.h"
 #include "storage/index.h"
@@ -177,11 +185,146 @@ TEST(KeywordIndexTest, LookupByToken) {
   Table t("Protein", ProteinSchema());
   t.AppendRowOrDie({Value(int64_t{1}), Value("alpha enzyme")});
   t.AppendRowOrDie({Value(int64_t{2}), Value("Enzyme enzyme beta")});
-  KeywordIndex idx(t, "DESC");
+  std::shared_ptr<const KeywordIndex> idx = t.KeywordPostings(1);
   // Duplicate tokens within a row are deduplicated.
-  EXPECT_EQ(idx.Lookup("enzyme").size(), 2u);
-  EXPECT_EQ(idx.Lookup("ENZYME").size(), 2u);
-  EXPECT_TRUE(idx.Lookup("gamma").empty());
+  EXPECT_EQ(idx->Lookup("enzyme").size(), 2u);
+  EXPECT_EQ(idx->Lookup("ENZYME").size(), 2u);
+  EXPECT_TRUE(idx->Lookup("gamma").empty());
+  EXPECT_EQ(idx->num_rows(), 2u);
+  // Cached until the table grows; an append makes the next use rebuild.
+  EXPECT_EQ(t.KeywordPostings(1), idx);
+  t.AppendRowOrDie({Value(int64_t{3}), Value("gamma")});
+  EXPECT_EQ(t.KeywordPostings(1)->Lookup("gamma"),
+            std::vector<RowIdx>{2});
+}
+
+// --- Keyword verdicts ---------------------------------------------------------
+
+/// Random texts over pieces that exercise the `.ct()` token analysis: mixed
+/// case, digits, punctuation glued to words, bytes >= 0x80, empty strings.
+std::string RandomText(Rng* rng) {
+  static const std::vector<std::string> kPieces = {
+      "kinase", "Kinase", "KINASE", "e2", "E2B", "abc", "ab",
+      "x",      "123",    "-",      ",",  "(",   ")",   "'",
+      " ",      "  ",     "\t",     "_",  "a-b", "\xff",
+      "\xc3\xa9", "caf\xc3\xa9"};
+  std::string text;
+  const int64_t pieces = rng->NextInt(0, 6);
+  for (int64_t i = 0; i < pieces; ++i) {
+    text += rng->Pick(kPieces);
+    if (rng->NextBool(0.5)) text += ' ';
+  }
+  return text;
+}
+
+const std::vector<std::string>& Needles() {
+  static const std::vector<std::string> kNeedles = {
+      "",    "kinase", "KINASE",    "Kinase", "e2",      "E2B",
+      "e2b", "ab",     "abc",       "123",    "a-b",     "kinase e2",
+      "caf", "x",      "missing",   "_",      "\xc3\xa9", "caf\xc3\xa9"};
+  return kNeedles;
+}
+
+/// Checks every evaluator against ContainsKeyword-derived `expected`.
+void ExpectAllEvaluatorsAgree(const Table& t, const Predicate& pred,
+                              const std::vector<bool>& expected,
+                              const std::string& label) {
+  ASSERT_EQ(expected.size(), t.num_rows()) << label;
+  std::vector<uint8_t> mask;
+  CompilePredicate(pred).EvalAll(t, &mask);
+  ASSERT_EQ(mask.size(), t.num_rows()) << label;
+  std::vector<RowIdx> rows;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const RowIdx row = static_cast<RowIdx>(i);
+    EXPECT_EQ(pred.Eval(t, row), expected[i]) << label << " row " << i;
+    EXPECT_EQ(mask[i] != 0, expected[i]) << label << " row " << i;
+    if (expected[i]) rows.push_back(row);
+  }
+  EXPECT_EQ(FilterRows(t, pred), rows) << label;
+  EXPECT_EQ(CountRows(t, pred), rows.size()) << label;
+}
+
+void ExpectKeywordVerdictsAgree(const Table& t) {
+  const std::vector<std::string>& texts = t.column(1).strings();
+  auto contains = [&](const std::string& needle) {
+    std::vector<bool> out;
+    for (const std::string& text : texts) {
+      out.push_back(ContainsKeyword(text, needle));
+    }
+    return out;
+  };
+  for (const std::string& needle : Needles()) {
+    ExpectAllEvaluatorsAgree(
+        t, *MakeContainsKeyword(t.schema(), "DESC", needle),
+        contains(needle), "ct('" + needle + "')");
+  }
+  // Boolean combinations over pairs of needles.
+  for (const std::string& n1 : {"kinase", "e2b", "", "a-b"}) {
+    for (const std::string& n2 : {"ab", "123", "caf"}) {
+      PredicateRef p1 = MakeContainsKeyword(t.schema(), "DESC", n1);
+      PredicateRef p2 = MakeContainsKeyword(t.schema(), "DESC", n2);
+      const std::vector<bool> v1 = contains(n1);
+      const std::vector<bool> v2 = contains(n2);
+      std::vector<bool> and_v, or_v, not_v;
+      for (size_t i = 0; i < v1.size(); ++i) {
+        and_v.push_back(v1[i] && v2[i]);
+        or_v.push_back(v1[i] || v2[i]);
+        not_v.push_back(!v1[i]);
+      }
+      const std::string tag = "'" + n1 + "','" + n2 + "'";
+      ExpectAllEvaluatorsAgree(t, *MakeAnd(p1, p2), and_v, "AND " + tag);
+      ExpectAllEvaluatorsAgree(t, *MakeOr(p1, p2), or_v, "OR " + tag);
+      ExpectAllEvaluatorsAgree(t, *MakeNot(p1), not_v, "NOT " + tag);
+    }
+  }
+}
+
+TEST(KeywordVerdictTest, AllEvaluatorsAgreeOnGeneratedTexts) {
+  Rng rng(19);
+  Table t("Protein", ProteinSchema());
+  for (int64_t i = 0; i < 300; ++i) {
+    t.AppendRowOrDie({Value(i), Value(RandomText(&rng))});
+  }
+  ExpectKeywordVerdictsAgree(t);
+  // Appends after the postings exist must be visible to the next query.
+  ASSERT_EQ(t.KeywordPostings(1)->num_rows(), 300u);
+  for (int64_t i = 300; i < 380; ++i) {
+    t.AppendRowOrDie({Value(i), Value(RandomText(&rng))});
+  }
+  t.AppendRowOrDie({Value(int64_t{380}), Value("KINASE e2b abc")});
+  ExpectKeywordVerdictsAgree(t);
+  EXPECT_EQ(t.KeywordPostings(1)->num_rows(), 381u);
+}
+
+TEST(KeywordVerdictTest, ConcurrentFirstUseOnFreshTable) {
+  Table t("Protein", ProteinSchema());
+  for (int64_t i = 0; i < 2000; ++i) {
+    t.AppendRowOrDie(
+        {Value(i), Value("w" + std::to_string(i % 7) + " text")});
+  }
+  PredicateRef pred = MakeContainsKeyword(t.schema(), "DESC", "W3");
+  size_t expected = 0;
+  for (const std::string& text : t.column(1).strings()) {
+    if (ContainsKeyword(text, "w3")) ++expected;
+  }
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<size_t> counts(kThreads, 0);
+  std::vector<std::shared_ptr<const KeywordIndex>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      counts[i] = CountRows(t, *pred);
+      seen[i] = t.KeywordPostings(1);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(counts[i], expected);
+    EXPECT_EQ(seen[i], seen[0]);  // One build, shared by every reader.
+  }
 }
 
 // --- Catalog ------------------------------------------------------------------
@@ -235,6 +378,29 @@ TEST(CatalogTest, IndexCachingAndInvalidation) {
   db.InvalidateIndexes("T");
   const HashIndex& i3 = db.GetOrBuildHashIndex("T", "ID");
   EXPECT_EQ(i3.num_keys(), 1u);
+}
+
+TEST(CatalogTest, ConcurrentFirstHashIndexBuildKeepsOne) {
+  Catalog db;
+  Table* t = db.CreateTable("T", ProteinSchema()).value();
+  for (int64_t i = 0; i < 1000; ++i) {
+    t->AppendRowOrDie({Value(i % 10), Value("x")});
+  }
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<const HashIndex*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[i] = &db.GetOrBuildHashIndex("T", "ID");
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const HashIndex* index : seen) EXPECT_EQ(index, seen[0]);
+  EXPECT_EQ(seen[0], &db.GetOrBuildHashIndex("T", "ID"));
+  EXPECT_EQ(seen[0]->Lookup(3).size(), 100u);
 }
 
 TEST(CatalogTest, MemoryAccounting) {
