@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "biozon/domain.h"
 #include "biozon/fig3.h"
+#include "biozon/generator.h"
+#include "common/hash.h"
 #include "core/builder.h"
 #include "core/pruner.h"
 #include "engine/engine.h"
@@ -16,6 +20,56 @@ namespace tsb {
 namespace {
 
 using engine::MethodKind;
+
+const std::vector<MethodKind> kAllMethods = {
+    MethodKind::kSql,         MethodKind::kFullTop,
+    MethodKind::kFastTop,     MethodKind::kFullTopK,
+    MethodKind::kFastTopK,    MethodKind::kFullTopKEt,
+    MethodKind::kFastTopKEt,  MethodKind::kFullTopKOpt,
+    MethodKind::kFastTopKOpt,
+};
+
+/// Stable digest of every method's entries for `queries` under all three
+/// schemes and three executions each: the columnar path, the row path, and
+/// the row ET plan with HDGJ at the first level and the sides flipped.
+Hash128 AnswerDigest(const engine::Engine& engine,
+                     const std::vector<engine::TopologyQuery>& queries) {
+  engine::ExecOptions columnar;
+  engine::ExecOptions row;
+  row.use_columnar = false;
+  engine::ExecOptions flipped_dgj;
+  flipped_dgj.dgj_algs = {engine::DgjAlg::kHdgj, engine::DgjAlg::kIdgj};
+  flipped_dgj.et_side_order = {1, 0};
+  StableHasher h;
+  for (engine::TopologyQuery q : queries) {
+    for (core::RankScheme scheme :
+         {core::RankScheme::kFreq, core::RankScheme::kRare,
+          core::RankScheme::kDomain}) {
+      q.scheme = scheme;
+      for (MethodKind method : kAllMethods) {
+        for (const engine::ExecOptions* options :
+             {&columnar, &row, &flipped_dgj}) {
+          // The SQL baseline reads base data only and ranks like every
+          // other method; one execution per query pins it.
+          if (method == MethodKind::kSql &&
+              (options != &columnar || scheme != core::RankScheme::kFreq)) {
+            continue;
+          }
+          auto result = engine.Execute(q, method, *options);
+          EXPECT_TRUE(result.ok()) << result.status();
+          if (!result.ok()) continue;
+          h.AddU64(result->entries.size());
+          for (const engine::ResultEntry& entry : result->entries) {
+            uint64_t score_bits = 0;
+            std::memcpy(&score_bits, &entry.score, sizeof(score_bits));
+            h.AddU64(static_cast<uint64_t>(entry.tid)).AddU64(score_bits);
+          }
+        }
+      }
+    }
+  }
+  return h.Digest();
+}
 
 class EngineFig3Test : public ::testing::Test {
  protected:
@@ -376,6 +430,84 @@ TEST_F(EngineFig3Test, QuerySwappedEntityOrderGivesSameSet) {
   auto swapped_et = engine_->Execute(q, MethodKind::kFastTopKEt);
   ASSERT_TRUE(swapped_et.ok());
   EXPECT_EQ(TidSet(*swapped_et), TidSet(*normal));
+}
+
+TEST_F(EngineFig3Test, AnswersArePinned) {
+  // Both pairs of the fixture, the self pair included, pinned against a
+  // recorded digest of every method's entries: plan rewrites must leave
+  // the answers unchanged.
+  constexpr uint64_t kPinnedLo = 0x79f0b4567a4e263cULL;
+  constexpr uint64_t kPinnedHi = 0x007c9508263fc47eULL;
+  const storage::TableSchema& protein = db_.GetTable("Protein")->schema();
+  std::vector<engine::TopologyQuery> queries;
+  for (storage::PredicateRef pred :
+       {storage::PredicateRef(nullptr),
+        storage::MakeContainsKeyword(protein, "DESC", "enzyme"),
+        storage::MakeInt64Between(protein, "ID", 30, 60)}) {
+    for (const char* other : {"Protein", "DNA"}) {
+      engine::TopologyQuery q;
+      q.entity_set1 = "Protein";
+      q.pred1 = pred;
+      q.entity_set2 = other;
+      q.k = 3;
+      queries.push_back(q);
+    }
+  }
+  const Hash128 digest = AnswerDigest(*engine_, queries);
+  EXPECT_EQ(digest.lo, kPinnedLo) << std::hex << digest.lo;
+  EXPECT_EQ(digest.hi, kPinnedHi) << std::hex << digest.hi;
+}
+
+TEST(EngineBiozonTest, AnswersArePinned) {
+  // Every method's entries on a scale-0.1 Biozon build of (Protein, DNA),
+  // queried in both orientations over the keyword selectivity tiers.
+  constexpr uint64_t kPinnedLo = 0x6331417f7062b8d6ULL;
+  constexpr uint64_t kPinnedHi = 0x53c26701219ddc18ULL;
+  storage::Catalog db;
+  biozon::GeneratorConfig gen;
+  gen.seed = 42;
+  gen.scale = 0.1;
+  const biozon::BiozonSchema ids = biozon::GenerateBiozon(gen, &db);
+  graph::DataGraphView view(db);
+  graph::SchemaGraph schema(db);
+  core::TopologyStore store;
+  core::TopologyBuilder builder(&db, &schema, &view);
+  core::BuildConfig config;
+  config.max_path_length = 3;
+  config.max_class_representatives = 8;
+  config.max_union_combinations = 512;
+  ASSERT_TRUE(builder.BuildPair(ids.protein, ids.dna, config, &store).ok());
+  core::PruneConfig prune;
+  prune.frequency_threshold =
+      store.FindPair(ids.protein, ids.dna)->num_related_pairs / 200;
+  ASSERT_TRUE(
+      core::PruneFrequentTopologies(&db, &store, ids.protein, ids.dna, prune)
+          .ok());
+  engine::SqlBaselineOptions sql;
+  sql.max_candidates = 500;
+  engine::Engine engine(
+      &db, &store, &schema, &view,
+      core::ScoreModel(&store.catalog(),
+                       biozon::MakeBiozonDomainKnowledge(ids)),
+      sql);
+  engine.PrepareIndexes("Protein", "DNA");
+
+  std::vector<engine::TopologyQuery> queries;
+  for (const char* tier : {"selective", "medium", "unselective"}) {
+    for (bool protein_first : {true, false}) {
+      engine::TopologyQuery q;
+      q.entity_set1 = protein_first ? "Protein" : "DNA";
+      q.pred1 = biozon::SelectivityPredicate(db, q.entity_set1, tier);
+      q.entity_set2 = protein_first ? "DNA" : "Protein";
+      q.pred2 = biozon::SelectivityPredicate(db, q.entity_set2, "unselective");
+      q.k = 10;
+      q.exclude_weak = !protein_first;
+      queries.push_back(q);
+    }
+  }
+  const Hash128 digest = AnswerDigest(engine, queries);
+  EXPECT_EQ(digest.lo, kPinnedLo) << std::hex << digest.lo;
+  EXPECT_EQ(digest.hi, kPinnedHi) << std::hex << digest.hi;
 }
 
 }  // namespace
