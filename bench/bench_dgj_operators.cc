@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the Section-5.3 operator family:
-// IDGJ versus HDGJ versus regular hash join on grouped data, including the
-// early-termination advantage (first-match-per-group with small k) and the
-// HDGJ per-group rebuild overhead.
+// IDGJ versus HDGJ on grouped data, including the early-termination
+// advantage (first-match-per-group with small k) and the HDGJ per-group
+// rebuild overhead.
 
 #include <benchmark/benchmark.h>
 
@@ -9,9 +9,8 @@
 
 #include "common/rng.h"
 #include "exec/dgj.h"
-#include "exec/joins.h"
-#include "exec/scans.h"
 #include "storage/catalog.h"
+#include "storage/predicate.h"
 
 namespace tsb {
 namespace {
@@ -24,11 +23,11 @@ using storage::Value;
 
 /// Synthetic grouped fixture: `groups` groups of `group_size` rows each in
 /// "Tops", joined against an entity table where a fraction `rho` of rows
-/// satisfies the predicate.
+/// satisfies the predicate; `mask` holds its row verdicts.
 struct Fixture {
   storage::Catalog db;
   std::vector<Tuple> group_tuples;
-  storage::PredicateRef pred;
+  std::vector<uint8_t> mask;
 
   Fixture(size_t groups, size_t group_size, size_t entities, double rho) {
     Rng rng(7);
@@ -55,7 +54,9 @@ struct Fixture {
       group_tuples.push_back({Value(static_cast<int64_t>(g)),
                               Value(static_cast<double>(groups - g))});
     }
-    pred = storage::MakeContainsKeyword(ent->schema(), "DESC", "hit");
+    storage::CompilePredicate(
+        *storage::MakeContainsKeyword(ent->schema(), "DESC", "hit"))
+        .EvalAll(*ent, &mask);
     db.GetOrBuildHashIndex("Tops", "TID");
     db.GetOrBuildHashIndex("Ent", "ID");
   }
@@ -66,10 +67,10 @@ struct Fixture {
     std::unique_ptr<exec::GroupedOperator> plan =
         std::make_unique<exec::IdgjOp>(
             std::move(source), db.GetTable("Tops"),
-            &db.GetOrBuildHashIndex("Tops", "TID"), "T", "TI.TID", nullptr);
+            &db.GetOrBuildHashIndex("Tops", "TID"), "T", "TI.TID");
     return std::make_unique<exec::IdgjOp>(
         std::move(plan), db.GetTable("Ent"),
-        &db.GetOrBuildHashIndex("Ent", "ID"), "R1", "T.E1", pred);
+        &db.GetOrBuildHashIndex("Ent", "ID"), "R1", "T.E1", &mask);
   }
 
   std::unique_ptr<exec::GroupedOperator> MakeHdgjPlan() {
@@ -78,20 +79,10 @@ struct Fixture {
     std::unique_ptr<exec::GroupedOperator> plan =
         std::make_unique<exec::IdgjOp>(
             std::move(source), db.GetTable("Tops"),
-            &db.GetOrBuildHashIndex("Tops", "TID"), "T", "TI.TID", nullptr);
+            &db.GetOrBuildHashIndex("Tops", "TID"), "T", "TI.TID");
     return std::make_unique<exec::HdgjOp>(std::move(plan),
                                           db.GetTable("Ent"), "R1", "ID",
-                                          "T.E1", "TI.TID", pred);
-  }
-
-  std::unique_ptr<exec::Operator> MakeHashJoinPlan() {
-    auto probe =
-        std::make_unique<exec::SeqScanOp>(db.GetTable("Tops"), "T", nullptr);
-    auto build =
-        std::make_unique<exec::SeqScanOp>(db.GetTable("Ent"), "E", pred);
-    return std::make_unique<exec::HashJoinOp>(std::move(probe),
-                                              std::move(build), "T.E1",
-                                              "E.ID");
+                                          "T.E1", "TI.TID", &mask);
   }
 };
 
@@ -128,15 +119,6 @@ void BM_HdgjFirstMatchPerGroupTop10(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HdgjFirstMatchPerGroupTop10);
-
-void BM_RegularHashJoinFull(benchmark::State& state) {
-  Fixture* f = SharedFixture();
-  for (auto _ : state) {
-    auto plan = f->MakeHashJoinPlan();
-    benchmark::DoNotOptimize(exec::RunToVector(plan.get()).size());
-  }
-}
-BENCHMARK(BM_RegularHashJoinFull);
 
 }  // namespace
 }  // namespace tsb

@@ -8,9 +8,6 @@
 #include "core/weak_filter.h"
 #include "engine/columnar_scan.h"
 #include "engine/methods_internal.h"
-#include "exec/joins.h"
-#include "exec/scans.h"
-#include "exec/shaping.h"
 #include "graph/path_enum.h"
 #include "obs/cost.h"
 
@@ -79,8 +76,8 @@ Engine::Engine(storage::Catalog* db,
   // Seed the epoch-0 snapshot with the passed model (it is already bound
   // to the initial store's catalog by every construction site).
   auto [initial, epoch] = store_handle_->SnapshotWithEpoch();
-  snapshot_ = std::shared_ptr<const ServingSnapshot>(new ServingSnapshot{
-      epoch, std::move(initial), std::move(score_model)});
+  snapshot_ = std::make_shared<const ServingSnapshot>(
+      epoch, std::move(initial), std::move(score_model));
 }
 
 std::shared_ptr<const Engine::ServingSnapshot> Engine::AcquireSnapshot()
@@ -98,10 +95,60 @@ std::shared_ptr<const Engine::ServingSnapshot> Engine::AcquireSnapshot()
   // New epoch: rebind the score model to the new store's catalog. Domain
   // scores memoize from scratch (TIDs are epoch-local).
   core::ScoreModel scores(&store->catalog(), knowledge_);
-  auto snapshot = std::shared_ptr<const ServingSnapshot>(new ServingSnapshot{
-      epoch, std::move(store), std::move(scores)});
-  snapshot_ = snapshot;
-  return snapshot;
+  snapshot_ = std::make_shared<const ServingSnapshot>(
+      epoch, std::move(store), std::move(scores));
+  return snapshot_;
+}
+
+size_t Engine::CachedSetsForTest() const {
+  std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
+  return snapshot_->CachedSets();
+}
+
+Engine::ServingSnapshot::ServingSnapshot(
+    uint64_t epoch, std::shared_ptr<core::TopologyStore> store,
+    core::ScoreModel scores)
+    : epoch(epoch), store(std::move(store)), scores(std::move(scores)) {}
+
+const Engine::PairSet& Engine::ServingSnapshot::ExcpPairs(
+    const storage::Catalog& db, const core::PairTopologyData& pair,
+    core::Tid tid) const {
+  std::string key = pair.excptops_table + "#" + std::to_string(tid);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = excp_.find(key);
+    if (it != excp_.end()) return it->second;
+  }
+  // Build outside the lock (an I/O-sized scan); racing builders compute the
+  // same set, and the emplace below keeps whichever landed first.
+  PairSet set;
+  const storage::Table& excp = *db.GetTable(pair.excptops_table);
+  const auto& e1 = excp.column(0).ints();
+  const auto& e2 = excp.column(1).ints();
+  const auto& tids = excp.column(2).ints();
+  for (size_t i = 0; i < excp.num_rows(); ++i) {
+    if (tids[i] == tid) set.emplace(e1[i], e2[i]);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return excp_.emplace(std::move(key), std::move(set)).first->second;
+}
+
+const std::unordered_set<core::Tid>& Engine::ServingSnapshot::WeakTids(
+    const core::PairTopologyData& pair) const {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = weak_.find(pair.alltops_table);
+    if (it != weak_.end()) return it->second;
+  }
+  std::unordered_set<core::Tid> weak =
+      core::FindWeakTopologies(store->catalog(), pair, scores.knowledge());
+  std::lock_guard<std::mutex> lock(mu_);
+  return weak_.emplace(pair.alltops_table, std::move(weak)).first->second;
+}
+
+size_t Engine::ServingSnapshot::CachedSets() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return excp_.size() + weak_.size();
 }
 
 namespace {
@@ -142,27 +189,31 @@ Result<ResolvedQuery> ResolveQuery(const storage::Catalog& db,
 
 }  // namespace
 
+Status Engine::BindContext(const TopologyQuery& query,
+                           std::shared_ptr<const ServingSnapshot> snapshot,
+                           MethodContext* ctx) const {
+  TSB_ASSIGN_OR_RETURN(ctx->rq, ResolveQuery(*db_, *snapshot->store, query));
+  ctx->db = db_;
+  ctx->store = snapshot->store.get();
+  ctx->schema = schema_;
+  ctx->view = snapshot->store->data_view() != nullptr
+                  ? snapshot->store->data_view().get()
+                  : view_;
+  ctx->scores = &snapshot->scores;
+  ctx->sql_options = &sql_options_;
+  if (query.exclude_weak) ctx->weak_tids = &snapshot->WeakTids(*ctx->rq.pair);
+  ctx->snapshot = std::move(snapshot);
+  return Status::OK();
+}
+
 Result<QueryResult> Engine::Execute(const TopologyQuery& query,
                                     MethodKind method,
                                     const ExecOptions& options) const {
   // Pin one store epoch for the whole evaluation; a concurrent rebuild
   // swap cannot pull tables or the score model out from under us.
-  std::shared_ptr<const ServingSnapshot> snapshot = AcquireSnapshot();
   MethodContext ctx;
-  TSB_ASSIGN_OR_RETURN(ctx.rq, ResolveQuery(*db_, *snapshot->store, query));
-  ctx.engine = this;
-  ctx.db = db_;
-  ctx.store = snapshot->store.get();
-  ctx.schema = schema_;
-  ctx.view = snapshot->store->data_view() != nullptr
-                 ? snapshot->store->data_view().get()
-                 : view_;
-  ctx.scores = &snapshot->scores;
-  ctx.sql_options = &sql_options_;
+  TSB_RETURN_IF_ERROR(BindContext(query, AcquireSnapshot(), &ctx));
   ctx.options = options;
-  if (query.exclude_weak) {
-    ctx.weak_tids = &WeakTids(snapshot->store->catalog(), *ctx.rq.pair);
-  }
 
   const bool needs_pruned_tables =
       method == MethodKind::kFastTop || method == MethodKind::kFastTopK ||
@@ -221,53 +272,14 @@ Result<QueryResult> Engine::Execute(const TopologyQuery& query,
   return result;
 }
 
-Engine::EtOffsets Engine::ResolveEtOffsets(
-    const exec::OutputSchema& schema) const {
-  const uint64_t epoch = store_handle_->epoch();
-  {
-    std::lock_guard<std::mutex> lock(et_offsets_mu_);
-    if (et_offsets_.has_value() && et_offsets_->first == epoch) {
-      return et_offsets_->second;
-    }
-  }
-  // Resolve outside the lock; the group-source layout is fixed by
-  // BuildEtPlan, so a racing resolution (or an epoch swap in between)
-  // lands on identical offsets.
-  EtOffsets offsets;
-  offsets.tid_col = schema.IndexOf("TI.TID");
-  offsets.score_col = schema.IndexOf("TI.SCORE");
-  std::lock_guard<std::mutex> lock(et_offsets_mu_);
-  et_offsets_ = {epoch, offsets};
-  return offsets;
-}
-
-std::optional<std::pair<uint64_t, Engine::EtOffsets>>
-Engine::CachedEtOffsetsForTest() const {
-  std::lock_guard<std::mutex> lock(et_offsets_mu_);
-  return et_offsets_;
-}
-
 Result<std::vector<core::TopologyInstance>> Engine::Instances(
     const TopologyQuery& query, core::Tid tid,
     const core::RetrievalLimits& limits) const {
-  std::shared_ptr<const ServingSnapshot> snapshot = AcquireSnapshot();
   MethodContext ctx;
-  TSB_ASSIGN_OR_RETURN(ctx.rq, ResolveQuery(*db_, *snapshot->store, query));
-  ctx.engine = this;
-  ctx.db = db_;
-  ctx.store = snapshot->store.get();
-  ctx.schema = schema_;
-  ctx.view = snapshot->store->data_view() != nullptr
-                 ? snapshot->store->data_view().get()
-                 : view_;
-  ctx.scores = &snapshot->scores;
-  ctx.sql_options = &sql_options_;
+  TSB_RETURN_IF_ERROR(BindContext(query, AcquireSnapshot(), &ctx));
 
   const core::PairTopologyData& pair = *ctx.rq.pair;
-  const std::string& target_code =
-      snapshot->store->catalog().Get(tid).code;
-  const MethodContext::Selected& a = ctx.SelectedA();
-  const MethodContext::Selected& b = ctx.SelectedB();
+  const std::string& target_code = ctx.store->catalog().Get(tid).code;
 
   core::PairComputeLimits compute_limits;
   compute_limits.max_path_length = pair.max_path_length;
@@ -281,20 +293,7 @@ Result<std::vector<core::TopologyInstance>> Engine::Instances(
   const auto& tids = alltops.column(2).ints();
   size_t pairs_done = 0;
   for (size_t i = 0; i < alltops.num_rows(); ++i) {
-    if (tids[i] != tid) continue;
-    // Predicate filter, orientation-aware.
-    bool qualifies;
-    if (ctx.rq.self_pair) {
-      qualifies = (a.set.count(e1[i]) > 0 && b.set.count(e2[i]) > 0) ||
-                  (b.set.count(e1[i]) > 0 && a.set.count(e2[i]) > 0);
-    } else {
-      const bool e1_is_a = (ctx.rq.type_a == pair.t1);
-      const auto& e1_side = e1_is_a ? a.set : b.set;
-      const auto& e2_side = e1_is_a ? b.set : a.set;
-      qualifies =
-          e1_side.count(e1[i]) > 0 && e2_side.count(e2[i]) > 0;
-    }
-    if (!qualifies) continue;
+    if (tids[i] != tid || !ctx.RowQualifies(e1[i], e2[i])) continue;
     if (pairs_done >= limits.max_pairs) break;
     ++pairs_done;
 
@@ -332,46 +331,6 @@ void Engine::PrepareIndexes(const std::string& entity_set1,
     db_->GetOrBuildHashIndex(pair->lefttops_table, "TID");
     db_->GetOrBuildHashIndex(pair->excptops_table, "TID");
   }
-}
-
-const Engine::PairSet& Engine::ExcpPairs(const core::PairTopologyData& pair,
-                                         core::Tid tid) const {
-  // The table name (namespace-prefixed) is unique per store epoch, so a
-  // rebuilt pair never hits a stale entry.
-  std::string key = pair.excptops_table + "#" + std::to_string(tid);
-  {
-    std::lock_guard<std::mutex> lock(excp_mu_);
-    auto it = excp_cache_.find(key);
-    if (it != excp_cache_.end()) return it->second;
-  }
-  // Build outside the lock (an I/O-sized scan); racing builders compute the
-  // same set, and the emplace below keeps whichever landed first.
-  PairSet set;
-  const storage::Table& excp = *db_->GetTable(pair.excptops_table);
-  const auto& e1 = excp.column(0).ints();
-  const auto& e2 = excp.column(1).ints();
-  const auto& tids = excp.column(2).ints();
-  for (size_t i = 0; i < excp.num_rows(); ++i) {
-    if (tids[i] == tid) set.emplace(e1[i], e2[i]);
-  }
-  std::lock_guard<std::mutex> lock(excp_mu_);
-  return excp_cache_.emplace(std::move(key), std::move(set)).first->second;
-}
-
-const std::unordered_set<core::Tid>& Engine::WeakTids(
-    const core::TopologyCatalog& catalog,
-    const core::PairTopologyData& pair) const {
-  // Keyed by the epoch-unique AllTops table name (see header).
-  {
-    std::lock_guard<std::mutex> lock(weak_mu_);
-    auto it = weak_cache_.find(pair.alltops_table);
-    if (it != weak_cache_.end()) return it->second;
-  }
-  std::unordered_set<core::Tid> weak =
-      core::FindWeakTopologies(catalog, pair, knowledge_);
-  std::lock_guard<std::mutex> lock(weak_mu_);
-  return weak_cache_.emplace(pair.alltops_table, std::move(weak))
-      .first->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -420,12 +379,9 @@ double MethodContext::ScoreOf(core::Tid tid) const {
   return scores->Score(rq.scheme, tid, *rq.pair);
 }
 
-void MethodContext::SortEntries(std::vector<ResultEntry>* entries) {
-  std::sort(entries->begin(), entries->end(),
-            [](const ResultEntry& a, const ResultEntry& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.tid < b.tid;
-            });
+bool MethodContext::RanksBefore(const ResultEntry& x, const ResultEntry& y) {
+  if (x.score != y.score) return x.score > y.score;
+  return x.tid < y.tid;
 }
 
 std::vector<ResultEntry> MethodContext::RankTids(
@@ -436,13 +392,27 @@ std::vector<ResultEntry> MethodContext::RankTids(
     if (Excluded(tid)) continue;  // Section 6.2.3 domain pruning.
     entries.push_back({tid, ScoreOf(tid)});
   }
-  SortEntries(&entries);
+  std::sort(entries.begin(), entries.end(), RanksBefore);
   return entries;
+}
+
+bool MethodContext::RowQualifies(int64_t e1, int64_t e2) {
+  const std::unordered_set<int64_t>& a = SelectedA().set;
+  const std::unordered_set<int64_t>& b = SelectedB().set;
+  if (rq.self_pair) {
+    // A self-pair row matches in either orientation.
+    return (a.count(e1) > 0 && b.count(e2) > 0) ||
+           (b.count(e1) > 0 && a.count(e2) > 0);
+  }
+  // E1 holds type pair->t1; `swapped` says the query's side B is that type.
+  const std::unordered_set<int64_t>& e1_side = rq.swapped ? b : a;
+  const std::unordered_set<int64_t>& e2_side = rq.swapped ? a : b;
+  return e1_side.count(e1) > 0 && e2_side.count(e2) > 0;
 }
 
 std::vector<core::Tid> MethodContext::JoinTops(const std::string& tops_table) {
   // Columnar fast path: one eager block walk over the slice replaces the
-  // hash-join plan (and the self-pair loop); identical distinct-TID set.
+  // row loop; identical distinct-TID set.
   if (std::unique_ptr<ColumnarScan> scan =
           ColumnarScan::TryCreate(this, tops_table)) {
     std::vector<core::Tid> out = scan->QualifiedTids();
@@ -450,53 +420,16 @@ std::vector<core::Tid> MethodContext::JoinTops(const std::string& tops_table) {
     return out;
   }
 
+  // The Figure-14 plan: the filtered id sets of both sides are the build
+  // sides, the tops rows stream through as the probe, then DISTINCT on TID.
   const storage::Table& tops = *db->GetTable(tops_table);
-  std::unordered_set<core::Tid> distinct;
-
-  if (!rq.self_pair) {
-    // The Figure-14 plan: filtered entity scans hashed, the topology table
-    // streamed through both joins, then DISTINCT on TID.
-    auto a_ids = std::make_unique<exec::ProjectOp>(
-        std::make_unique<exec::SeqScanOp>(rq.table_a, "A", rq.pred_a),
-        std::vector<std::string>{"A.ID"});
-    auto b_ids = std::make_unique<exec::ProjectOp>(
-        std::make_unique<exec::SeqScanOp>(rq.table_b, "B", rq.pred_b),
-        std::vector<std::string>{"B.ID"});
-    auto probe = std::make_unique<exec::SeqScanOp>(&tops, "T", nullptr);
-    auto j1 = std::make_unique<exec::HashJoinOp>(
-        std::move(probe), std::move(a_ids), rq.swapped ? "T.E2" : "T.E1",
-        "A.ID");
-    auto j2 = std::make_unique<exec::HashJoinOp>(
-        std::move(j1), std::move(b_ids), rq.swapped ? "T.E1" : "T.E2",
-        "B.ID");
-    auto dist = std::make_unique<exec::DistinctOp>(
-        std::make_unique<exec::ProjectOp>(std::move(j2),
-                                          std::vector<std::string>{"T.TID"}),
-        std::vector<std::string>{"T.TID"});
-    std::vector<exec::Tuple> rows = exec::RunToVector(dist.get());
-    exec::OpCounters counters = dist->TreeCounters();
-    stats.rows_scanned += counters.rows_scanned;
-    stats.probes += counters.probes;
-    stats.rows_out += counters.rows_out;
-    stats.builds += counters.builds;
-    std::vector<core::Tid> out;
-    out.reserve(rows.size());
-    for (const exec::Tuple& row : rows) out.push_back(row[0].AsInt64());
-    return out;
-  }
-
-  // Self pair: a stored row (E1, E2) matches if (E1 in A and E2 in B) or
-  // (E1 in B and E2 in A); direct orientation-aware loop.
-  const Selected& a = SelectedA();
-  const Selected& b = SelectedB();
   const auto& e1 = tops.column(0).ints();
   const auto& e2 = tops.column(1).ints();
   const auto& tid_col = tops.column(2).ints();
   stats.rows_scanned += tops.num_rows();
+  std::unordered_set<core::Tid> distinct;
   for (size_t i = 0; i < tops.num_rows(); ++i) {
-    const bool fwd = a.set.count(e1[i]) > 0 && b.set.count(e2[i]) > 0;
-    const bool bwd = b.set.count(e1[i]) > 0 && a.set.count(e2[i]) > 0;
-    if (fwd || bwd) distinct.insert(tid_col[i]);
+    if (RowQualifies(e1[i], e2[i])) distinct.insert(tid_col[i]);
   }
   std::vector<core::Tid> out(distinct.begin(), distinct.end());
   std::sort(out.begin(), out.end());
@@ -519,7 +452,7 @@ bool MethodContext::OnlineCheckPruned(core::Tid tid) {
   auto cls_it = rq.pair->pruned_class_of_tid.find(tid);
   TSB_CHECK(cls_it != rq.pair->pruned_class_of_tid.end());
   const core::ClassInfo& cls = rq.pair->classes[cls_it->second];
-  const Engine::PairSet& exceptions = engine->ExcpPairs(*rq.pair, tid);
+  const Engine::PairSet& exceptions = snapshot->ExcpPairs(*db, *rq.pair, tid);
 
   const Selected& a = SelectedA();
   const Selected& b = SelectedB();
@@ -584,23 +517,22 @@ std::unique_ptr<exec::GroupedOperator> MethodContext::BuildEtPlan(
   std::unique_ptr<exec::GroupedOperator> plan = std::make_unique<exec::IdgjOp>(
       std::move(source), tops, &tops_index, "T", "TI.TID", nullptr);
 
-  // Level 1 and 2: join the entity tables with pushed-down predicates.
-  const std::string e1_key = "T.E1";
-  const std::string e2_key = "T.E2";
+  // Level 1 and 2: join the entity tables, each filtered by its side's
+  // mask (the pushed-down predicate, evaluated once for the query).
   struct Side {
     const storage::Table* table;
     const storage::HashIndex* index;
-    storage::PredicateRef pred;
+    const std::vector<uint8_t>* mask;
     std::string alias;
     std::string key;
   };
   // E1 holds type pair->t1; map the query sides accordingly.
   Side e1_side{rq.swapped ? rq.table_b : rq.table_a,
                rq.swapped ? &b_index : &a_index,
-               rq.swapped ? rq.pred_b : rq.pred_a, "R1", e1_key};
+               rq.swapped ? &MaskB() : &MaskA(), "R1", "T.E1"};
   Side e2_side{rq.swapped ? rq.table_a : rq.table_b,
                rq.swapped ? &a_index : &b_index,
-               rq.swapped ? rq.pred_a : rq.pred_b, "R2", e2_key};
+               rq.swapped ? &MaskA() : &MaskB(), "R2", "T.E2"};
 
   std::vector<Side> sides;
   for (size_t side_index : options.et_side_order) {
@@ -615,11 +547,11 @@ std::unique_ptr<exec::GroupedOperator> MethodContext::BuildEtPlan(
     if (alg == DgjAlg::kIdgj) {
       plan = std::make_unique<exec::IdgjOp>(std::move(plan), side.table,
                                             side.index, side.alias, side.key,
-                                            side.pred);
+                                            side.mask);
     } else {
       plan = std::make_unique<exec::HdgjOp>(std::move(plan), side.table,
                                             side.alias, "ID", side.key,
-                                            "TI.TID", side.pred);
+                                            "TI.TID", side.mask);
     }
   }
   return plan;

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -22,10 +21,9 @@
 #include "storage/catalog.h"
 
 namespace tsb {
-namespace exec {
-class OutputSchema;
-}  // namespace exec
 namespace engine {
+
+struct MethodContext;
 
 /// Configuration of the SQL baseline (Section 3.1). The baseline issues one
 /// existence query per candidate topology; candidates are the observed
@@ -102,32 +100,53 @@ class Engine {
   const graph::SchemaGraph* schema() const { return schema_; }
   const graph::DataGraphView* view() const { return view_; }
 
-  /// Column offsets of the ET group-source schema ("TI.TID", "TI.SCORE"),
-  /// resolved once per store epoch instead of per query construction (the
-  /// schema layout is fixed by BuildEtPlan, so every query of an epoch
-  /// shares them). Thread-safe; racing resolutions compute identical
-  /// values.
-  struct EtOffsets {
-    size_t tid_col = 0;
-    size_t score_col = 0;
-  };
-  EtOffsets ResolveEtOffsets(const exec::OutputSchema& schema) const;
-
-  /// Test hook: (epoch, offsets) currently cached, if any.
-  std::optional<std::pair<uint64_t, EtOffsets>> CachedEtOffsetsForTest() const;
+  /// Test hook: entries in the lazily built exception-pair and
+  /// weak-topology sets of the serving snapshot the engine holds.
+  size_t CachedSetsForTest() const;
 
  private:
   friend struct MethodContext;
 
-  /// Immutable per-epoch serving state: the store snapshot plus the score
-  /// model bound to its catalog. Queries pin one snapshot for their whole
-  /// execution.
-  struct ServingSnapshot {
-    uint64_t epoch;
-    std::shared_ptr<core::TopologyStore> store;
-    core::ScoreModel scores;
+  using PairSet =
+      std::unordered_set<std::pair<int64_t, int64_t>, PairHash>;
+
+  /// Per-epoch serving state: the store snapshot, the score model bound to
+  /// its catalog, and the sets queries derive from that store on first
+  /// use. Queries pin one snapshot for their whole execution; the derived
+  /// sets retire with it.
+  class ServingSnapshot {
+   public:
+    ServingSnapshot(uint64_t epoch, std::shared_ptr<core::TopologyStore> store,
+                    core::ScoreModel scores);
+
+    /// The (E1, E2) rows ExcpTops holds for one pruned TID.
+    const PairSet& ExcpPairs(const storage::Catalog& db,
+                             const core::PairTopologyData& pair,
+                             core::Tid tid) const;
+    /// The pair's weak topologies (Section 6.2.3 domain pruning).
+    const std::unordered_set<core::Tid>& WeakTids(
+        const core::PairTopologyData& pair) const;
+    size_t CachedSets() const;
+
+    const uint64_t epoch;
+    const std::shared_ptr<core::TopologyStore> store;
+    const core::ScoreModel scores;
+
+   private:
+    /// Keyed by the pair's ExcpTops name and TID, and by its AllTops name.
+    /// Guarded by mu_; references handed out stay valid because
+    /// unordered_map never relocates mapped values.
+    mutable std::mutex mu_;
+    mutable std::unordered_map<std::string, PairSet> excp_;
+    mutable std::unordered_map<std::string, std::unordered_set<core::Tid>>
+        weak_;
   };
   std::shared_ptr<const ServingSnapshot> AcquireSnapshot() const;
+
+  /// Resolves `query` against `snapshot` into a fresh per-query context.
+  Status BindContext(const TopologyQuery& query,
+                     std::shared_ptr<const ServingSnapshot> snapshot,
+                     MethodContext* ctx) const;
 
   storage::Catalog* db_;
   std::shared_ptr<core::StoreHandle> store_handle_;
@@ -140,33 +159,6 @@ class Engine {
   /// Cached snapshot for the current epoch, rebuilt lazily after a swap.
   mutable std::shared_mutex snapshot_mu_;
   mutable std::shared_ptr<const ServingSnapshot> snapshot_;
-
-  /// Exception-pair sets per pruned TID, keyed by (ExcpTops table name,
-  /// tid) — table names are epoch-unique, so entries never alias across
-  /// store swaps. Guarded by excp_mu_; references handed out stay valid
-  /// because unordered_map never relocates mapped values.
-  using PairSet =
-      std::unordered_set<std::pair<int64_t, int64_t>, PairHash>;
-  mutable std::mutex excp_mu_;
-  mutable std::unordered_map<std::string, PairSet> excp_cache_;
-
-  const PairSet& ExcpPairs(const core::PairTopologyData& pair,
-                           core::Tid tid) const;
-
-  /// Weak-topology sets per pair (Section 6.2.3 domain pruning), keyed by
-  /// the epoch-unique AllTops table name. Guarded by weak_mu_ under the
-  /// same stable-reference argument. Entries of retired epochs linger
-  /// until engine destruction (bounded by rebuild count).
-  mutable std::mutex weak_mu_;
-  mutable std::unordered_map<std::string, std::unordered_set<core::Tid>>
-      weak_cache_;
-  const std::unordered_set<core::Tid>& WeakTids(
-      const core::TopologyCatalog& catalog,
-      const core::PairTopologyData& pair) const;
-
-  /// ET group-source offsets for the current epoch (see ResolveEtOffsets).
-  mutable std::mutex et_offsets_mu_;
-  mutable std::optional<std::pair<uint64_t, EtOffsets>> et_offsets_;
 };
 
 /// Internal: a query resolved against the catalog and topology store.

@@ -18,7 +18,8 @@ namespace engine {
 /// Shared state and primitives for the method implementations. One context
 /// is created per Execute() call.
 struct MethodContext {
-  const Engine* engine = nullptr;
+  /// The store epoch this query runs on, pinned for its whole execution.
+  std::shared_ptr<const Engine::ServingSnapshot> snapshot;
   storage::Catalog* db = nullptr;
   core::TopologyStore* store = nullptr;
   const graph::SchemaGraph* schema = nullptr;
@@ -40,9 +41,10 @@ struct MethodContext {
 
   /// Each side's predicate verdict, one byte per entity-table row (1 = the
   /// row qualifies). Evaluated once per query, on first use, and shared by
-  /// every consumer of that side: SelectedA/B, the columnar scan and the
-  /// -Opt selectivity estimate. The evaluation charges the table's rows to
-  /// rows_scanned; reading the mask again charges nothing.
+  /// every consumer of that side: SelectedA/B, the columnar scan, the DGJ
+  /// levels of the ET plans and the -Opt selectivity estimate. This is the
+  /// only place a plan evaluates a predicate. The evaluation charges the
+  /// table's rows to rows_scanned; reading the mask again charges nothing.
   const std::vector<uint8_t>& MaskA();
   const std::vector<uint8_t>& MaskB();
 
@@ -55,16 +57,22 @@ struct MethodContext {
   const Selected& SelectedA();
   const Selected& SelectedB();
 
+  /// True when a stored (E1, E2) row's endpoints satisfy the query's
+  /// predicates: E1 and E2 mapped onto the query's sides, or for a self
+  /// pair either orientation.
+  bool RowQualifies(int64_t e1, int64_t e2);
+
   double ScoreOf(core::Tid tid) const;
-  /// Sorts entries by (score desc, tid asc).
-  static void SortEntries(std::vector<ResultEntry>* entries);
-  /// Attaches scores to tids and sorts.
+  /// The global result order: (score desc, tid asc).
+  static bool RanksBefore(const ResultEntry& x, const ResultEntry& y);
+  /// Attaches scores to tids and sorts them into the result order.
   std::vector<ResultEntry> RankTids(const std::vector<core::Tid>& tids) const;
 
-  /// Distinct TIDs of `tops_table` rows whose (E1, E2) endpoints satisfy
-  /// the query predicates. Uses an exec hash-join plan for distinct-type
-  /// pairs (the Figure-14 shape) and a direct orientation-aware loop for
-  /// self pairs.
+  /// Distinct TIDs (ascending) of `tops_table` rows whose (E1, E2)
+  /// endpoints satisfy the query predicates. The columnar block walk when
+  /// the snapshot carries a slice for the table; otherwise the Figure-14
+  /// shape as one loop for every pair kind: the selected id sets are the
+  /// build sides, the tops rows the probe (RowQualifies), DISTINCT on TID.
   std::vector<core::Tid> JoinTops(const std::string& tops_table);
 
   /// The online existence check for a pruned topology (the lower
@@ -73,7 +81,9 @@ struct MethodContext {
   bool OnlineCheckPruned(core::Tid tid);
 
   /// Builds the Figure-15 DGJ plan over `tops_table` with the given ranked
-  /// group source; returns the grouped root.
+  /// group source; returns the grouped root. The group source lays out
+  /// TI.TID and TI.SCORE as columns 0 and 1, and each join level only
+  /// appends its table's columns, so every output tuple keeps them there.
   std::unique_ptr<exec::GroupedOperator> BuildEtPlan(
       const std::string& tops_table,
       const std::vector<ResultEntry>& ranked_groups);

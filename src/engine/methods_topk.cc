@@ -16,12 +16,6 @@ namespace tsb {
 namespace engine {
 namespace {
 
-/// Global result order: (score desc, tid asc).
-bool Before(const ResultEntry& x, const ResultEntry& y) {
-  if (x.score != y.score) return x.score > y.score;
-  return x.tid < y.tid;
-}
-
 /// Ranked candidates for a tops table: all observed TIDs for AllTops-based
 /// methods, unpruned TIDs for LeftTops-based ones.
 std::vector<ResultEntry> RankedCandidates(MethodContext* ctx, bool unpruned) {
@@ -30,89 +24,112 @@ std::vector<ResultEntry> RankedCandidates(MethodContext* ctx, bool unpruned) {
   return ctx->RankTids(tids);
 }
 
-std::vector<ResultEntry> RankedPruned(MethodContext* ctx) {
-  // Under scatter-gather, only the designated shard interleaves pruned
-  // candidates (their online checks are shard-independent; see ExecOptions).
-  if (ctx->options.skip_pruned_checks) return {};
-  return ctx->RankTids(ctx->rq.pair->pruned_tids);
-}
-
-/// Pull-one-matched-group-at-a-time driver over a DGJ plan.
-class EtDriver {
- public:
-  EtDriver(MethodContext* ctx, const std::string& tops_table,
-           const std::vector<ResultEntry>& groups)
-      : plan_(ctx->BuildEtPlan(tops_table, groups)) {
-    // Column offsets are cached per store epoch on the engine rather than
-    // re-resolved by name for every query construction.
-    const Engine::EtOffsets offsets =
-        ctx->engine->ResolveEtOffsets(plan_->schema());
-    tid_col_ = offsets.tid_col;
-    score_col_ = offsets.score_col;
-    plan_->Open();
-  }
-
-  /// Next topology with at least one qualifying pair, in score order.
-  std::optional<ResultEntry> NextMatch() {
-    exec::Tuple t;
-    if (!plan_->Next(&t)) return std::nullopt;
-    ResultEntry entry{t[tid_col_].AsInt64(), t[score_col_].AsDouble()};
-    plan_->AdvanceToNextGroup();
-    return entry;
-  }
-
-  void FoldCounters(ExecStats* stats) const {
-    exec::OpCounters counters = plan_->TreeCounters();
-    stats->rows_scanned += counters.rows_scanned;
-    stats->probes += counters.probes;
-    stats->rows_out += counters.rows_out;
-    stats->builds += counters.builds;
-  }
-
- private:
-  std::unique_ptr<exec::GroupedOperator> plan_;
-  size_t tid_col_ = 0;
-  size_t score_col_ = 0;
-};
-
-/// Ranked qualified-group source for the ET methods: the columnar block
-/// cursor when the serving snapshot carries a slice for `tops_table`, the
-/// DGJ driver otherwise. Both enumerate qualified, non-excluded groups in
-/// (score desc, tid asc) order and stop pulling when the consumer has k.
+/// The qualified, non-excluded groups of one tops table (LeftTops for the
+/// Fast methods, AllTops otherwise) in result order, pulled one at a time
+/// so a top-k consumer stops early. Three forms enumerate the identical
+/// sequence:
+///  - the columnar block cursor, when the serving snapshot carries a slice
+///    for the table;
+///  - the DGJ driver over the Figure-15 plan, for the ET methods on the
+///    row path;
+///  - the materialized RankTids(JoinTops(...)) ranking, for the regular
+///    methods on the row path.
 class RankedSource {
  public:
-  RankedSource(MethodContext* ctx, const std::string& tops_table,
-               bool unpruned) {
+  RankedSource(MethodContext* ctx, bool fast, bool et) {
+    const core::PairTopologyData& pair = *ctx->rq.pair;
+    const std::string& tops = fast ? pair.lefttops_table : pair.alltops_table;
     // An explicit DGJ algorithm or join-order choice selects a specific row
     // ET plan; taking the columnar cursor would silently ignore it, so
     // honor the request and run the plan it configures.
-    const bool default_et_plan = ctx->options.dgj_algs.empty() &&
-                                 ctx->options.et_side_order ==
-                                     std::vector<size_t>{0, 1};
-    if (default_et_plan) scan_ = ColumnarScan::TryCreate(ctx, tops_table);
-    if (scan_ == nullptr) {
-      driver_.emplace(ctx, tops_table, RankedCandidates(ctx, unpruned));
+    const bool default_et_plan =
+        ctx->options.dgj_algs.empty() &&
+        ctx->options.et_side_order == std::vector<size_t>{0, 1};
+    if (!et || default_et_plan) scan_ = ColumnarScan::TryCreate(ctx, tops);
+    if (scan_ != nullptr) return;
+    if (et) {
+      plan_ = ctx->BuildEtPlan(tops, RankedCandidates(ctx, fast));
+      plan_->Open();
+    } else {
+      ranked_ = ctx->RankTids(ctx->JoinTops(tops));
     }
   }
 
   bool columnar() const { return scan_ != nullptr; }
 
   std::optional<ResultEntry> Next() {
-    return scan_ != nullptr ? scan_->NextRanked() : driver_->NextMatch();
+    if (scan_ != nullptr) return scan_->NextRanked();
+    if (plan_ != nullptr) {
+      // One qualifying row proves the group; skip the rest of it. TI.TID
+      // and TI.SCORE are columns 0 and 1 (see BuildEtPlan).
+      exec::Tuple t;
+      if (!plan_->Next(&t)) return std::nullopt;
+      plan_->AdvanceToNextGroup();
+      return ResultEntry{t[0].AsInt64(), t[1].AsDouble()};
+    }
+    if (next_ < ranked_.size()) return ranked_[next_++];
+    return std::nullopt;
   }
 
-  void FoldCounters(ExecStats* stats) {
+  /// Folds the scan's counters into `stats`; once, after the last Next.
+  /// The materialized form's join charged them as it ran.
+  void FoldCounters(ExecStats* stats) const {
     if (scan_ != nullptr) {
       scan_->FoldCounters(stats);
-    } else {
-      driver_->FoldCounters(stats);
+    } else if (plan_ != nullptr) {
+      exec::OpCounters counters = plan_->TreeCounters();
+      stats->rows_scanned += counters.rows_scanned;
+      stats->probes += counters.probes;
+      stats->rows_out += counters.rows_out;
+      stats->builds += counters.builds;
     }
   }
 
  private:
   std::unique_ptr<ColumnarScan> scan_;
-  std::optional<EtDriver> driver_;
+  std::unique_ptr<exec::GroupedOperator> plan_;
+  std::vector<ResultEntry> ranked_;
+  size_t next_ = 0;
 };
+
+/// Full-Top-k and Full-Top-k-ET: the first k groups of the source.
+std::vector<ResultEntry> FetchK(RankedSource* source, size_t k) {
+  std::vector<ResultEntry> out;
+  while (out.size() < k) {
+    std::optional<ResultEntry> next = source->Next();
+    if (!next.has_value()) break;
+    out.push_back(*next);
+  }
+  return out;
+}
+
+/// Fast-Top-k and Fast-Top-k-ET (SQL4 + SQL5): the source's unpruned groups
+/// merged by score with the pruned candidates, each pruned one admitted
+/// only after its online check; stops at k, so only pruned topologies that
+/// could still enter the top-k are checked.
+std::vector<ResultEntry> MergeWithPruned(MethodContext* ctx,
+                                         RankedSource* source) {
+  // Under scatter-gather, only the designated shard interleaves pruned
+  // candidates (their online checks are shard-independent; see ExecOptions).
+  const std::vector<ResultEntry> pruned =
+      ctx->options.skip_pruned_checks
+          ? std::vector<ResultEntry>{}
+          : ctx->RankTids(ctx->rq.pair->pruned_tids);
+  std::vector<ResultEntry> out;
+  std::optional<ResultEntry> next = source->Next();
+  size_t j = 0;
+  while (out.size() < ctx->rq.k && (next.has_value() || j < pruned.size())) {
+    if (j >= pruned.size() ||
+        (next.has_value() && MethodContext::RanksBefore(*next, pruned[j]))) {
+      out.push_back(*next);
+      next = source->Next();
+    } else {
+      const ResultEntry candidate = pruned[j++];
+      if (ctx->OnlineCheckPruned(candidate.tid)) out.push_back(candidate);
+    }
+  }
+  return out;
+}
 
 std::string DgjPlanString(const MethodContext& ctx) {
   std::string out = "TopoInfo(score order)";
@@ -127,149 +144,61 @@ std::string DgjPlanString(const MethodContext& ctx) {
   return out;
 }
 
+std::string TopKPlanString(const MethodContext& ctx, bool fast, bool et,
+                           bool columnar) {
+  if (et && columnar) {
+    return fast ? "LeftTops block cursor (ET order) -> merge-k + pruned checks"
+                : "AllTops block cursor (ET order) -> fetch-k";
+  }
+  if (et) {
+    return DgjPlanString(ctx) +
+           (fast ? " over LeftTops + pruned checks" : " over AllTops");
+  }
+  if (columnar) {
+    return fast ? "LeftTops block cursor -> merge-k, + SQL5 checks for pruned"
+                : "AllTops block cursor -> ranked walk -> fetch-k";
+  }
+  return fast ? "LeftTops join -> sort -> fetch-k, + SQL5 checks for pruned"
+              : "AllTops join -> sort(score) -> fetch-k";
+}
+
+/// The four top-k methods: Full (fetch-k over AllTops) or Fast (merge with
+/// the pruned candidates over LeftTops), each as the regular plan or the
+/// ET plan of Section 5.3.
+QueryResult RunTopK(MethodContext* ctx, bool fast, bool et) {
+  if (et && ctx->rq.self_pair) {
+    // DGJ plans are built for distinct-type pairs; self pairs need both row
+    // orientations and fall back to the sort-based plan.
+    QueryResult result = RunTopK(ctx, fast, /*et=*/false);
+    result.stats.plan += " (self-pair fallback from ET)";
+    return result;
+  }
+  RankedSource source(ctx, fast, et);
+  QueryResult result;
+  result.entries =
+      fast ? MergeWithPruned(ctx, &source) : FetchK(&source, ctx->rq.k);
+  source.FoldCounters(&ctx->stats);
+  result.stats = ctx->stats;
+  result.stats.plan = TopKPlanString(*ctx, fast, et, source.columnar());
+  return result;
+}
+
 }  // namespace
 
 QueryResult RunFullTopK(MethodContext* ctx) {
-  // Columnar: the ranked block cursor probes groups in score order and
-  // stops at k, instead of resolving every group before truncating.
-  // Identical entries — the cursor enumerates exactly
-  // RankTids(JoinTops(AllTops)).
-  if (std::unique_ptr<ColumnarScan> scan =
-          ColumnarScan::TryCreate(ctx, ctx->rq.pair->alltops_table)) {
-    QueryResult result;
-    while (result.entries.size() < ctx->rq.k) {
-      std::optional<ResultEntry> next = scan->NextRanked();
-      if (!next.has_value()) break;
-      result.entries.push_back(*next);
-    }
-    scan->FoldCounters(&ctx->stats);
-    result.stats = ctx->stats;
-    result.stats.plan = "AllTops block cursor -> ranked walk -> fetch-k";
-    return result;
-  }
-
-  // SQL4 without pruned sub-queries: all topologies joined, then sort and
-  // fetch the first k.
-  std::vector<core::Tid> tids = ctx->JoinTops(ctx->rq.pair->alltops_table);
-  std::vector<ResultEntry> entries = ctx->RankTids(tids);
-  if (entries.size() > ctx->rq.k) entries.resize(ctx->rq.k);
-  QueryResult result;
-  result.entries = std::move(entries);
-  result.stats = ctx->stats;
-  result.stats.plan = "AllTops join -> sort(score) -> fetch-k";
-  return result;
+  return RunTopK(ctx, /*fast=*/false, /*et=*/false);
 }
 
 QueryResult RunFastTopK(MethodContext* ctx) {
-  // SQL4: top-k of the unpruned sub-query first. On the columnar path the
-  // ranked cursor feeds the merge lazily (only groups that can still make
-  // the top-k are probed); the row path materializes the whole ranking.
-  // Both produce the identical (score desc, tid asc) sequence.
-  std::unique_ptr<ColumnarScan> scan =
-      ColumnarScan::TryCreate(ctx, ctx->rq.pair->lefttops_table);
-  std::vector<ResultEntry> top;
-  if (scan == nullptr) {
-    top = ctx->RankTids(ctx->JoinTops(ctx->rq.pair->lefttops_table));
-  }
-  size_t i = 0;
-  std::optional<ResultEntry> next_top;
-  auto advance_top = [&]() {
-    if (scan != nullptr) {
-      next_top = scan->NextRanked();
-    } else if (i < top.size()) {
-      next_top = top[i++];
-    } else {
-      next_top.reset();
-    }
-  };
-  advance_top();
-
-  // ...then SQL5 for each pruned topology that could still enter the top-k,
-  // in score order.
-  std::vector<ResultEntry> pruned = RankedPruned(ctx);
-
-  std::vector<ResultEntry> merged;
-  size_t j = 0;
-  while (merged.size() < ctx->rq.k &&
-         (next_top.has_value() || j < pruned.size())) {
-    if (j >= pruned.size() ||
-        (next_top.has_value() && Before(*next_top, pruned[j]))) {
-      merged.push_back(*next_top);
-      advance_top();
-    } else {
-      const ResultEntry candidate = pruned[j++];
-      if (ctx->OnlineCheckPruned(candidate.tid)) merged.push_back(candidate);
-    }
-  }
-  if (scan != nullptr) scan->FoldCounters(&ctx->stats);
-  QueryResult result;
-  result.entries = std::move(merged);
-  result.stats = ctx->stats;
-  result.stats.plan =
-      scan != nullptr
-          ? "LeftTops block cursor -> merge-k, + SQL5 checks for pruned"
-          : "LeftTops join -> sort -> fetch-k, + SQL5 checks for pruned";
-  return result;
+  return RunTopK(ctx, /*fast=*/true, /*et=*/false);
 }
 
 QueryResult RunFullTopKEt(MethodContext* ctx) {
-  if (ctx->rq.self_pair) {
-    // DGJ plans are built for distinct-type pairs; self pairs need both row
-    // orientations and fall back to the sort-based plan.
-    QueryResult result = RunFullTopK(ctx);
-    result.stats.plan += " (self-pair fallback from ET)";
-    return result;
-  }
-  RankedSource source(ctx, ctx->rq.pair->alltops_table, /*unpruned=*/false);
-  QueryResult result;
-  while (result.entries.size() < ctx->rq.k) {
-    std::optional<ResultEntry> match = source.Next();
-    if (!match.has_value()) break;
-    result.entries.push_back(*match);
-  }
-  source.FoldCounters(&ctx->stats);
-  result.stats = ctx->stats;
-  result.stats.plan = source.columnar()
-                          ? "AllTops block cursor (ET order) -> fetch-k"
-                          : DgjPlanString(*ctx) + " over AllTops";
-  return result;
+  return RunTopK(ctx, /*fast=*/false, /*et=*/true);
 }
 
 QueryResult RunFastTopKEt(MethodContext* ctx) {
-  if (ctx->rq.self_pair) {
-    QueryResult result = RunFastTopK(ctx);
-    result.stats.plan += " (self-pair fallback from ET)";
-    return result;
-  }
-  // Unpruned topologies flow through the ranked source in score order;
-  // pruned candidates are interleaved by score and verified with
-  // SQL5-style online checks.
-  RankedSource source(ctx, ctx->rq.pair->lefttops_table, /*unpruned=*/true);
-  std::vector<ResultEntry> pruned = RankedPruned(ctx);
-
-  QueryResult result;
-  std::optional<ResultEntry> next_match = source.Next();
-  size_t j = 0;
-  while (result.entries.size() < ctx->rq.k &&
-         (next_match.has_value() || j < pruned.size())) {
-    if (j >= pruned.size() ||
-        (next_match.has_value() && Before(*next_match, pruned[j]))) {
-      result.entries.push_back(*next_match);
-      next_match = source.Next();
-    } else {
-      const ResultEntry candidate = pruned[j++];
-      if (ctx->OnlineCheckPruned(candidate.tid)) {
-        result.entries.push_back(candidate);
-      }
-    }
-  }
-  source.FoldCounters(&ctx->stats);
-  result.stats = ctx->stats;
-  result.stats.plan =
-      source.columnar()
-          ? "LeftTops block cursor (ET order) -> merge-k + pruned checks"
-          : DgjPlanString(*ctx) + " over LeftTops + pruned checks";
-  return result;
+  return RunTopK(ctx, /*fast=*/true, /*et=*/true);
 }
 
 namespace {
@@ -352,11 +281,11 @@ QueryResult RunOpt(MethodContext* ctx, bool fast) {
               ? DgjAlg::kHdgj
               : DgjAlg::kIdgj);
     }
-    result = fast ? RunFastTopKEt(ctx) : RunFullTopKEt(ctx);
+    result = RunTopK(ctx, fast, /*et=*/true);
     result.stats.plan =
         "choice=ET | " + choice.ToString(spec) + " | " + result.stats.plan;
   } else {
-    result = fast ? RunFastTopK(ctx) : RunFullTopK(ctx);
+    result = RunTopK(ctx, fast, /*et=*/false);
     result.stats.plan = "choice=regular | " +
                         optimizer::ExplainChoice(choice.cost, regular_cost) +
                         " | " + result.stats.plan;

@@ -40,12 +40,12 @@ void GroupSourceOp::AdvanceToNextGroup() {
 IdgjOp::IdgjOp(std::unique_ptr<GroupedOperator> outer,
                const storage::Table* inner, const storage::HashIndex* index,
                std::string inner_alias, std::string outer_key,
-               storage::PredicateRef inner_predicate)
+               const std::vector<uint8_t>* inner_mask)
     : outer_(std::move(outer)),
       inner_(inner),
       index_(index),
       outer_key_(outer_->schema().IndexOf(outer_key)),
-      inner_predicate_(std::move(inner_predicate)),
+      inner_mask_(inner_mask),
       schema_(OutputSchema::Concat(outer_->schema(),
                                    TableSchemaWithAlias(*inner, inner_alias))) {
 }
@@ -63,10 +63,7 @@ bool IdgjOp::Next(Tuple* out) {
       while (match_pos_ < matches_->size()) {
         storage::RowIdx row = (*matches_)[match_pos_++];
         ++counters_.rows_scanned;
-        if (inner_predicate_ != nullptr &&
-            !inner_predicate_->Eval(*inner_, row)) {
-          continue;
-        }
+        if (inner_mask_ != nullptr && !(*inner_mask_)[row]) continue;
         Tuple inner_tuple = inner_->GetRow(row);
         *out = current_outer_;
         out->insert(out->end(), inner_tuple.begin(), inner_tuple.end());
@@ -98,13 +95,13 @@ OpCounters IdgjOp::TreeCounters() const {
 HdgjOp::HdgjOp(std::unique_ptr<GroupedOperator> outer,
                const storage::Table* inner, std::string inner_alias,
                std::string inner_key, std::string outer_key,
-               std::string group_key, storage::PredicateRef inner_predicate)
+               std::string group_key, const std::vector<uint8_t>* inner_mask)
     : outer_(std::move(outer)),
       inner_(inner),
       inner_key_col_(inner->schema().ColumnIndexOrDie(inner_key)),
       outer_key_(outer_->schema().IndexOf(outer_key)),
       group_key_(outer_->schema().IndexOf(group_key)),
-      inner_predicate_(std::move(inner_predicate)),
+      inner_mask_(inner_mask),
       schema_(OutputSchema::Concat(outer_->schema(),
                                    TableSchemaWithAlias(*inner, inner_alias))) {
 }
@@ -151,17 +148,15 @@ bool HdgjOp::LoadNextGroup() {
 }
 
 void HdgjOp::BuildInnerHash() {
-  // The defining overhead of HDGJ: the inner relation is re-evaluated
-  // (rescanned, refiltered, rehashed) for every group.
+  // The defining overhead of HDGJ: the inner relation is rescanned,
+  // refiltered and rehashed for every group.
   inner_hash_.clear();
   const size_t n = inner_->num_rows();
   const storage::Column& key_col = inner_->column(inner_key_col_);
   for (size_t i = 0; i < n; ++i) {
     storage::RowIdx row = static_cast<storage::RowIdx>(i);
     ++counters_.rows_scanned;
-    if (inner_predicate_ != nullptr && !inner_predicate_->Eval(*inner_, row)) {
-      continue;
-    }
+    if (inner_mask_ != nullptr && !(*inner_mask_)[row]) continue;
     inner_hash_[key_col.GetInt64(row)].push_back(row);
   }
   ++counters_.builds;
@@ -200,18 +195,13 @@ bool HdgjOp::Next(Tuple* out) {
 }
 
 void HdgjOp::AdvanceToNextGroup() {
-  // Drop buffered output of the current group. The lookahead tuple (if any)
-  // already belongs to the next group, so the input does not need skipping
-  // unless it is still mid-group.
+  // Drop buffered output of the current group. LoadNextGroup drains a full
+  // group before emitting, so the input is never mid-group here: the
+  // lookahead tuple (if any) already belongs to the next group.
   matches_ = nullptr;
   match_pos_ = 0;
   group_buffer_.clear();
   buffer_pos_ = 0;
-  if (!has_pending_ && !outer_exhausted_) {
-    // The input may still be inside the current group; but since LoadNextGroup
-    // always drains a full group before emitting, reaching here means the
-    // group was fully buffered. Nothing to skip below.
-  }
 }
 
 OpCounters HdgjOp::TreeCounters() const {

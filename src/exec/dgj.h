@@ -8,7 +8,6 @@
 
 #include "exec/operator.h"
 #include "storage/index.h"
-#include "storage/predicate.h"
 #include "storage/table.h"
 
 namespace tsb {
@@ -36,12 +35,16 @@ class GroupSourceOp : public GroupedOperator {
 /// Group Join. Preserves the group order of its outer input (property a)
 /// and implements `AdvanceToNextGroup` by abandoning the current probe and
 /// delegating the skip to its input (property b).
+///
+/// The level's pushed-down predicate arrives evaluated: `inner_mask` holds
+/// one verdict byte per inner-table row (1 = the row qualifies); a null
+/// mask admits every row.
 class IdgjOp : public GroupedOperator {
  public:
   IdgjOp(std::unique_ptr<GroupedOperator> outer, const storage::Table* inner,
          const storage::HashIndex* index, std::string inner_alias,
          std::string outer_key,
-         storage::PredicateRef inner_predicate = nullptr);
+         const std::vector<uint8_t>* inner_mask = nullptr);
 
   void Open() override;
   bool Next(Tuple* out) override;
@@ -54,7 +57,7 @@ class IdgjOp : public GroupedOperator {
   const storage::Table* inner_;
   const storage::HashIndex* index_;
   size_t outer_key_;
-  storage::PredicateRef inner_predicate_;
+  const std::vector<uint8_t>* inner_mask_;
   OutputSchema schema_;
 
   Tuple current_outer_;
@@ -66,16 +69,16 @@ class IdgjOp : public GroupedOperator {
 /// A regular hash join would destroy group order, so HDGJ joins one group at
 /// a time — and, as the paper notes, "the inner relation may be evaluated
 /// multiple times, once for each group": the hash table over the inner
-/// table (with its pushed-down predicate) is rebuilt per group, which is
-/// exactly the overhead the cost-based optimizer of Section 5.4 weighs
-/// against early-termination savings.
+/// table (rescanned and refiltered through `inner_mask`, as for IdgjOp) is
+/// rebuilt per group, which is exactly the overhead the cost-based
+/// optimizer of Section 5.4 weighs against early-termination savings.
 class HdgjOp : public GroupedOperator {
  public:
   /// `group_key` names the outer column whose value delimits groups.
   HdgjOp(std::unique_ptr<GroupedOperator> outer, const storage::Table* inner,
          std::string inner_alias, std::string inner_key,
          std::string outer_key, std::string group_key,
-         storage::PredicateRef inner_predicate = nullptr);
+         const std::vector<uint8_t>* inner_mask = nullptr);
 
   void Open() override;
   bool Next(Tuple* out) override;
@@ -94,7 +97,7 @@ class HdgjOp : public GroupedOperator {
   size_t inner_key_col_;
   size_t outer_key_;
   size_t group_key_;
-  storage::PredicateRef inner_predicate_;
+  const std::vector<uint8_t>* inner_mask_;
   OutputSchema schema_;
 
   std::unordered_map<int64_t, std::vector<storage::RowIdx>> inner_hash_;

@@ -1,8 +1,8 @@
 // The columnar block mirrors (src/columnar/) and the engine's block-scan
 // cursor: slice construction and validation, corruption fallback, the
 // byte-identity contract against the row engine for all nine methods
-// (unsharded and at N ∈ {1, 2, 4} shards), the per-epoch ET offset cache,
-// and the blocks_total / blocks_skipped ExecStats plumbing.
+// (unsharded and at N ∈ {1, 2, 4} shards), row ET plans across an epoch
+// swap, and the blocks_total / blocks_skipped ExecStats plumbing.
 
 #include <gtest/gtest.h>
 
@@ -394,10 +394,10 @@ TEST_F(ColumnarFig3Test, ShardedColumnarMatchesShardedRowPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-epoch ET offset cache (the hoisted schema().IndexOf lookups)
+// Row ET plans across a store swap
 // ---------------------------------------------------------------------------
 
-TEST(ColumnarEpochTest, EtOffsetsSurviveEpochSwap) {
+TEST(ColumnarEpochTest, EtPlansSurviveEpochSwap) {
   storage::Catalog db;
   biozon::BiozonSchema ids = biozon::BuildFigure3Database(&db);
   graph::DataGraphView view(db);
@@ -428,29 +428,21 @@ TEST(ColumnarEpochTest, EtOffsetsSurviveEpochSwap) {
                                              ids)));
 
   engine::TopologyQuery q = ExampleQuery(db, core::RankScheme::kFreq);
-  // Row path so the ET driver actually runs and resolves offsets.
+  // Row path so the DGJ plan actually runs.
   engine::ExecOptions row;
   row.use_columnar = false;
 
-  ASSERT_FALSE(engine.CachedEtOffsetsForTest().has_value());
   auto before = engine.Execute(q, MethodKind::kFullTopKEt, row);
   ASSERT_TRUE(before.ok());
-  auto cached0 = engine.CachedEtOffsetsForTest();
-  ASSERT_TRUE(cached0.has_value());
-  EXPECT_EQ(cached0->first, 0u);
+  ASSERT_FALSE(before->entries.empty());
 
-  // Swap in a freshly built epoch; the cached offsets must be re-resolved
-  // against the new epoch's plan schema, not reused blindly.
+  // Swap in a freshly built epoch: its DGJ plans read the new epoch's
+  // tables and give the same answer.
   handle->Swap(build_store("e1."));
   auto after = engine.Execute(q, MethodKind::kFullTopKEt, row);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(before->entries, after->entries);
-  auto cached1 = engine.CachedEtOffsetsForTest();
-  ASSERT_TRUE(cached1.has_value());
-  EXPECT_EQ(cached1->first, 1u);
 
-  // Offsets are valid column indices either way (the ET group source
-  // always lays out TI.TID / TI.SCORE).
   auto swapped_et = engine.Execute(q, MethodKind::kFastTopKEt, row);
   ASSERT_TRUE(swapped_et.ok());
   EXPECT_EQ(before->entries, swapped_et->entries);

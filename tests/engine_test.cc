@@ -313,25 +313,31 @@ TEST_F(EngineFig3Test, FastTopCountsOnlineSubqueries) {
 
 TEST_F(EngineFig3Test, FastTopKChargesEachEntityTableOnce) {
   // Keyword predicates on both sides; k above every topology count, so the
-  // ranked cursor is drained with or without the pruned-topology checks.
+  // ranked source is drained with or without the pruned-topology checks.
   engine::TopologyQuery q = ExampleQuery(core::RankScheme::kFreq, 1000);
   q.pred2 = storage::MakeContainsKeyword(db_.GetTable("DNA")->schema(),
                                          "DESC", "mrna");
-  engine::ExecOptions skip;
-  skip.skip_pruned_checks = true;
-  auto checked = engine_->Execute(q, MethodKind::kFastTopK);
-  auto unchecked = engine_->Execute(q, MethodKind::kFastTopK, skip);
-  ASSERT_TRUE(checked.ok());
-  ASSERT_TRUE(unchecked.ok());
-  ASSERT_NE(checked->stats.plan.find("[columnar]"), std::string::npos);
-  ASSERT_GT(checked->stats.subqueries, 0u);
-  EXPECT_EQ(unchecked->stats.subqueries, 0u);
-  // The online checks read the masks the columnar scan already evaluated:
-  // no entity row is charged a second time.
-  EXPECT_EQ(checked->stats.rows_scanned, unchecked->stats.rows_scanned);
   const uint64_t entity_rows = db_.GetTable("Protein")->num_rows() +
                                db_.GetTable("DNA")->num_rows();
-  EXPECT_GT(checked->stats.rows_scanned, entity_rows);
+  for (bool use_columnar : {true, false}) {
+    SCOPED_TRACE(use_columnar ? "columnar" : "row");
+    engine::ExecOptions checks;
+    checks.use_columnar = use_columnar;
+    engine::ExecOptions skip = checks;
+    skip.skip_pruned_checks = true;
+    auto checked = engine_->Execute(q, MethodKind::kFastTopK, checks);
+    auto unchecked = engine_->Execute(q, MethodKind::kFastTopK, skip);
+    ASSERT_TRUE(checked.ok());
+    ASSERT_TRUE(unchecked.ok());
+    EXPECT_EQ(checked->stats.plan.find("[columnar]") != std::string::npos,
+              use_columnar);
+    ASSERT_GT(checked->stats.subqueries, 0u);
+    EXPECT_EQ(unchecked->stats.subqueries, 0u);
+    // The online checks read the masks the scan already evaluated: no
+    // entity row is charged a second time.
+    EXPECT_EQ(checked->stats.rows_scanned, unchecked->stats.rows_scanned);
+    EXPECT_GT(checked->stats.rows_scanned, entity_rows);
+  }
 }
 
 TEST_F(EngineFig3Test, ExcludeWeakDropsPupTopologies) {

@@ -1,13 +1,15 @@
+// The Distinct Group Join operators of Section 5.3 (IDGJ, HDGJ and the
+// grouped source beneath them) on a small grouped fixture, with the
+// pushed-down predicates arriving as row-verdict masks.
+
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "exec/dgj.h"
-#include "exec/joins.h"
 #include "exec/operator.h"
-#include "exec/scans.h"
-#include "exec/shaping.h"
 #include "storage/catalog.h"
+#include "storage/predicate.h"
 
 namespace tsb {
 namespace exec {
@@ -49,12 +51,17 @@ class ExecTest : public ::testing::Test {
         {Value(int64_t{3}), Value(int64_t{2}), Value(int64_t{30})});
   }
 
-  std::unique_ptr<Operator> ScanEnt(storage::PredicateRef pred = nullptr) {
-    return std::make_unique<SeqScanOp>(db_.GetTable("Ent"), "E", pred);
+  /// Row verdicts of a keyword predicate on Ent.DESC, as the engine
+  /// evaluates a query side once.
+  std::vector<uint8_t> EntMask(const std::string& keyword) const {
+    const storage::Table& ent = *db_.GetTable("Ent");
+    std::vector<uint8_t> mask;
+    storage::CompilePredicate(
+        *storage::MakeContainsKeyword(ent.schema(), "DESC", keyword))
+        .EvalAll(ent, &mask);
+    return mask;
   }
-  std::unique_ptr<Operator> ScanTops() {
-    return std::make_unique<SeqScanOp>(db_.GetTable("Tops"), "T", nullptr);
-  }
+
   std::unique_ptr<GroupSourceOp> TidSource() {
     // Three groups in "score order" 30, 20, 10.
     std::vector<Tuple> groups = {
@@ -66,136 +73,16 @@ class ExecTest : public ::testing::Test {
         std::move(groups), OutputSchema({"TI.TID", "TI.SCORE"}));
   }
 
+  /// Level 0 of every plan: each group expanded into its Tops rows.
+  std::unique_ptr<GroupedOperator> ExpandTops() {
+    const storage::HashIndex& tid_index =
+        db_.GetOrBuildHashIndex("Tops", "TID");
+    return std::make_unique<IdgjOp>(TidSource(), db_.GetTable("Tops"),
+                                    &tid_index, "T", "TI.TID");
+  }
+
   storage::Catalog db_;
 };
-
-TEST_F(ExecTest, SeqScanEmitsAllRows) {
-  auto scan = ScanEnt();
-  auto rows = RunToVector(scan.get());
-  ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows[0][0].AsInt64(), 1);
-  EXPECT_EQ(scan->schema().name(1), "E.DESC");
-}
-
-TEST_F(ExecTest, SeqScanAppliesPredicate) {
-  auto pred = storage::MakeContainsKeyword(db_.GetTable("Ent")->schema(),
-                                           "DESC", "enzyme");
-  auto scan = ScanEnt(pred);
-  auto rows = RunToVector(scan.get());
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][0].AsInt64(), 3);
-  EXPECT_EQ(scan->counters().rows_scanned, 4u);
-}
-
-TEST_F(ExecTest, OperatorsAreReopenable) {
-  auto scan = ScanEnt();
-  EXPECT_EQ(RunToVector(scan.get()).size(), 4u);
-  EXPECT_EQ(RunToVector(scan.get()).size(), 4u);  // Open() resets.
-}
-
-TEST_F(ExecTest, FilterOpCallback) {
-  auto filter = std::make_unique<FilterOp>(
-      ScanEnt(), [](const Tuple& t) { return t[0].AsInt64() % 2 == 1; });
-  EXPECT_EQ(RunToVector(filter.get()).size(), 2u);
-}
-
-TEST_F(ExecTest, VectorSourceRoundTrip) {
-  std::vector<Tuple> tuples = {{Value(int64_t{5})}, {Value(int64_t{6})}};
-  VectorSourceOp source(std::move(tuples), OutputSchema({"X"}));
-  auto rows = RunToVector(&source);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][0].AsInt64(), 6);
-}
-
-TEST_F(ExecTest, HashJoinMatchesKeys) {
-  auto join = std::make_unique<HashJoinOp>(ScanTops(), ScanEnt(), "T.E1",
-                                           "E.ID");
-  auto rows = RunToVector(join.get());
-  EXPECT_EQ(rows.size(), 5u);  // Every E1 value exists in Ent.
-  // Output schema concatenates probe then build.
-  EXPECT_EQ(join->schema().IndexOf("T.TID"), 2u);
-  EXPECT_EQ(join->schema().IndexOf("E.ID"), 3u);
-  for (const Tuple& row : rows) {
-    EXPECT_EQ(row[0].AsInt64(), row[3].AsInt64());  // Join key matches.
-  }
-}
-
-TEST_F(ExecTest, HashJoinWithFilteredBuildSide) {
-  auto pred = storage::MakeContainsKeyword(db_.GetTable("Ent")->schema(),
-                                           "DESC", "enzyme");
-  auto join = std::make_unique<HashJoinOp>(ScanTops(), ScanEnt(pred), "T.E1",
-                                           "E.ID");
-  auto rows = RunToVector(join.get());
-  // E1 in {1, 3} only: rows 1, 2, 4, 5.
-  EXPECT_EQ(rows.size(), 4u);
-}
-
-TEST_F(ExecTest, IndexNLJoinProbesIndex) {
-  const storage::HashIndex& index = db_.GetOrBuildHashIndex("Ent", "ID");
-  auto join = std::make_unique<IndexNLJoinOp>(
-      ScanTops(), db_.GetTable("Ent"), &index, "E", "T.E2", nullptr);
-  auto rows = RunToVector(join.get());
-  EXPECT_EQ(rows.size(), 5u);
-  EXPECT_EQ(join->counters().probes, 5u);
-}
-
-TEST_F(ExecTest, IndexNLJoinInnerPredicate) {
-  const storage::HashIndex& index = db_.GetOrBuildHashIndex("Ent", "ID");
-  auto pred = storage::MakeContainsKeyword(db_.GetTable("Ent")->schema(),
-                                           "DESC", "enzyme");
-  auto join = std::make_unique<IndexNLJoinOp>(
-      ScanTops(), db_.GetTable("Ent"), &index, "E", "T.E2", pred);
-  // E2 values: 2,4,4,4,2 -> none contain 'enzyme' (ids 2 and 4).
-  EXPECT_TRUE(RunToVector(join.get()).empty());
-}
-
-TEST_F(ExecTest, ProjectSelectsColumns) {
-  auto proj = std::make_unique<ProjectOp>(
-      ScanTops(), std::vector<std::string>{"T.TID", "T.E1"});
-  auto rows = RunToVector(proj.get());
-  ASSERT_EQ(rows.size(), 5u);
-  EXPECT_EQ(rows[0].size(), 2u);
-  EXPECT_EQ(rows[0][0].AsInt64(), 10);
-  EXPECT_EQ(rows[0][1].AsInt64(), 1);
-}
-
-TEST_F(ExecTest, DistinctDeduplicates) {
-  auto dist = std::make_unique<DistinctOp>(
-      std::make_unique<ProjectOp>(ScanTops(),
-                                  std::vector<std::string>{"T.TID"}),
-      std::vector<std::string>{"T.TID"});
-  EXPECT_EQ(RunToVector(dist.get()).size(), 3u);
-}
-
-TEST_F(ExecTest, SortOrdersDescendingWithTieBreak) {
-  auto sort = std::make_unique<SortOp>(ScanTops(), "T.TID", true, "T.E1");
-  auto rows = RunToVector(sort.get());
-  ASSERT_EQ(rows.size(), 5u);
-  EXPECT_EQ(rows[0][2].AsInt64(), 30);
-  EXPECT_EQ(rows[0][0].AsInt64(), 1);  // Tie break by E1 ascending.
-  EXPECT_EQ(rows[1][2].AsInt64(), 30);
-  EXPECT_EQ(rows[1][0].AsInt64(), 3);
-  EXPECT_EQ(rows[4][2].AsInt64(), 10);
-}
-
-TEST_F(ExecTest, LimitStopsEarly) {
-  auto limit = std::make_unique<LimitOp>(ScanTops(), 2);
-  EXPECT_EQ(RunToVector(limit.get()).size(), 2u);
-  auto zero = std::make_unique<LimitOp>(ScanTops(), 0);
-  EXPECT_TRUE(RunToVector(zero.get()).empty());
-}
-
-TEST_F(ExecTest, UnionAllConcatenates) {
-  std::vector<std::unique_ptr<Operator>> children;
-  children.push_back(
-      std::make_unique<ProjectOp>(ScanEnt(), std::vector<std::string>{"E.ID"}));
-  children.push_back(std::make_unique<ProjectOp>(
-      ScanTops(), std::vector<std::string>{"T.TID"}));
-  auto u = std::make_unique<UnionAllOp>(std::move(children));
-  EXPECT_EQ(RunToVector(u.get()).size(), 9u);
-}
-
-// --- DGJ operators -------------------------------------------------------------
 
 TEST_F(ExecTest, GroupSourceOneTuplePerGroup) {
   auto source = TidSource();
@@ -209,9 +96,7 @@ TEST_F(ExecTest, GroupSourceOneTuplePerGroup) {
 }
 
 TEST_F(ExecTest, IdgjExpandsGroupsInOrder) {
-  const storage::HashIndex& tid_index = db_.GetOrBuildHashIndex("Tops", "TID");
-  auto idgj = std::make_unique<IdgjOp>(TidSource(), db_.GetTable("Tops"),
-                                       &tid_index, "T", "TI.TID", nullptr);
+  auto idgj = ExpandTops();
   auto rows = RunToVector(idgj.get());
   ASSERT_EQ(rows.size(), 5u);
   // Group order preserved: TID 30 rows, then 20, then 10.
@@ -220,12 +105,19 @@ TEST_F(ExecTest, IdgjExpandsGroupsInOrder) {
   EXPECT_EQ(rows[1][tid_col].AsInt64(), 30);
   EXPECT_EQ(rows[2][tid_col].AsInt64(), 20);
   EXPECT_EQ(rows[3][tid_col].AsInt64(), 10);
+  // The group source's columns lead every joined tuple.
+  EXPECT_EQ(idgj->schema().IndexOf("TI.TID"), 0u);
+  EXPECT_EQ(idgj->schema().IndexOf("TI.SCORE"), 1u);
+}
+
+TEST_F(ExecTest, OperatorsAreReopenable) {
+  auto idgj = ExpandTops();
+  EXPECT_EQ(RunToVector(idgj.get()).size(), 5u);
+  EXPECT_EQ(RunToVector(idgj.get()).size(), 5u);  // Open() resets.
 }
 
 TEST_F(ExecTest, IdgjAdvanceSkipsRestOfGroup) {
-  const storage::HashIndex& tid_index = db_.GetOrBuildHashIndex("Tops", "TID");
-  auto idgj = std::make_unique<IdgjOp>(TidSource(), db_.GetTable("Tops"),
-                                       &tid_index, "T", "TI.TID", nullptr);
+  auto idgj = ExpandTops();
   idgj->Open();
   Tuple t;
   ASSERT_TRUE(idgj->Next(&t));
@@ -235,24 +127,35 @@ TEST_F(ExecTest, IdgjAdvanceSkipsRestOfGroup) {
   EXPECT_EQ(t[idgj->schema().IndexOf("T.TID")].AsInt64(), 20);
 }
 
-TEST_F(ExecTest, StackedIdgjWithPredicate) {
-  const storage::HashIndex& tid_index = db_.GetOrBuildHashIndex("Tops", "TID");
+TEST_F(ExecTest, StackedIdgjReadsTheMask) {
   const storage::HashIndex& id_index = db_.GetOrBuildHashIndex("Ent", "ID");
-  auto pred = storage::MakeContainsKeyword(db_.GetTable("Ent")->schema(),
-                                           "DESC", "enzyme");
-  std::unique_ptr<GroupedOperator> plan = std::make_unique<IdgjOp>(
-      TidSource(), db_.GetTable("Tops"), &tid_index, "T", "TI.TID", nullptr);
-  plan = std::make_unique<IdgjOp>(std::move(plan), db_.GetTable("Ent"),
-                                  &id_index, "R1", "T.E1", pred);
+  const std::vector<uint8_t> enzyme = EntMask("enzyme");
+  ASSERT_EQ(enzyme, (std::vector<uint8_t>{1, 0, 1, 0}));
+  auto plan = std::make_unique<IdgjOp>(ExpandTops(), db_.GetTable("Ent"),
+                                       &id_index, "R1", "T.E1", &enzyme);
   auto rows = RunToVector(plan.get());
   // Qualifying rows: E1 in {1, 3}: (1,4,30), (3,2,30), (1,2,10), (3,4,10).
   EXPECT_EQ(rows.size(), 4u);
+  // Both levels' counters sum through the tree: three group probes plus
+  // five entity probes, and every matched row is visited once per level.
+  OpCounters total = plan->TreeCounters();
+  EXPECT_EQ(total.probes, 8u);
+  EXPECT_EQ(total.rows_scanned, 10u);
+}
+
+TEST_F(ExecTest, EmptyMaskAdmitsNothing) {
+  const storage::HashIndex& id_index = db_.GetOrBuildHashIndex("Ent", "ID");
+  const std::vector<uint8_t> none = EntMask("nothingmatches");
+  auto idgj = std::make_unique<IdgjOp>(ExpandTops(), db_.GetTable("Ent"),
+                                       &id_index, "R1", "T.E1", &none);
+  EXPECT_TRUE(RunToVector(idgj.get()).empty());
+  auto hdgj = std::make_unique<HdgjOp>(ExpandTops(), db_.GetTable("Ent"),
+                                       "R1", "ID", "T.E1", "TI.TID", &none);
+  EXPECT_TRUE(RunToVector(hdgj.get()).empty());
 }
 
 TEST_F(ExecTest, FirstTuplePerGroupStopsAtK) {
-  const storage::HashIndex& tid_index = db_.GetOrBuildHashIndex("Tops", "TID");
-  auto plan = std::make_unique<IdgjOp>(TidSource(), db_.GetTable("Tops"),
-                                       &tid_index, "T", "TI.TID", nullptr);
+  auto plan = ExpandTops();
   auto firsts = FirstTuplePerGroup(plan.get(), "TI.TID", 2);
   ASSERT_EQ(firsts.size(), 2u);
   EXPECT_EQ(firsts[0][0].AsInt64(), 30);
@@ -262,25 +165,21 @@ TEST_F(ExecTest, FirstTuplePerGroupStopsAtK) {
 }
 
 TEST_F(ExecTest, HdgjMatchesIdgjResults) {
-  const storage::HashIndex& tid_index = db_.GetOrBuildHashIndex("Tops", "TID");
-  auto pred = storage::MakeContainsKeyword(db_.GetTable("Ent")->schema(),
-                                           "DESC", "enzyme");
+  const std::vector<uint8_t> enzyme = EntMask("enzyme");
   auto make_plan = [&](bool hdgj) -> std::unique_ptr<GroupedOperator> {
-    std::unique_ptr<GroupedOperator> plan = std::make_unique<IdgjOp>(
-        TidSource(), db_.GetTable("Tops"), &tid_index, "T", "TI.TID",
-        nullptr);
     if (hdgj) {
-      return std::make_unique<HdgjOp>(std::move(plan), db_.GetTable("Ent"),
-                                      "R1", "ID", "T.E1", "TI.TID", pred);
+      return std::make_unique<HdgjOp>(ExpandTops(), db_.GetTable("Ent"),
+                                      "R1", "ID", "T.E1", "TI.TID", &enzyme);
     }
     const storage::HashIndex& id_index = db_.GetOrBuildHashIndex("Ent", "ID");
-    return std::make_unique<IdgjOp>(std::move(plan), db_.GetTable("Ent"),
-                                    &id_index, "R1", "T.E1", pred);
+    return std::make_unique<IdgjOp>(ExpandTops(), db_.GetTable("Ent"),
+                                    &id_index, "R1", "T.E1", &enzyme);
   };
   auto idgj_plan = make_plan(false);
   auto hdgj_plan = make_plan(true);
   auto idgj_rows = RunToVector(idgj_plan.get());
   auto hdgj_rows = RunToVector(hdgj_plan.get());
+  ASSERT_EQ(idgj_rows.size(), 4u);
   ASSERT_EQ(idgj_rows.size(), hdgj_rows.size());
   for (size_t i = 0; i < idgj_rows.size(); ++i) {
     EXPECT_EQ(idgj_rows[i][0].AsInt64(), hdgj_rows[i][0].AsInt64());
@@ -288,12 +187,8 @@ TEST_F(ExecTest, HdgjMatchesIdgjResults) {
 }
 
 TEST_F(ExecTest, HdgjRebuildsPerGroup) {
-  const storage::HashIndex& tid_index = db_.GetOrBuildHashIndex("Tops", "TID");
-  auto inner_plan = std::make_unique<IdgjOp>(
-      TidSource(), db_.GetTable("Tops"), &tid_index, "T", "TI.TID", nullptr);
-  auto hdgj = std::make_unique<HdgjOp>(std::move(inner_plan),
-                                       db_.GetTable("Ent"), "R1", "ID",
-                                       "T.E1", "TI.TID", nullptr);
+  auto hdgj = std::make_unique<HdgjOp>(ExpandTops(), db_.GetTable("Ent"),
+                                       "R1", "ID", "T.E1", "TI.TID");
   RunToVector(hdgj.get());
   // Three groups -> three hash builds over the inner relation (the
   // signature overhead the Section-5.4 cost model charges HDGJ for).
@@ -301,33 +196,7 @@ TEST_F(ExecTest, HdgjRebuildsPerGroup) {
   EXPECT_EQ(hdgj->counters().rows_scanned, 12u);  // 3 rebuilds x 4 rows.
 }
 
-TEST_F(ExecTest, TreeCountersAggregate) {
-  auto join = std::make_unique<HashJoinOp>(ScanTops(), ScanEnt(), "T.E1",
-                                           "E.ID");
-  RunToVector(join.get());
-  OpCounters total = join->TreeCounters();
-  EXPECT_GE(total.rows_scanned, 9u);  // Both scans.
-  EXPECT_EQ(total.builds, 1u);
-}
-
 // --- Edge cases ---------------------------------------------------------------
-
-TEST_F(ExecTest, EmptyTableScan) {
-  storage::Table* empty =
-      db_.CreateTable("Empty", storage::TableSchema(
-                                   {{"ID", ColumnType::kInt64}}))
-          .value();
-  auto scan = std::make_unique<SeqScanOp>(empty, "X", nullptr);
-  EXPECT_TRUE(RunToVector(scan.get()).empty());
-}
-
-TEST_F(ExecTest, HashJoinWithEmptyBuildSide) {
-  auto pred = storage::MakeContainsKeyword(db_.GetTable("Ent")->schema(),
-                                           "DESC", "nothingmatches");
-  auto join = std::make_unique<HashJoinOp>(ScanTops(), ScanEnt(pred), "T.E1",
-                                           "E.ID");
-  EXPECT_TRUE(RunToVector(join.get()).empty());
-}
 
 TEST_F(ExecTest, IdgjWithNoIndexMatches) {
   // Groups whose TIDs do not exist in the Tops table produce nothing.
@@ -337,26 +206,20 @@ TEST_F(ExecTest, IdgjWithNoIndexMatches) {
   const storage::HashIndex& tid_index = db_.GetOrBuildHashIndex("Tops", "TID");
   auto idgj = std::make_unique<IdgjOp>(std::move(source),
                                        db_.GetTable("Tops"), &tid_index, "T",
-                                       "TI.TID", nullptr);
+                                       "TI.TID");
   EXPECT_TRUE(RunToVector(idgj.get()).empty());
   EXPECT_EQ(idgj->counters().probes, 1u);
 }
 
 TEST_F(ExecTest, FirstTuplePerGroupWithKBeyondGroups) {
-  const storage::HashIndex& tid_index = db_.GetOrBuildHashIndex("Tops", "TID");
-  auto plan = std::make_unique<IdgjOp>(TidSource(), db_.GetTable("Tops"),
-                                       &tid_index, "T", "TI.TID", nullptr);
+  auto plan = ExpandTops();
   auto firsts = FirstTuplePerGroup(plan.get(), "TI.TID", 100);
   EXPECT_EQ(firsts.size(), 3u);  // Only three groups exist.
 }
 
 TEST_F(ExecTest, HdgjAdvanceAfterFirstTuple) {
-  const storage::HashIndex& tid_index = db_.GetOrBuildHashIndex("Tops", "TID");
-  auto inner = std::make_unique<IdgjOp>(TidSource(), db_.GetTable("Tops"),
-                                        &tid_index, "T", "TI.TID", nullptr);
-  auto hdgj = std::make_unique<HdgjOp>(std::move(inner),
-                                       db_.GetTable("Ent"), "R1", "ID",
-                                       "T.E1", "TI.TID", nullptr);
+  auto hdgj = std::make_unique<HdgjOp>(ExpandTops(), db_.GetTable("Ent"),
+                                       "R1", "ID", "T.E1", "TI.TID");
   hdgj->Open();
   Tuple t;
   ASSERT_TRUE(hdgj->Next(&t));
@@ -365,74 +228,6 @@ TEST_F(ExecTest, HdgjAdvanceAfterFirstTuple) {
   hdgj->AdvanceToNextGroup();
   ASSERT_TRUE(hdgj->Next(&t));
   EXPECT_EQ(t[tid_col].AsInt64(), 20);
-}
-
-TEST_F(ExecTest, SortOnEmptyInput) {
-  auto pred = storage::MakeContainsKeyword(db_.GetTable("Ent")->schema(),
-                                           "DESC", "nothing");
-  auto sort = std::make_unique<SortOp>(ScanEnt(pred), "E.ID", false);
-  EXPECT_TRUE(RunToVector(sort.get()).empty());
-}
-
-TEST_F(ExecTest, SortMergeJoinMatchesHashJoin) {
-  auto hash = std::make_unique<HashJoinOp>(ScanTops(), ScanEnt(), "T.E1",
-                                           "E.ID");
-  auto merge = std::make_unique<SortMergeJoinOp>(ScanTops(), ScanEnt(),
-                                                 "T.E1", "E.ID");
-  auto hash_rows = RunToVector(hash.get());
-  auto merge_rows = RunToVector(merge.get());
-  ASSERT_EQ(hash_rows.size(), merge_rows.size());
-  // Compare as multisets of (E1, TID, joined ID).
-  auto key_of = [](const Tuple& t) {
-    return std::make_tuple(t[0].AsInt64(), t[2].AsInt64(), t[3].AsInt64());
-  };
-  std::multiset<std::tuple<int64_t, int64_t, int64_t>> a;
-  std::multiset<std::tuple<int64_t, int64_t, int64_t>> b;
-  for (const Tuple& t : hash_rows) a.insert(key_of(t));
-  for (const Tuple& t : merge_rows) b.insert(key_of(t));
-  EXPECT_EQ(a, b);
-}
-
-TEST_F(ExecTest, SortMergeJoinCrossProductOnDuplicateKeys) {
-  // Two rows on each side with the same key -> 4 outputs.
-  storage::Table* l =
-      db_.CreateTable("L", storage::TableSchema({{"K", ColumnType::kInt64},
-                                                 {"V", ColumnType::kInt64}}))
-          .value();
-  storage::Table* r =
-      db_.CreateTable("R", storage::TableSchema({{"K", ColumnType::kInt64},
-                                                 {"W", ColumnType::kInt64}}))
-          .value();
-  l->AppendRowOrDie({Value(int64_t{5}), Value(int64_t{1})});
-  l->AppendRowOrDie({Value(int64_t{5}), Value(int64_t{2})});
-  l->AppendRowOrDie({Value(int64_t{7}), Value(int64_t{3})});
-  r->AppendRowOrDie({Value(int64_t{5}), Value(int64_t{10})});
-  r->AppendRowOrDie({Value(int64_t{5}), Value(int64_t{20})});
-  r->AppendRowOrDie({Value(int64_t{6}), Value(int64_t{30})});
-  auto join = std::make_unique<SortMergeJoinOp>(
-      std::make_unique<SeqScanOp>(l, "L", nullptr),
-      std::make_unique<SeqScanOp>(r, "R", nullptr), "L.K", "R.K");
-  auto rows = RunToVector(join.get());
-  EXPECT_EQ(rows.size(), 4u);  // 2x2 for key 5; keys 6 and 7 unmatched.
-  for (const Tuple& row : rows) {
-    EXPECT_EQ(row[0].AsInt64(), 5);
-    EXPECT_EQ(row[2].AsInt64(), 5);
-  }
-}
-
-TEST_F(ExecTest, SortMergeJoinEmptySide) {
-  auto pred = storage::MakeContainsKeyword(db_.GetTable("Ent")->schema(),
-                                           "DESC", "absent");
-  auto join = std::make_unique<SortMergeJoinOp>(ScanTops(), ScanEnt(pred),
-                                                "T.E1", "E.ID");
-  EXPECT_TRUE(RunToVector(join.get()).empty());
-}
-
-TEST_F(ExecTest, DistinctOnMultipleKeys) {
-  auto dist = std::make_unique<DistinctOp>(
-      ScanTops(), std::vector<std::string>{"T.E1", "T.TID"});
-  // All five (E1, TID) combinations are distinct in the fixture.
-  EXPECT_EQ(RunToVector(dist.get()).size(), 5u);
 }
 
 }  // namespace

@@ -963,6 +963,39 @@ TEST_F(MutationFig3Test, ChainedBatchesThenCompactionStayIdentical) {
                           "post-compaction batch");
 }
 
+TEST_F(MutationFig3Test, EngineCachedSetsRetireWithTheirEpoch) {
+  // Fast-Top reads build the pruned topologies' exception-pair sets and,
+  // under exclude_weak, the weak-topology set. Every mutation generation
+  // and compaction round serves a new epoch with new table names; the
+  // sets of a retired epoch must go with it, not pile up for the life of
+  // the engine.
+  engine::TopologyQuery q = FixtureQueries(live_->db)[0];
+  q.exclude_weak = true;
+  auto read = [&]() {
+    auto result = live_->engine->Execute(q, MethodKind::kFastTop);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_GT(result->stats.subqueries, 0u);
+  };
+  read();
+  const size_t one_epoch = live_->engine->CachedSetsForTest();
+  ASSERT_GT(one_epoch, 0u);
+  for (int64_t gen = 0; gen < 8; ++gen) {
+    // Add an Encodes edge, then take it away again: structural batches,
+    // each re-staging the Protein-DNA pair under a new generation.
+    mutation::MutationBatch batch;
+    batch.ops = {gen % 2 == 0 ? mutation::AddEdge("Encodes", 900 + gen, 32,
+                                                  742)
+                              : mutation::RemoveEdge("Encodes", 899 + gen)};
+    ASSERT_TRUE(live_->mutator->Apply(batch).ok());
+    read();
+    EXPECT_LE(live_->engine->CachedSetsForTest(), 2 * one_epoch)
+        << "generation " << gen + 1;
+  }
+  ASSERT_TRUE(live_->mutator->CompactNow().ok());
+  read();
+  EXPECT_LE(live_->engine->CachedSetsForTest(), 2 * one_epoch);
+}
+
 TEST_F(MutationFig3Test, InvalidBatchesFailAtomicallyWithNoSideEffects) {
   const engine::TopologyQuery probe = FixtureQueries(live_->db)[0];
   auto before = live_->engine->Execute(probe, MethodKind::kFullTop);
