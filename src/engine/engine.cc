@@ -515,7 +515,7 @@ std::unique_ptr<exec::GroupedOperator> MethodContext::BuildEtPlan(
 
   // Level 0: expand each topology group into its (E1, E2) rows.
   std::unique_ptr<exec::GroupedOperator> plan = std::make_unique<exec::IdgjOp>(
-      std::move(source), tops, &tops_index, "T", "TI.TID", nullptr);
+      std::move(source), tops, &tops_index, "T", "TI.TID");
 
   // Level 1 and 2: join the entity tables, each filtered by its side's
   // mask (the pushed-down predicate, evaluated once for the query).
