@@ -25,6 +25,7 @@
 #include "biozon/domain.h"
 #include "biozon/fig3.h"
 #include "biozon/schema.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/builder.h"
 #include "core/pruner.h"
@@ -1069,6 +1070,10 @@ TEST_F(MutationFig3Test, StatusStringReportsTheApplyAndFoldCounters) {
                       std::to_string(second->sources_reused)),
             std::string::npos)
       << text;
+  // The whole tsb_mutation_* scrape of this fixed history, byte for byte.
+  const Hash128 digest = StableHasher().Add(text).Digest();
+  EXPECT_EQ(digest.hi, 15340945140699200540u) << text;
+  EXPECT_EQ(digest.lo, 6177577575581767388u);
 }
 
 TEST_F(MutationFig3Test, FailedRestageKeepsLaterBatchesIdenticalToRebuild) {

@@ -19,11 +19,14 @@
 
 #include "biozon/domain.h"
 #include "biozon/fig3.h"
+#include "common/hash.h"
 #include "core/builder.h"
 #include "core/pruner.h"
 #include "engine/engine.h"
 #include "engine/nquery.h"
+#include "obs/fleet.h"
 #include "obs/registry.h"
+#include "obs/slow_log.h"
 #include "service/metrics.h"
 #include "service/query_cache.h"
 #include "service/request_parser.h"
@@ -250,6 +253,141 @@ TEST(LatencyMetricsTest, RegistryExportsHistogramsAndNoSummaries) {
         << family;
   }
   registry.Unregister(&service);
+  registry.Unregister(&transport);
+  registry.Unregister(&replicas);
+}
+
+// ---------------------------------------------------------------------------
+// Every metric view pinned on one seeded record sequence
+// ---------------------------------------------------------------------------
+
+std::string DigestHex(std::string_view bytes) {
+  const Hash128 h = StableHasher().Add(bytes).Digest();
+  char buffer[40];
+  std::snprintf(buffer, sizeof(buffer), "%016llx%016llx",
+                static_cast<unsigned long long>(h.hi),
+                static_cast<unsigned long long>(h.lo));
+  return buffer;
+}
+
+/// A fixed record sequence through all three recording classes that hits
+/// every export elision rule: slot 5 has no traffic (not exported), the
+/// batch class has none (exported anyway), transport shard 1 only
+/// reconnects (exported), replica (0, 1) has a quarantine but no attempt
+/// (not exported), replica shard 1 has no hedge/failover/exhaustion (no
+/// shard row), shard 1 of shard_rows is 0 (exported), and no scan work is
+/// recorded (scan counters exported at 0).
+void RecordPinnedScenario(service::ServiceMetrics* svc,
+                          service::TransportMetrics* transport,
+                          service::ReplicaMetrics* replicas,
+                          obs::SlowQueryLog* slow_log) {
+  LatencyStream stream;
+  const size_t slots[] = {0, 3, service::ServiceMetrics::kTripleSlot};
+  for (size_t i = 0; i < 90; ++i) {
+    const size_t slot = slots[i % 3];
+    svc->RecordRequest(slot, stream.Next(), /*cache_hit=*/i % 4 == 0,
+                       /*ok=*/i % 11 != 0);
+    if (i % 4 != 0) {
+      obs::CostCounters cost;
+      cost.cpu_ns = 1000003 * (i + 1);
+      cost.bytes_deserialized = 4096 + 17 * i;
+      cost.catalog_interns = i % 5;
+      cost.heap_bytes = 65536 + 129 * i;
+      svc->RecordCost(slot, cost);
+    }
+    svc->RecordAdmitted(0);
+    svc->RecordClassLatency(0, stream.Next());
+  }
+  svc->RecordRejected(0);
+  svc->RecordRejected(0);
+  svc->RecordDeadlineShed(0);
+  svc->RecordCancelled(0);
+  svc->SetShardRows({1200, 0, 800});
+
+  for (size_t i = 0; i < 40; ++i) {
+    transport->RecordRoundTrip(0, 100 + i, 400 + 3 * i, stream.Next(),
+                               /*ok=*/i % 9 != 0);
+  }
+  transport->RecordReconnect(1);
+
+  for (size_t i = 0; i < 30; ++i) {
+    replicas->RecordAttempt(0, 0, /*is_probe=*/i % 10 == 0,
+                            /*is_hedge=*/i % 6 == 0);
+    replicas->RecordOutcome(0, 0, stream.Next(), /*ok=*/i % 7 != 0);
+    replicas->RecordAttempt(1, 0, false, false);
+    replicas->RecordOutcome(1, 0, stream.Next(), true);
+  }
+  replicas->RecordAttempt(0, 0, false, false);  // Left outstanding.
+  replicas->RecordHedgeWin(0, 0);
+  replicas->RecordHedgeLaunched(0);
+  replicas->RecordFailover(0);
+  replicas->RecordFailover(0);
+  replicas->RecordEjection(0, 0);
+  replicas->RecordReinstatement(0, 0);
+  replicas->RecordQuarantine(0, 1);
+
+  for (int i = 0; i < 3; ++i) {
+    obs::SlowQueryRecord record;
+    record.request = "TOPK set1=Protein set2=DNA k=" + std::to_string(i);
+    record.method = service::ServiceMetrics::SlotName(3);
+    record.service_seconds = 0.002 * (i + 1);
+    record.cpu_ns = 700000 * (i + 1);
+    record.bytes_deserialized = 1000 * (3 - i);
+    record.heap_bytes = 256;
+    slow_log->Record(std::move(record));
+  }
+}
+
+TEST(MetricViewsTest, EveryViewOfOneRecordSequenceIsPinned) {
+  service::ServiceMetrics svc;
+  service::TransportMetrics transport(2);
+  service::ReplicaMetrics replicas({2, 1});
+  obs::SlowQueryLog slow_log(obs::SlowQueryConfig{1e-9, 16});
+  RecordPinnedScenario(&svc, &transport, &replicas, &slow_log);
+
+  obs::MetricsRegistry registry;
+  registry.Register(&svc);
+  registry.Register(&transport);
+  registry.Register(&replicas);
+  const std::string prometheus = registry.RenderPrometheus();
+  const std::string json = registry.RenderJson();
+  const std::string text = svc.Snapshot().ToString();
+  const std::string transport_table = transport.Snapshot().ToString();
+  const service::ReplicaMetricsSnapshot replica_snap = replicas.Snapshot();
+  const std::string replica_table = replica_snap.ToString();
+  const obs::FleetSnapshot fleet =
+      service::BuildFleetSnapshot(svc.Snapshot(), &replica_snap, &slow_log);
+  std::string fleet_bytes;
+  obs::EncodeFleetSnapshot(fleet, &fleet_bytes);
+  const std::string fleet_render = fleet.Render();
+
+  // The elision rules, spelled out before the digests pin the bytes.
+  EXPECT_EQ(prometheus.find("method=\"" +
+                            service::ServiceMetrics::SlotName(5) + "\""),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("tsb_service_admitted_total{class=\"batch\"} 0"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("tsb_transport_reconnects_total{shard=\"1\"} 1"),
+            std::string::npos);
+  EXPECT_EQ(prometheus.find("shard=\"0\",replica=\"1\""), std::string::npos);
+  EXPECT_EQ(prometheus.find("tsb_replica_failovers_total{shard=\"1\"}"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("tsb_service_shard_rows{shard=\"1\"} 0"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("tsb_service_scan_rows_total 0"),
+            std::string::npos);
+  EXPECT_NE(prometheus.find("tsb_replica_outstanding{shard=\"0\","
+                            "replica=\"0\"} 1"),
+            std::string::npos);
+
+  EXPECT_EQ(DigestHex(prometheus), "cbea8fe3239747325da820f25656fef3") << prometheus;
+  EXPECT_EQ(DigestHex(json), "c79623ba0be7b4f719f027924f5b7b8c") << json;
+  EXPECT_EQ(DigestHex(text), "1383334cb34b71628c6bf7026a72fb91") << text;
+  EXPECT_EQ(DigestHex(transport_table), "a1e39577a8a7dd10625266b5115df890") << transport_table;
+  EXPECT_EQ(DigestHex(replica_table), "165a351f653560e964dbb5ae19786f53") << replica_table;
+  EXPECT_EQ(DigestHex(fleet_bytes), "5f62f928d87eb9408629236185aa6dd8");
+  EXPECT_EQ(DigestHex(fleet_render), "2585d1034e1caa2a32d283fae9fdac05") << fleet_render;
+  registry.Unregister(&svc);
   registry.Unregister(&transport);
   registry.Unregister(&replicas);
 }
