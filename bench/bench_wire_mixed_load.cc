@@ -115,9 +115,12 @@ InteractivePhase RunInteractive(service::TopologyService* svc,
   phase.requests = clients * sweeps * workload.size();
   phase.mismatches = mismatches.load();
   phase.failures = failures.load();
-  auto metrics = svc->Metrics();
-  phase.p95 = metrics.classes[0].latency.Quantile(0.95);
-  phase.p50 = metrics.classes[0].latency.Quantile(0.50);
+  const obs::LatencyHistogram& interactive =
+      svc->Metrics()
+          .Find("tsb_service_class_latency_hist_seconds", {"interactive"})
+          ->histogram;
+  phase.p95 = interactive.Quantile(0.95);
+  phase.p50 = interactive.Quantile(0.50);
   return phase;
 }
 
@@ -257,8 +260,8 @@ void Run(int argc, char** argv) {
               "%zu served\n",
               doomed_sink.shed(), doomed_sink.served());
 
-  auto metrics = mixed_svc.Metrics();
-  std::printf("\nservice metrics:\n%s\n", metrics.ToString().c_str());
+  std::printf("\nservice metrics:\n%s\n",
+              service::MetricsTable(mixed_svc.Metrics()).c_str());
 
   // --- Verification --------------------------------------------------------
   const size_t bad = baseline.mismatches + baseline.failures +

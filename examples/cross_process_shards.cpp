@@ -265,7 +265,8 @@ int main(int argc, char** argv) {
   executor.set_transport(nullptr);
 
   std::printf("\ntransport telemetry:\n%s",
-              executor.GetTransportMetrics().ToString().c_str());
+              service::TransportTable(executor.transport_metrics()->Read())
+                  .c_str());
 
   kill_all();
   for (const std::string& path : uds_paths) ::unlink(path.c_str());

@@ -130,7 +130,7 @@ int main() {
   std::printf("post-swap top-k has %zu entries; old AllTops dropped: %s\n",
               after.result.entries.size(),
               db.FindTable("AllTops_Protein_DNA") == nullptr ? "yes" : "no");
-  std::printf("%s", svc.Metrics().ToString().c_str());
+  std::printf("%s", service::MetricsTable(svc.Metrics()).c_str());
   svc.Shutdown();
   return 0;
 }

@@ -309,8 +309,9 @@ int main(int argc, char** argv) {
   std::printf("  probes reinstated the restarted replicas (health: all "
               "routed replicas healthy)\n");
 
-  std::printf("\nper-replica telemetry:\n%s",
-              transport.replica_metrics().Snapshot().ToString().c_str());
+  std::printf(
+      "\nper-replica telemetry:\n%s",
+      service::ReplicaTable(transport.replica_metrics().Read()).c_str());
   executor.set_transport(nullptr);
 
   kill_all();

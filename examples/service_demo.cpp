@@ -136,7 +136,7 @@ int main() {
               svc.CacheStats().entries);
 
   // 7. Serving metrics.
-  std::printf("%s", svc.Metrics().ToString().c_str());
+  std::printf("%s", service::MetricsTable(svc.Metrics()).c_str());
   svc.Shutdown();
   return 0;
 }

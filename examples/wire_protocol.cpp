@@ -125,9 +125,8 @@ int main() {
   svc.SubmitStream(std::move(stream), sink);
   svc.Shutdown();  // Drains the stream; every frame above was delivered.
 
-  auto metrics = svc.Metrics();
   std::printf("\nper-class serving metrics:\n%s\n",
-              metrics.ToString().c_str());
+              service::MetricsTable(svc.Metrics()).c_str());
 
   // 5. The transport seam: a 2-shard store whose scatter sub-queries cross
   //    the wire as encoded frames, in-process: the executor's default

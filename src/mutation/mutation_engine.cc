@@ -907,72 +907,60 @@ std::string MutationEngine::StatusString() const {
   return os.str();
 }
 
-void MutationEngine::Collect(obs::MetricsSink* sink) const {
-  const obs::MetricsSink::Labels no_labels;
-  sink->Counter("tsb_mutation_batches_applied_total",
-                "Mutation batches applied without a full rebuild", no_labels,
-                static_cast<double>(
-                    batches_applied_.load(std::memory_order_relaxed)));
-  sink->Counter("tsb_mutation_ops_applied_total",
-                "Individual mutations applied", no_labels,
-                static_cast<double>(
-                    ops_applied_.load(std::memory_order_relaxed)));
-  sink->Counter("tsb_mutation_pairs_restaged_total",
-                "Dirty entity pairs re-staged into overlay epochs",
-                no_labels,
-                static_cast<double>(
-                    pairs_restaged_total_.load(std::memory_order_relaxed)));
-  sink->Counter("tsb_mutation_sources_swept_total",
-                "Source entities swept afresh while re-staging pairs",
-                no_labels,
-                static_cast<double>(
-                    sources_swept_total_.load(std::memory_order_relaxed)));
-  sink->Counter("tsb_mutation_sources_reused_total",
-                "Source entities re-staged from the source memo unswept",
-                no_labels,
-                static_cast<double>(
-                    sources_reused_total_.load(std::memory_order_relaxed)));
-  sink->Counter("tsb_mutation_cache_only_pairs_total",
-                "Pairs needing only cache eviction (no re-stage)", no_labels,
-                static_cast<double>(
-                    cache_only_pairs_total_.load(std::memory_order_relaxed)));
-  sink->Counter("tsb_mutation_compaction_rounds_total",
-                "Background compaction folds completed", no_labels,
-                static_cast<double>(
-                    compaction_round_.load(std::memory_order_relaxed)));
-  sink->Counter("tsb_mutation_pairs_folded_total",
-                "Pair table sets folded into compacted epochs", no_labels,
-                static_cast<double>(
-                    pairs_folded_total_.load(std::memory_order_relaxed)));
-  sink->Gauge("tsb_mutation_generation",
-              "Current mutation generation (0 = base epoch)", no_labels,
-              static_cast<double>(
-                  generation_.load(std::memory_order_relaxed)));
-  sink->Gauge("tsb_mutation_uncompacted_generations",
-              "Overlay generations awaiting compaction", no_labels,
-              static_cast<double>(
-                  uncompacted_generations_.load(std::memory_order_relaxed)));
-  sink->Gauge("tsb_mutation_source_memo_bytes",
-              "Estimated heap bytes held by the per-pair source memos",
-              no_labels,
-              static_cast<double>(
-                  source_memo_bytes_.load(std::memory_order_relaxed)));
-  sink->Gauge("tsb_mutation_compaction_running",
-              "1 while a fold is in progress", no_labels,
-              compacting_.load(std::memory_order_relaxed) ? 1.0 : 0.0);
+namespace {
+
+constexpr obs::MetricKind kCounter = obs::MetricKind::kCounter;
+constexpr obs::MetricKind kGauge = obs::MetricKind::kGauge;
+
+const obs::MetricFamily kCompactionRunning{
+    "tsb_mutation_compaction_running", "1 while a fold is in progress",
+    kGauge};
+const obs::MetricFamily kPendingPairs{
+    "tsb_mutation_pending_pairs",
+    "Distinct pairs dirtied since the last fold", kGauge};
+
+}  // namespace
+
+const obs::CellTable<MutationEngine> MutationEngine::kMetricCells(
+    {},
+    {{kBatchesApplied, &MutationEngine::batches_applied_},
+     {kOpsApplied, &MutationEngine::ops_applied_},
+     {{"tsb_mutation_pairs_restaged_total",
+       "Dirty entity pairs re-staged into overlay epochs", kCounter},
+      &MutationEngine::pairs_restaged_total_},
+     {{"tsb_mutation_sources_swept_total",
+       "Source entities swept afresh while re-staging pairs", kCounter},
+      &MutationEngine::sources_swept_total_},
+     {{"tsb_mutation_sources_reused_total",
+       "Source entities re-staged from the source memo unswept", kCounter},
+      &MutationEngine::sources_reused_total_},
+     {{"tsb_mutation_cache_only_pairs_total",
+       "Pairs needing only cache eviction (no re-stage)", kCounter},
+      &MutationEngine::cache_only_pairs_total_},
+     {kCompactionRounds, &MutationEngine::compaction_round_},
+     {{"tsb_mutation_pairs_folded_total",
+       "Pair table sets folded into compacted epochs", kCounter},
+      &MutationEngine::pairs_folded_total_},
+     {{"tsb_mutation_generation",
+       "Current mutation generation (0 = base epoch)", kGauge},
+      &MutationEngine::generation_},
+     {kUncompactedGenerations, &MutationEngine::uncompacted_generations_},
+     {{"tsb_mutation_source_memo_bytes",
+       "Estimated heap bytes held by the per-pair source memos", kGauge},
+      &MutationEngine::source_memo_bytes_}});
+
+void MutationEngine::Collect(obs::MetricsRead* read) const {
+  kMetricCells.Read(*this, {}, read);
+  read->Add(kCompactionRunning, {})
+      .Set(compacting_.load(std::memory_order_relaxed) ? 1.0 : 0.0);
   {
     std::lock_guard<std::mutex> lock(status_mu_);
-    sink->Gauge("tsb_mutation_pending_pairs",
-                "Distinct pairs dirtied since the last fold", no_labels,
-                static_cast<double>(pending_pairs_.size()));
+    read->Add(kPendingPairs, {})
+        .Set(static_cast<uint64_t>(pending_pairs_.size()));
   }
   if (log_ != nullptr && log_->is_open()) {
-    sink->Counter("tsb_mutation_wal_records_total",
-                  "Mutation batches appended to the delta log", no_labels,
-                  static_cast<double>(log_->appended_records()));
-    sink->Counter("tsb_mutation_wal_bytes_total",
-                  "Bytes appended to the delta log", no_labels,
-                  static_cast<double>(log_->appended_bytes()));
+    read->Add(kWalRecords, {}).Set(log_->appended_records());
+    read->Add(kWalBytes, {}).Set(log_->appended_bytes());
   }
 }
 

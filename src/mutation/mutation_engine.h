@@ -176,8 +176,32 @@ class MutationEngine : public obs::MetricsSource {
   /// Human-readable status block for `topctl compaction`.
   std::string StatusString() const;
 
-  /// obs::MetricsSource: delta/overlay/compaction counters.
-  void Collect(obs::MetricsSink* sink) const override;
+  /// obs::MetricsSource: delta/overlay/compaction counters, exported
+  /// under tsb_mutation_*.
+  void Collect(obs::MetricsRead* read) const override;
+
+  /// The tsb_mutation_* families the fleet cost snapshot reads
+  /// (service::FleetSnapshotOf); the rest are declared in the .cc.
+  static inline const obs::MetricFamily kBatchesApplied{
+      "tsb_mutation_batches_applied_total",
+      "Mutation batches applied without a full rebuild",
+      obs::MetricKind::kCounter};
+  static inline const obs::MetricFamily kOpsApplied{
+      "tsb_mutation_ops_applied_total", "Individual mutations applied",
+      obs::MetricKind::kCounter};
+  static inline const obs::MetricFamily kUncompactedGenerations{
+      "tsb_mutation_uncompacted_generations",
+      "Overlay generations awaiting compaction", obs::MetricKind::kGauge};
+  static inline const obs::MetricFamily kCompactionRounds{
+      "tsb_mutation_compaction_rounds_total",
+      "Background compaction folds completed", obs::MetricKind::kCounter};
+  static inline const obs::MetricFamily kWalRecords{
+      "tsb_mutation_wal_records_total",
+      "Mutation batches appended to the delta log",
+      obs::MetricKind::kCounter};
+  static inline const obs::MetricFamily kWalBytes{
+      "tsb_mutation_wal_bytes_total", "Bytes appended to the delta log",
+      obs::MetricKind::kCounter};
 
  private:
   /// Validates, classifies, logs (when `log` is set) and publishes one
@@ -195,6 +219,9 @@ class MutationEngine : public obs::MetricsSource {
                             const graph::DataGraphView* old_view,
                             const graph::DataGraphView& new_view);
   void UpdateMemoBytes();
+
+  /// The counters and gauges Collect reads straight off the atomics.
+  static const obs::CellTable<MutationEngine> kMetricCells;
 
   storage::Catalog* db_;
   const graph::SchemaGraph* schema_;

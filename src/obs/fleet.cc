@@ -130,17 +130,17 @@ void FleetSnapshot::Merge(const FleetSnapshot& other) {
   Normalize();
 }
 
-double FleetSnapshot::ShardSkew() const {
-  if (shard_rows.empty()) return 0.0;
+double ShardSkew(const std::vector<uint64_t>& rows) {
+  if (rows.empty()) return 0.0;
   uint64_t total = 0;
   uint64_t max_rows = 0;
-  for (uint64_t rows : shard_rows) {
-    total += rows;
-    max_rows = std::max(max_rows, rows);
+  for (uint64_t r : rows) {
+    total += r;
+    max_rows = std::max(max_rows, r);
   }
   if (total == 0) return 0.0;
   const double mean =
-      static_cast<double>(total) / static_cast<double>(shard_rows.size());
+      static_cast<double>(total) / static_cast<double>(rows.size());
   return static_cast<double>(max_rows) / mean;
 }
 
@@ -187,7 +187,8 @@ std::string FleetSnapshot::Render() const {
                     static_cast<unsigned long long>(shard_rows[i]));
       out += line;
     }
-    std::snprintf(line, sizeof(line), "  skew %.2f\n", ShardSkew());
+    std::snprintf(line, sizeof(line), "  skew %.2f\n",
+                  ShardSkew(shard_rows));
     out += line;
   }
   if (hedges_launched + failovers + exhausted > 0) {

@@ -86,12 +86,14 @@ struct FleetSnapshot {
   /// normalizes automatically; Merge calls it too.
   void Normalize();
 
-  /// max/mean over shard_rows; 0 when empty or all-zero.
-  double ShardSkew() const;
-
   /// The `topctl top` dashboard body (also what tests assert against).
   std::string Render() const;
 };
+
+/// Skew factor of a per-shard row-count vector: max/mean. 1.0 is
+/// perfectly balanced; 0 when the vector is empty or all-zero. The one
+/// definition the service gauge, RebuildStats and `topctl top` share.
+double ShardSkew(const std::vector<uint64_t>& rows);
 
 void EncodeFleetSnapshot(const FleetSnapshot& snapshot, std::string* out);
 Result<FleetSnapshot> DecodeFleetSnapshot(std::string_view payload);

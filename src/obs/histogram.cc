@@ -72,13 +72,6 @@ LatencyHistogram::CumulativeBuckets() const {
   return out;
 }
 
-void LatencyHistogram::Reset() {
-  buckets_.fill(0);
-  count_ = 0;
-  sum_ = 0.0;
-  max_ = 0.0;
-}
-
 void LatencyHistogram::EncodeTo(std::string* out) const {
   PutU64(out, count_);
   PutF64(out, sum_);

@@ -72,8 +72,6 @@ class LatencyHistogram {
   /// last with the total count.
   std::vector<std::pair<double, uint64_t>> CumulativeBuckets() const;
 
-  void Reset();
-
   /// Sparse binary codec: exact count/sum/max plus (index, count) pairs
   /// for non-empty buckets. Append-encodes; decode validates indexes are
   /// in range and strictly increasing, and that the pair counts sum to

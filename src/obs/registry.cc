@@ -5,53 +5,12 @@
 #include <limits>
 #include <map>
 
+#include "common/logging.h"
+
 namespace tsb {
 namespace obs {
 
 namespace {
-
-enum class SampleType { kCounter, kGauge, kHistogram };
-
-struct Sample {
-  std::string name;
-  std::string help;
-  SampleType type = SampleType::kCounter;
-  MetricsSink::Labels labels;
-  double value = 0.0;
-  HistogramValue histogram;
-};
-
-/// Collects every source's samples into a flat list, preserving emission
-/// order within a source.
-class VectorSink : public MetricsSink {
- public:
-  void Counter(std::string_view name, std::string_view help,
-               const Labels& labels, double value) override {
-    Push(name, help, SampleType::kCounter, labels).value = value;
-  }
-  void Gauge(std::string_view name, std::string_view help,
-             const Labels& labels, double value) override {
-    Push(name, help, SampleType::kGauge, labels).value = value;
-  }
-  void Histogram(std::string_view name, std::string_view help,
-                 const Labels& labels, const HistogramValue& value) override {
-    Push(name, help, SampleType::kHistogram, labels).histogram = value;
-  }
-
-  std::vector<Sample> samples;
-
- private:
-  Sample& Push(std::string_view name, std::string_view help, SampleType type,
-               const Labels& labels) {
-    Sample sample;
-    sample.name = std::string(name);
-    sample.help = std::string(help);
-    sample.type = type;
-    sample.labels = labels;
-    samples.push_back(std::move(sample));
-    return samples.back();
-  }
-};
 
 std::string EscapeLabelValue(const std::string& value) {
   std::string out;
@@ -73,38 +32,43 @@ std::string FormatNumber(double value) {
   return buffer;
 }
 
-std::string RenderLabels(const MetricsSink::Labels& labels,
+std::string RenderLabels(const MetricSample& sample,
                          const char* extra_key = nullptr,
                          const char* extra_value = nullptr) {
-  if (labels.empty() && extra_key == nullptr) return std::string();
+  if (sample.labels.empty() && extra_key == nullptr) return std::string();
   std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) out += ",";
-    first = false;
-    out += key;
-    out += "=\"";
-    out += EscapeLabelValue(value);
-    out += "\"";
+  for (size_t i = 0; i < sample.labels.size(); ++i) {
+    if (i > 0) out += ",";
+    out += std::string(sample.family->label_keys[i]) + "=\"" +
+           EscapeLabelValue(sample.labels[i]) + "\"";
   }
   if (extra_key != nullptr) {
-    if (!first) out += ",";
-    out += extra_key;
-    out += "=\"";
-    out += extra_value;
-    out += "\"";
+    if (!sample.labels.empty()) out += ",";
+    out += std::string(extra_key) + "=\"" + extra_value + "\"";
   }
   out += "}";
   return out;
 }
 
-const char* TypeName(SampleType type) {
-  switch (type) {
-    case SampleType::kCounter: return "counter";
-    case SampleType::kGauge: return "gauge";
-    case SampleType::kHistogram: return "histogram";
+const char* TypeName(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::kCounter: return "counter";
+    case MetricKind::kGauge: return "gauge";
+    case MetricKind::kHistogram: return "histogram";
   }
   return "untyped";
+}
+
+/// A counter or gauge sample's exported number.
+double ExportValue(const MetricSample& sample) {
+  if (sample.family->kind == MetricKind::kGauge) return sample.value;
+  return static_cast<double>(sample.count) / sample.family->unit;
+}
+
+bool LabelsMatch(const MetricSample& sample,
+                 MetricsRead::LabelValues label_values) {
+  return std::equal(sample.labels.begin(), sample.labels.end(),
+                    label_values.begin(), label_values.end());
 }
 
 /// Prometheus `le` label values: finite bounds in %.9g, +Inf spelled the
@@ -138,6 +102,125 @@ std::string EscapeJson(const std::string& value) {
 
 }  // namespace
 
+MetricSample& MetricsRead::Add(const MetricFamily& family,
+                               const std::vector<std::string>& label_values) {
+  TSB_CHECK_EQ(label_values.size(), family.label_keys.size());
+  MetricSample& sample = samples_.emplace_back();
+  sample.family = &family;
+  sample.labels = label_values;
+  return sample;
+}
+
+const MetricSample* MetricsRead::Find(std::string_view name,
+                                      LabelValues label_values) const {
+  for (const MetricSample& sample : samples_) {
+    if (sample.family->name == name && LabelsMatch(sample, label_values)) {
+      return &sample;
+    }
+  }
+  return nullptr;
+}
+
+std::vector<const MetricSample*> MetricsRead::All(
+    std::string_view name) const {
+  std::vector<const MetricSample*> out;
+  for (const MetricSample& sample : samples_) {
+    if (sample.family->name == name) out.push_back(&sample);
+  }
+  return out;
+}
+
+uint64_t MetricsRead::Count(std::string_view name,
+                            LabelValues label_values) const {
+  const MetricSample* sample = Find(name, label_values);
+  return sample == nullptr ? 0 : sample->count;
+}
+
+uint64_t MetricsRead::Sum(std::string_view name) const {
+  uint64_t total = 0;
+  for (const MetricSample* sample : All(name)) total += sample->count;
+  return total;
+}
+
+std::string MetricsRead::RenderPrometheus() const {
+  // Group samples by family name so HELP/TYPE headers appear exactly once
+  // per family, in first-seen order.
+  std::vector<std::string_view> family_order;
+  std::map<std::string_view, std::vector<const MetricSample*>> families;
+  for (const MetricSample& sample : samples_) {
+    auto [it, inserted] = families.emplace(
+        sample.family->name, std::vector<const MetricSample*>());
+    if (inserted) family_order.push_back(sample.family->name);
+    it->second.push_back(&sample);
+  }
+  std::string out;
+  for (std::string_view family_name : family_order) {
+    const auto& group = families[family_name];
+    const MetricFamily& family = *group.front()->family;
+    const std::string name(family_name);
+    out += "# HELP " + name + " " + std::string(family.help) + "\n";
+    out += "# TYPE " + name + " " + TypeName(family.kind) + "\n";
+    for (const MetricSample* sample : group) {
+      if (family.kind == MetricKind::kHistogram) {
+        const LatencyHistogram& h = sample->histogram;
+        for (const auto& [bound, cumulative] : h.CumulativeBuckets()) {
+          out += name + "_bucket" +
+                 RenderLabels(*sample, "le",
+                              FormatBound(bound).c_str()) +
+                 " " + FormatNumber(static_cast<double>(cumulative)) + "\n";
+        }
+        out += name + "_count" + RenderLabels(*sample) + " " +
+               FormatNumber(static_cast<double>(h.count())) + "\n";
+        out += name + "_sum" + RenderLabels(*sample) + " " +
+               FormatNumber(h.sum()) + "\n";
+      } else {
+        out += name + RenderLabels(*sample) + " " +
+               FormatNumber(ExportValue(*sample)) + "\n";
+      }
+    }
+  }
+  return out;
+}
+
+std::string MetricsRead::RenderJson() const {
+  std::string out = "[";
+  bool first_sample = true;
+  for (const MetricSample& sample : samples_) {
+    const MetricFamily& family = *sample.family;
+    if (!first_sample) out += ",";
+    first_sample = false;
+    out += "\n  {\"name\":\"" + EscapeJson(std::string(family.name)) +
+           "\",\"type\":\"";
+    out += TypeName(family.kind);
+    out += "\",\"labels\":{";
+    for (size_t i = 0; i < sample.labels.size(); ++i) {
+      if (i > 0) out += ",";
+      out += "\"" + EscapeJson(std::string(family.label_keys[i])) +
+             "\":\"" + EscapeJson(sample.labels[i]) + "\"";
+    }
+    out += "},";
+    if (family.kind == MetricKind::kHistogram) {
+      const LatencyHistogram& h = sample.histogram;
+      out += "\"value\":{\"count\":" +
+             FormatNumber(static_cast<double>(h.count())) +
+             ",\"sum\":" + FormatNumber(h.sum()) + ",\"buckets\":[";
+      bool first_bucket = true;
+      for (const auto& [bound, cumulative] : h.CumulativeBuckets()) {
+        if (!first_bucket) out += ",";
+        first_bucket = false;
+        out += "[\"" + FormatBound(bound) + "\"," +
+               FormatNumber(static_cast<double>(cumulative)) + "]";
+      }
+      out += "]}";
+    } else {
+      out += "\"value\":" + FormatNumber(ExportValue(sample));
+    }
+    out += "}";
+  }
+  out += "\n]\n";
+  return out;
+}
+
 void MetricsRegistry::Register(const MetricsSource* source) {
   if (source == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
@@ -157,91 +240,11 @@ size_t MetricsRegistry::num_sources() const {
   return sources_.size();
 }
 
-std::string MetricsRegistry::RenderPrometheus() const {
-  VectorSink sink;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const MetricsSource* source : sources_) source->Collect(&sink);
-  }
-  // Group samples by family name so HELP/TYPE headers appear exactly once
-  // per family, in first-seen order.
-  std::vector<std::string> family_order;
-  std::map<std::string, std::vector<const Sample*>> families;
-  for (const Sample& sample : sink.samples) {
-    auto [it, inserted] = families.emplace(sample.name,
-                                           std::vector<const Sample*>());
-    if (inserted) family_order.push_back(sample.name);
-    it->second.push_back(&sample);
-  }
-  std::string out;
-  for (const std::string& name : family_order) {
-    const auto& group = families[name];
-    const Sample* head = group.front();
-    out += "# HELP " + name + " " + head->help + "\n";
-    out += "# TYPE " + name + " " + TypeName(head->type) + "\n";
-    for (const Sample* sample : group) {
-      if (sample->type == SampleType::kHistogram) {
-        const HistogramValue& h = sample->histogram;
-        for (const auto& [bound, cumulative] : h.buckets) {
-          out += name + "_bucket" +
-                 RenderLabels(sample->labels, "le",
-                              FormatBound(bound).c_str()) +
-                 " " + FormatNumber(static_cast<double>(cumulative)) + "\n";
-        }
-        out += name + "_count" + RenderLabels(sample->labels) + " " +
-               FormatNumber(static_cast<double>(h.count)) + "\n";
-        out += name + "_sum" + RenderLabels(sample->labels) + " " +
-               FormatNumber(h.sum) + "\n";
-      } else {
-        out += name + RenderLabels(sample->labels) + " " +
-               FormatNumber(sample->value) + "\n";
-      }
-    }
-  }
-  return out;
-}
-
-std::string MetricsRegistry::RenderJson() const {
-  VectorSink sink;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const MetricsSource* source : sources_) source->Collect(&sink);
-  }
-  std::string out = "[";
-  bool first_sample = true;
-  for (const Sample& sample : sink.samples) {
-    if (!first_sample) out += ",";
-    first_sample = false;
-    out += "\n  {\"name\":\"" + EscapeJson(sample.name) + "\",\"type\":\"";
-    out += TypeName(sample.type);
-    out += "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [key, value] : sample.labels) {
-      if (!first_label) out += ",";
-      first_label = false;
-      out += "\"" + EscapeJson(key) + "\":\"" + EscapeJson(value) + "\"";
-    }
-    out += "},";
-    if (sample.type == SampleType::kHistogram) {
-      const HistogramValue& h = sample.histogram;
-      out += "\"value\":{\"count\":" +
-             FormatNumber(static_cast<double>(h.count)) +
-             ",\"sum\":" + FormatNumber(h.sum) + ",\"buckets\":[";
-      bool first_bucket = true;
-      for (const auto& [bound, cumulative] : h.buckets) {
-        if (!first_bucket) out += ",";
-        first_bucket = false;
-        out += "[\"" + FormatBound(bound) + "\"," +
-               FormatNumber(static_cast<double>(cumulative)) + "]";
-      }
-      out += "]}";
-    } else {
-      out += "\"value\":" + FormatNumber(sample.value);
-    }
-    out += "}";
-  }
-  out += "\n]\n";
-  return out;
+MetricsRead MetricsRegistry::Read() const {
+  MetricsRead read;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const MetricsSource* source : sources_) source->Collect(&read);
+  return read;
 }
 
 }  // namespace obs

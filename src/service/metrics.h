@@ -2,6 +2,7 @@
 #define TSB_SERVICE_METRICS_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -9,7 +10,6 @@
 #include <vector>
 
 #include "engine/query.h"
-#include "obs/cost.h"
 #include "obs/fleet.h"
 #include "obs/histogram.h"
 #include "obs/registry.h"
@@ -18,65 +18,13 @@
 namespace tsb {
 namespace service {
 
-/// Per-method serving counters. One row per engine method plus one for
-/// 3-queries (kTripleSlot).
-struct MethodStatsSnapshot {
-  std::string method;
-  uint64_t requests = 0;     // Admitted requests (hits + executions).
-  uint64_t cache_hits = 0;
-  uint64_t errors = 0;       // Admitted but failed in the engine.
-  /// End-to-end service latency in fixed log buckets; bucket counts merge
-  /// exactly across processes (`topctl top`).
-  obs::LatencyHistogram latency;
-  /// Aggregate resource bill for this method (obs::CostTracker).
-  obs::CostCounters cost;
-};
-
-/// Per-admission-class serving counters (wire::Priority classes).
-struct PriorityClassSnapshot {
-  std::string name;            // "interactive" / "batch".
-  uint64_t admitted = 0;       // Entered the class queue.
-  uint64_t rejected = 0;       // Bounced: class queue at its bound.
-  uint64_t deadline_shed = 0;  // Dequeued after the deadline expired.
-  uint64_t cancelled = 0;      // Stream cancelled before execution.
-  obs::LatencyHistogram latency;  // End-to-end, executed requests.
-};
-
-struct MetricsSnapshot {
-  std::vector<MethodStatsSnapshot> methods;  // Only methods with traffic.
-  uint64_t total_requests = 0;
-  uint64_t total_cache_hits = 0;
-  uint64_t total_errors = 0;
-  uint64_t total_rejected = 0;  // Bounced by admission control.
-
-  /// One row per admission class (always both, traffic or not).
-  std::vector<PriorityClassSnapshot> classes;
-
-  /// Per-shard AllTops row counts (one entry for a single store; refreshed
-  /// on construction and after every rebuild) and the skew factor
-  /// max/mean — 1.0 is perfectly balanced, 0 when empty. The
-  /// first half of the ROADMAP shard-rebalancing item: observe the skew
-  /// before acting on it.
-  std::vector<uint64_t> shard_rows;
-  double shard_skew = 0.0;
-
-  /// Aggregate scan counters from executed queries (ExecStats), so the
-  /// columnar zone-map skip rate is observable at the service level.
-  uint64_t scan_rows_scanned = 0;
-  uint64_t scan_blocks_total = 0;
-  uint64_t scan_blocks_skipped = 0;
-
-  /// Multi-line human-readable table.
-  std::string ToString() const;
-};
-
-/// Thread-safe serving metrics: requests, cache hits, errors, rejections,
-/// and per-method latency histograms (p50/p95/p99 at bucket resolution).
-///
-/// Also an obs::MetricsSource: registered with a process's
-/// obs::MetricsRegistry it exports every counter under tsb_service_*
-/// (Prometheus / JSON); the Snapshot()+ToString view stays as the human
-/// rendering of the same state.
+/// Thread-safe serving metrics, exported under tsb_service_*: per method
+/// slot (one per engine method plus kTripleSlot) the admitted requests,
+/// cache hits, errors, latency histogram, resource bill and scan
+/// counters; per admission class the admitted, rejected, shed and
+/// cancelled counts and a latency histogram; and the per-shard AllTops
+/// row gauge. Each family is declared once (metrics.cc); MetricsTable and
+/// FleetSnapshotOf render a read of it.
 class ServiceMetrics : public obs::MetricsSource {
  public:
   /// Slot used for TripleQuery traffic (engine methods use their enum
@@ -86,91 +34,71 @@ class ServiceMetrics : public obs::MetricsSource {
 
   static constexpr size_t kNumClasses = 2;  // wire::Priority cardinality.
 
-  void RecordRequest(size_t slot, double seconds, bool cache_hit, bool ok);
-  /// Folds one executed query's resource bill (ExecStats cost fields)
-  /// into the method's aggregate CostCounters.
-  void RecordCost(size_t slot, const obs::CostCounters& cost);
+  /// One admitted request. `executed` — the stats of a query that ran —
+  /// adds its resource bill and scan counters in the same cell update.
+  void RecordRequest(size_t slot, double seconds, bool cache_hit, bool ok,
+                     const engine::ExecStats* executed = nullptr);
   /// `cls` is the admission class (static_cast of wire::Priority).
-  void RecordRejected(size_t cls);
-  void RecordAdmitted(size_t cls);
-  void RecordDeadlineShed(size_t cls);
-  void RecordCancelled(size_t cls);
+  void RecordRejected(size_t cls) { Bump(cls, &ClassCell::rejected); }
+  void RecordAdmitted(size_t cls) { Bump(cls, &ClassCell::admitted); }
+  void RecordDeadlineShed(size_t cls) {
+    Bump(cls, &ClassCell::deadline_shed);
+  }
+  void RecordCancelled(size_t cls) { Bump(cls, &ClassCell::cancelled); }
   void RecordClassLatency(size_t cls, double seconds);
-  /// Folds one executed query's scan counters (ExecStats) into the
-  /// service-level aggregates.
-  void RecordScanStats(uint64_t rows_scanned, uint64_t blocks_total,
-                       uint64_t blocks_skipped);
-  /// Publishes the per-shard row counts the skew metric derives from.
+  /// Publishes the per-shard row counts (refreshed on construction and
+  /// after every rebuild) the shard-skew gauge derives from.
   void SetShardRows(std::vector<uint64_t> rows);
-  void Reset();
 
-  MetricsSnapshot Snapshot() const;
-
-  /// obs::MetricsSource: exports the snapshot as typed tsb_service_*
-  /// samples.
-  void Collect(obs::MetricsSink* sink) const override;
+  void Collect(obs::MetricsRead* read) const override;
 
   static size_t SlotOf(engine::MethodKind method) {
     return static_cast<size_t>(method);
   }
   static std::string SlotName(size_t slot);
 
- private:
-  struct Slot {
+  // The declared export: one table per cell kind (metrics.cc).
+  struct MethodCell {
     mutable std::mutex mu;
-    uint64_t requests = 0;
+    uint64_t requests = 0;  // Admitted requests (hits + executions).
     uint64_t cache_hits = 0;
-    uint64_t errors = 0;
+    uint64_t errors = 0;    // Admitted but failed in the engine.
     obs::LatencyHistogram latency;
-    obs::CostCounters cost;
+    uint64_t cpu_ns = 0;
+    uint64_t bytes_deserialized = 0;
+    uint64_t catalog_interns = 0;
+    uint64_t heap_bytes = 0;
+    uint64_t rows_scanned = 0;
+    uint64_t blocks_total = 0;
+    uint64_t blocks_skipped = 0;
   };
-
-  struct ClassSlot {
+  struct ClassCell {
     mutable std::mutex mu;
-    uint64_t admitted = 0;
-    uint64_t rejected = 0;
-    uint64_t deadline_shed = 0;
-    uint64_t cancelled = 0;
-    obs::LatencyHistogram latency;
+    uint64_t admitted = 0;       // Entered the class queue.
+    uint64_t rejected = 0;       // Bounced: class queue at its bound.
+    uint64_t deadline_shed = 0;  // Dequeued after the deadline expired.
+    uint64_t cancelled = 0;      // Stream cancelled before execution.
+    obs::LatencyHistogram latency;  // End-to-end, executed requests.
   };
+  static const obs::CellTable<MethodCell> kMethodCells;
+  /// The scan counters, exported unlabelled as their sum over methods.
+  static const obs::CellTable<MethodCell> kScanTotals;
+  static const obs::CellTable<ClassCell> kClassCells;
 
-  std::array<Slot, kNumSlots> slots_;
-  std::array<ClassSlot, kNumClasses> classes_;
-  mutable std::mutex rejected_mu_;
-  uint64_t rejected_ = 0;
+ private:
+  void Bump(size_t cls, uint64_t ClassCell::*counter);
+
+  std::array<MethodCell, kNumSlots> methods_;
+  std::array<ClassCell, kNumClasses> classes_;
   mutable std::mutex shard_mu_;
   std::vector<uint64_t> shard_rows_;
-  mutable std::mutex scan_mu_;
-  uint64_t scan_rows_scanned_ = 0;
-  uint64_t scan_blocks_total_ = 0;
-  uint64_t scan_blocks_skipped_ = 0;
 };
 
-/// One shard's transport counters, as observed by the sending side.
-struct TransportShardSnapshot {
-  uint64_t requests = 0;        // Sub-query round-trips attempted.
-  uint64_t failures = 0;        // Round-trips that returned no response.
-  uint64_t bytes_sent = 0;      // Encoded request frame bytes.
-  uint64_t bytes_received = 0;  // Encoded response frame bytes.
-  uint64_t reconnects = 0;      // Successful dials after a failure.
-  obs::LatencyHistogram rtt;    // Send-to-response round-trip time.
-};
-
-struct TransportMetricsSnapshot {
-  std::vector<TransportShardSnapshot> shards;
-  /// Sums of the per-shard counters; rtt stays empty (merge the per-shard
-  /// histograms for an all-shard view).
-  TransportShardSnapshot total;
-
-  /// Multi-line human-readable table (one row per shard with traffic).
-  std::string ToString() const;
-};
-
-/// Thread-safe per-shard transport telemetry: send/recv byte counters,
-/// request RTT p50/p95, failure and reconnect counts. The executor's
-/// replica-set transport records one row per logical Send, whether its
-/// channels are in-process or sockets, so swapping transports keeps the
-/// dashboards comparable.
+/// Thread-safe per-shard transport telemetry, exported under
+/// tsb_transport_*: round trips, failures, bytes each way, reconnects and
+/// an RTT histogram. The executor's replica-set transport records one row
+/// per logical Send, whether its channels are in-process or sockets, so
+/// swapping transports keeps the dashboards comparable.
 class TransportMetrics : public obs::MetricsSource {
  public:
   explicit TransportMetrics(size_t num_shards);
@@ -187,14 +115,10 @@ class TransportMetrics : public obs::MetricsSource {
   /// dead shard came back.
   void RecordReconnect(size_t shard);
 
-  TransportMetricsSnapshot Snapshot() const;
-  void Reset();
+  void Collect(obs::MetricsRead* read) const override;
 
-  /// obs::MetricsSource: exports per-shard tsb_transport_* samples.
-  void Collect(obs::MetricsSink* sink) const override;
-
- private:
-  struct ShardSlot {
+  // The declared export (metrics.cc).
+  struct ShardCell {
     mutable std::mutex mu;
     uint64_t requests = 0;
     uint64_t failures = 0;
@@ -203,9 +127,11 @@ class TransportMetrics : public obs::MetricsSource {
     uint64_t reconnects = 0;
     obs::LatencyHistogram rtt;
   };
+  static const obs::CellTable<ShardCell> kShardCells;
 
+ private:
   size_t num_shards_;
-  std::unique_ptr<ShardSlot[]> shards_;
+  std::unique_ptr<ShardCell[]> shards_;
 };
 
 /// One replica's serving counters, as observed by the replica-set
@@ -231,19 +157,18 @@ struct ReplicaShardSnapshot {
   uint64_t exhausted = 0;        // Sends that failed on every replica.
 };
 
+/// ReplicaMetrics' exported state as plain structs, built from its read:
+/// a replica or shard the read leaves out reads as zeros.
 struct ReplicaMetricsSnapshot {
   std::vector<ReplicaShardSnapshot> shards;
-
-  /// Multi-line human-readable table (one row per replica with traffic).
-  std::string ToString() const;
 };
 
 /// Thread-safe per-(shard, replica) serving telemetry — the replica
-/// dimension under TransportMetrics' per-shard view. Doubles as the
-/// routing-state source: the replica-set transport picks the least-loaded
-/// healthy replica by (outstanding, rtt_ewma), both read from here, so
-/// the load signal the router acts on is exactly the one the dashboards
-/// show.
+/// dimension under TransportMetrics' per-shard view — exported under
+/// tsb_replica_*. Doubles as the routing-state source: the replica-set
+/// transport picks the least-loaded healthy replica by (outstanding,
+/// rtt_ewma), both read from here, so the load signal the router acts on
+/// is exactly the one the dashboards show.
 class ReplicaMetrics : public obs::MetricsSource {
  public:
   /// `replicas_per_shard[s]` is shard s's replica count (R may vary).
@@ -263,13 +188,23 @@ class ReplicaMetrics : public obs::MetricsSource {
                      bool is_hedge);
   void RecordOutcome(size_t shard, size_t replica, double rtt_seconds,
                      bool ok);
-  void RecordHedgeWin(size_t shard, size_t replica);
-  void RecordHedgeLaunched(size_t shard);
-  void RecordFailover(size_t shard);
-  void RecordExhausted(size_t shard);
-  void RecordEjection(size_t shard, size_t replica);
-  void RecordReinstatement(size_t shard, size_t replica);
-  void RecordQuarantine(size_t shard, size_t replica);
+  void RecordHedgeWin(size_t shard, size_t replica) {
+    Bump(shard, replica, &ReplicaCell::hedge_wins);
+  }
+  void RecordHedgeLaunched(size_t shard) {
+    Bump(shard, &ShardCell::hedges_launched);
+  }
+  void RecordFailover(size_t shard) { Bump(shard, &ShardCell::failovers); }
+  void RecordExhausted(size_t shard) { Bump(shard, &ShardCell::exhausted); }
+  void RecordEjection(size_t shard, size_t replica) {
+    Bump(shard, replica, &ReplicaCell::ejections);
+  }
+  void RecordReinstatement(size_t shard, size_t replica) {
+    Bump(shard, replica, &ReplicaCell::reinstatements);
+  }
+  void RecordQuarantine(size_t shard, size_t replica) {
+    Bump(shard, replica, &ReplicaCell::quarantines);
+  }
 
   /// Routing signals (racy snapshots, by design).
   uint64_t Outstanding(size_t shard, size_t replica) const;
@@ -281,17 +216,14 @@ class ReplicaMetrics : public obs::MetricsSource {
   double ShardRttP95(size_t shard, uint64_t min_samples) const;
 
   ReplicaMetricsSnapshot Snapshot() const;
-  void Reset();
 
-  /// obs::MetricsSource: exports per-(shard, replica) tsb_replica_*
-  /// samples.
-  void Collect(obs::MetricsSink* sink) const override;
+  void Collect(obs::MetricsRead* read) const override;
 
   /// EWMA smoothing factor for rtt_ewma (weight of the newest sample).
   static constexpr double kEwmaAlpha = 0.2;
 
- private:
-  struct ReplicaSlot {
+  // The declared export (metrics.cc).
+  struct ReplicaCell {
     mutable std::mutex mu;
     uint64_t attempts = 0;
     uint64_t failures = 0;
@@ -305,9 +237,8 @@ class ReplicaMetrics : public obs::MetricsSource {
     double rtt_ewma = 0.0;
     obs::LatencyHistogram rtt;
   };
-
-  struct ShardSlot {
-    std::vector<std::unique_ptr<ReplicaSlot>> replicas;
+  struct ShardCell {
+    std::vector<std::unique_ptr<ReplicaCell>> replicas;
     mutable std::mutex mu;
     uint64_t hedges_launched = 0;
     uint64_t failovers = 0;
@@ -315,20 +246,36 @@ class ReplicaMetrics : public obs::MetricsSource {
     obs::LatencyHistogram shard_rtt;  // Pooled over replicas (hedge base).
     uint64_t shard_attempts = 0;
   };
+  static const obs::CellTable<ReplicaCell> kReplicaCells;
+  static const obs::CellTable<ShardCell> kShardCells;
 
-  std::vector<ShardSlot> shards_;
+ private:
+  ReplicaCell& Replica(size_t shard, size_t replica) const;
+  void Bump(size_t shard, size_t replica, uint64_t ReplicaCell::*counter);
+  void Bump(size_t shard, uint64_t ShardCell::*counter);
+
+  std::vector<ShardCell> shards_;
 };
 
-/// Assembles one process's contribution to the fleet cost view (the admin
-/// `cost-snapshot` payload): per-method counters + histograms + cost
-/// bills from the service snapshot, replica-routing health when a replica
-/// snapshot is supplied (frontends; null on shard servers), and the
-/// top-cost queries mined from the slow log (null when disabled). The
-/// caller fills the mutation/WAL counters afterwards — they live in the
-/// mutation engine, outside the metrics layer.
-obs::FleetSnapshot BuildFleetSnapshot(const MetricsSnapshot& service,
-                                      const ReplicaMetricsSnapshot* replicas,
-                                      const obs::SlowQueryLog* slow_log);
+/// The `metrics-text` body: one row per method with traffic, one per
+/// admission class with any, the shard rows and skew, the scan line and
+/// the totals — rendered from a read that includes a ServiceMetrics.
+std::string MetricsTable(const obs::MetricsRead& read);
+
+/// One row per transport shard the read exports, then the totals.
+std::string TransportTable(const obs::MetricsRead& read);
+
+/// One row per replica the read exports, then each exported shard's
+/// hedge/failover/exhausted line.
+std::string ReplicaTable(const obs::MetricsRead& read);
+
+/// One process's contribution to the fleet cost view (the admin
+/// `cost-snapshot` payload), rendered from a read of its registry:
+/// per-method counters, histograms and cost bills, replica-routing totals
+/// and mutation/WAL counters where the read has them, plus the top-cost
+/// queries mined from the slow log (null when disabled).
+obs::FleetSnapshot FleetSnapshotOf(const obs::MetricsRead& read,
+                                   const obs::SlowQueryLog* slow_log);
 
 }  // namespace service
 }  // namespace tsb

@@ -34,7 +34,7 @@ service::QueryCacheConfig TripleCacheConfig(service::QueryCacheConfig cache) {
 }  // namespace
 
 double RebuildStats::ShardSkew() const {
-  return shard::ShardRowSkew(shard_rows);
+  return obs::ShardSkew(shard_rows);
 }
 
 TopologyService::TopologyService(const engine::Engine* engine,
@@ -398,17 +398,6 @@ wire::WireResponse TopologyService::RunQuery(
                    exec_watch.ElapsedSeconds(), std::move(tags),
                    ok ? result->stats.cpu_ns : 0);
   }
-  if (ok) {
-    metrics_.RecordScanStats(result->stats.rows_scanned,
-                             result->stats.blocks_total,
-                             result->stats.blocks_skipped);
-    obs::CostCounters cost;
-    cost.cpu_ns = result->stats.cpu_ns;
-    cost.bytes_deserialized = result->stats.bytes_deserialized;
-    cost.catalog_interns = result->stats.catalog_interns;
-    cost.heap_bytes = result->stats.heap_bytes;
-    metrics_.RecordCost(slot, cost);
-  }
   // Degraded answers (a shard failed or timed out; partial=true) are
   // never cached: the blip is transient, but a cached partial would keep
   // serving the incomplete ranking until the next epoch swap.
@@ -423,7 +412,7 @@ wire::WireResponse TopologyService::RunQuery(
   }
   response.service_seconds = watch.ElapsedSeconds();
   metrics_.RecordRequest(slot, response.service_seconds, /*cache_hit=*/false,
-                         ok);
+                         ok, ok ? &response.result.stats : nullptr);
   FinishQueryObservation(request, response, trace, queue_seconds);
   return response;
 }

@@ -257,7 +257,9 @@ class TopologyService {
   /// delivered), joins workers. Idempotent; the destructor calls it.
   void Shutdown();
 
-  MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
+  /// One read of the service's metrics (render it with MetricsTable, or
+  /// look counters up by family name).
+  obs::MetricsRead Metrics() const { return metrics_.Read(); }
   QueryCache::Stats CacheStats() const { return cache_.GetStats(); }
   /// The service's tracer (sampling knob, recent traces). Thread-safe;
   /// set_sample_every takes effect for subsequent submissions.
@@ -265,9 +267,6 @@ class TopologyService {
   const obs::Tracer& tracer() const { return tracer_; }
   obs::SlowQueryLog& slow_query_log() { return slow_log_; }
   const obs::SlowQueryLog& slow_query_log() const { return slow_log_; }
-  /// This service's metrics as a registry source (register it with an
-  /// obs::MetricsRegistry for Prometheus/JSON export).
-  const obs::MetricsSource& metrics_source() const { return metrics_; }
   size_t num_threads() const { return pool_.num_threads(); }
   size_t InFlight() const { return in_flight_.load(); }
   /// Queued + executing requests of one admission class.

@@ -93,18 +93,10 @@ Result<std::string> ShardFrameHandler::Handle(
         response.spans.push_back(std::move(span));
       }
       if (observability_.metrics != nullptr) {
+        const bool ok = response.error.ok();
         observability_.metrics->RecordRequest(
             service::ServiceMetrics::SlotOf(decoded.method), seconds,
-            /*cache_hit=*/false, response.error.ok());
-        if (response.error.ok()) {
-          obs::CostCounters cost;
-          cost.cpu_ns = response.result.stats.cpu_ns;
-          cost.bytes_deserialized = response.result.stats.bytes_deserialized;
-          cost.catalog_interns = response.result.stats.catalog_interns;
-          cost.heap_bytes = response.result.stats.heap_bytes;
-          observability_.metrics->RecordCost(
-              service::ServiceMetrics::SlotOf(decoded.method), cost);
-        }
+            /*cache_hit=*/false, ok, ok ? &response.result.stats : nullptr);
       }
       if (observability_.slow_log != nullptr &&
           observability_.slow_log->enabled() &&

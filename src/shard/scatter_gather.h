@@ -183,9 +183,6 @@ class ScatterGatherExecutor {
   service::TransportMetrics* transport_metrics() const {
     return &transport_metrics_;
   }
-  service::TransportMetricsSnapshot GetTransportMetrics() const {
-    return transport_metrics_.Snapshot();
-  }
 
   ScatterStats GetScatterStats() const;
 

@@ -78,19 +78,6 @@ std::vector<uint64_t> ShardAllTopsRowCounts(
   return rows;
 }
 
-double ShardRowSkew(const std::vector<uint64_t>& rows) {
-  if (rows.empty()) return 0.0;
-  uint64_t total = 0;
-  uint64_t max = 0;
-  for (uint64_t r : rows) {
-    total += r;
-    if (r > max) max = r;
-  }
-  if (total == 0) return 0.0;
-  return static_cast<double>(max) /
-         (static_cast<double>(total) / static_cast<double>(rows.size()));
-}
-
 std::string ShardedTopologyStore::EpochStamp() const {
   if (handles_.size() == 1) return "e" + std::to_string(handles_[0]->epoch());
   std::string stamp = "s" + std::to_string(handles_.size()) + "[";

@@ -119,11 +119,6 @@ std::vector<uint64_t> ShardAllTopsRowCounts(
     const storage::Catalog& db,
     const std::vector<const core::TopologyStore*>& stores);
 
-/// Skew factor of a per-shard row-count vector: max/mean. 1.0 is
-/// perfectly balanced; 0 when the vector is empty or all-zero. The one
-/// definition both RebuildStats::ShardSkew and the metrics snapshot use.
-double ShardRowSkew(const std::vector<uint64_t>& rows);
-
 }  // namespace shard
 }  // namespace tsb
 

@@ -90,8 +90,7 @@ class FleetGridTest : public ::testing::Test {
   void StartProcess(GridProcess* p, size_t index) {
     p->admin.slow_log = &p->slow_log;
     p->admin.cost_snapshot = [p]() {
-      return service::BuildFleetSnapshot(p->metrics.Snapshot(),
-                                         /*replicas=*/nullptr, &p->slow_log);
+      return service::FleetSnapshotOf(p->metrics.Read(), &p->slow_log);
     };
     p->handler = std::make_unique<shard::ShardFrameHandler>(
         &db_, engine_.get(),
@@ -279,6 +278,20 @@ TEST_F(FleetGridTest, MergedScrapeOfALiveGridIsExactAndOrderIndependent) {
   }
 
   for (auto& p : grid) p->server->Stop();
+}
+
+TEST_F(FleetGridTest, ShardServersCountScanWork) {
+  // A shard server records an executed frame's scan counters with its
+  // cost, so the dashboard's scan line reflects the rows it read.
+  auto p = std::make_unique<GridProcess>();
+  StartProcess(p.get(), 8);
+  DriveQuery(p.get(), MethodKind::kFullTopK, 5);
+  const obs::FleetSnapshot snap = Scrape(*p);
+  EXPECT_EQ(snap.total_requests, 1u);
+  EXPECT_GT(snap.scan_rows, 0u);
+  EXPECT_NE(snap.Render().find("scan: rows " + std::to_string(snap.scan_rows)),
+            std::string::npos)
+      << snap.Render();
 }
 
 TEST_F(FleetGridTest, CostAccountingToggleKeepsServedBytesIdentical) {

@@ -1178,6 +1178,19 @@ TEST_F(MutationFig3Test, WalReplayReproducesAcknowledgedBatchesExactly) {
     for (const mutation::MutationBatch& batch : history) {
       ASSERT_TRUE(live_->mutator->ApplyLogged(batch).ok());
     }
+    // The fleet snapshot reads the mutation and WAL counters off the
+    // engine's own export.
+    const obs::FleetSnapshot fleet =
+        service::FleetSnapshotOf(live_->mutator->Read(), nullptr);
+    EXPECT_EQ(fleet.mutation_batches, live_->mutator->batches_applied());
+    EXPECT_EQ(fleet.mutation_ops, live_->mutator->ops_applied());
+    EXPECT_EQ(fleet.overlay_generations,
+              live_->mutator->uncompacted_generations());
+    EXPECT_EQ(fleet.compaction_folds, live_->mutator->compaction_rounds());
+    EXPECT_EQ(fleet.wal_records, history.size());
+    EXPECT_EQ(fleet.wal_records, wal.appended_records());
+    EXPECT_EQ(fleet.wal_bytes, wal.appended_bytes());
+    EXPECT_GT(fleet.wal_bytes, 0u);
     live_->mutator->set_delta_log(nullptr);
   }
 

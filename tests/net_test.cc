@@ -500,9 +500,9 @@ TEST_F(NetFig3Test, KilledShardServerDegradesToPartialAndRecovers) {
   EXPECT_TRUE(cached.from_cache);
   EXPECT_FALSE(cached.result.partial);
 
-  auto metrics = executor->GetTransportMetrics();
-  EXPECT_GT(metrics.total.failures, 0u);
-  EXPECT_GT(metrics.total.reconnects, 0u);
+  const obs::MetricsRead metrics = executor->transport_metrics()->Read();
+  EXPECT_GT(metrics.Sum("tsb_transport_failures_total"), 0u);
+  EXPECT_GT(metrics.Sum("tsb_transport_reconnects_total"), 0u);
 
   svc.Shutdown();
   executor->set_transport(nullptr);
@@ -701,20 +701,21 @@ TEST_F(NetFig3Test, ConnectionPoolReusesConnectionsAcrossQueries) {
   EXPECT_LT(accepted, served / 2)
       << accepted << " conns for " << served << " frames";
 
-  auto metrics = executor->GetTransportMetrics();
-  EXPECT_EQ(metrics.total.requests, served);
-  EXPECT_GT(metrics.total.bytes_sent, 0u);
-  EXPECT_GT(metrics.total.bytes_received, 0u);
-  EXPECT_EQ(metrics.total.failures, 0u);
-  EXPECT_EQ(metrics.total.reconnects, 0u);
+  const obs::MetricsRead metrics = executor->transport_metrics()->Read();
+  EXPECT_EQ(metrics.Sum("tsb_transport_requests_total"), served);
+  EXPECT_GT(metrics.Sum("tsb_transport_bytes_sent_total"), 0u);
+  EXPECT_GT(metrics.Sum("tsb_transport_bytes_received_total"), 0u);
+  EXPECT_EQ(metrics.Sum("tsb_transport_failures_total"), 0u);
+  EXPECT_EQ(metrics.Sum("tsb_transport_reconnects_total"), 0u);
   bool rtt_seen = false;
-  for (const auto& row : metrics.shards) {
-    if (row.rtt.count() > 0 && row.rtt.Quantile(0.95) > 0.0) {
+  for (const obs::MetricSample* row :
+       metrics.All("tsb_transport_rtt_hist_seconds")) {
+    if (row->histogram.count() > 0 && row->histogram.Quantile(0.95) > 0.0) {
       rtt_seen = true;
     }
   }
   EXPECT_TRUE(rtt_seen);
-  EXPECT_FALSE(metrics.ToString().empty());
+  EXPECT_FALSE(service::TransportTable(metrics).empty());
 }
 
 TEST_F(NetFig3Test, ExpiredDeadlineNeverTouchesTheWire) {

@@ -268,12 +268,15 @@ TEST(SpanCodecTest, TruncatedSpanBodyFails) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsRegistryTest, RendersPrometheusFamiliesWithHeaders) {
-  obs::CallbackSource source([](obs::MetricsSink* sink) {
-    sink->Counter("tsb_requests_total", "Requests served.",
-                  {{"method", "full-topk"}}, 12);
-    sink->Counter("tsb_requests_total", "Requests served.",
-                  {{"method", "fast-topk"}}, 3);
-    sink->Gauge("tsb_queue_depth", "Queued requests.", {}, 5);
+  static const obs::MetricFamily kRequests{
+      "tsb_requests_total", "Requests served.", obs::MetricKind::kCounter,
+      {"method"}};
+  static const obs::MetricFamily kQueueDepth{
+      "tsb_queue_depth", "Queued requests.", obs::MetricKind::kGauge, {}};
+  obs::CallbackSource source([](obs::MetricsRead* read) {
+    read->Add(kRequests, {"full-topk"}).Set(uint64_t{12});
+    read->Add(kRequests, {"fast-topk"}).Set(uint64_t{3});
+    read->Add(kQueueDepth, {}).Set(uint64_t{5});
   });
   obs::MetricsRegistry registry;
   registry.Register(&source);
@@ -306,8 +309,10 @@ TEST(MetricsRegistryTest, RendersPrometheusFamiliesWithHeaders) {
 }
 
 TEST(MetricsRegistryTest, EscapesLabelValues) {
-  obs::CallbackSource source([](obs::MetricsSink* sink) {
-    sink->Gauge("tsb_gauge", "h", {{"path", "a\"b\\c\nd"}}, 1);
+  static const obs::MetricFamily kGauge{"tsb_gauge", "h",
+                                        obs::MetricKind::kGauge, {"path"}};
+  obs::CallbackSource source([](obs::MetricsRead* read) {
+    read->Add(kGauge, {"a\"b\\c\nd"}).Set(1.0);
   });
   obs::MetricsRegistry registry;
   registry.Register(&source);
@@ -317,8 +322,10 @@ TEST(MetricsRegistryTest, EscapesLabelValues) {
 }
 
 TEST(MetricsRegistryTest, DoubleRegisterIsIdempotent) {
-  obs::CallbackSource source([](obs::MetricsSink* sink) {
-    sink->Counter("tsb_once_total", "h", {}, 1);
+  static const obs::MetricFamily kOnce{"tsb_once_total", "h",
+                                       obs::MetricKind::kCounter, {}};
+  obs::CallbackSource source([](obs::MetricsRead* read) {
+    read->Add(kOnce, {}).Set(uint64_t{1});
   });
   obs::MetricsRegistry registry;
   registry.Register(&source);
@@ -454,8 +461,10 @@ TEST(AdminHandlerTest, PingAnswersEvenWithNoSurfaces) {
 }
 
 TEST(AdminHandlerTest, ServesMetricsTracesAndSlowLog) {
-  obs::CallbackSource source([](obs::MetricsSink* sink) {
-    sink->Counter("tsb_admin_test_total", "h", {}, 9);
+  static const obs::MetricFamily kAdminTest{"tsb_admin_test_total", "h",
+                                            obs::MetricKind::kCounter, {}};
+  obs::CallbackSource source([](obs::MetricsRead* read) {
+    read->Add(kAdminTest, {}).Set(uint64_t{9});
   });
   obs::MetricsRegistry registry;
   registry.Register(&source);
@@ -959,14 +968,17 @@ TEST(FleetSnapshotTest, RenderShowsTheDashboardSections) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsRegistryTest, RendersHistogramBucketFamilies) {
-  obs::CallbackSource source([](obs::MetricsSink* sink) {
-    obs::HistogramValue value;
-    value.count = 7;
-    value.sum = 0.042;
-    value.buckets = {{0.001, 3}, {0.004, 6},
-                     {std::numeric_limits<double>::infinity(), 7}};
-    sink->Histogram("tsb_latency_hist_seconds", "Latency histogram.",
-                    {{"method", "full-topk"}}, value);
+  static const obs::MetricFamily kLatency{
+      "tsb_latency_hist_seconds", "Latency histogram.",
+      obs::MetricKind::kHistogram, {"method"}};
+  obs::CallbackSource source([](obs::MetricsRead* read) {
+    // Three samples in the first bucket (le 1µs), three in the second
+    // (le 2^(1/4) µs), one at 40 ms.
+    obs::LatencyHistogram hist;
+    for (int i = 0; i < 3; ++i) hist.Record(0.5e-6);
+    for (int i = 0; i < 3; ++i) hist.Record(1.1e-6);
+    hist.Record(0.04);
+    read->Add(kLatency, {"full-topk"}).Set(hist);
   });
   obs::MetricsRegistry registry;
   registry.Register(&source);
@@ -976,7 +988,7 @@ TEST(MetricsRegistryTest, RendersHistogramBucketFamilies) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("tsb_latency_hist_seconds_bucket{method=\"full-topk\","
-                      "le=\"0.001\"} 3"),
+                      "le=\"1e-06\"} 3"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("tsb_latency_hist_seconds_bucket{method=\"full-topk\","
@@ -988,14 +1000,14 @@ TEST(MetricsRegistryTest, RendersHistogramBucketFamilies) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("tsb_latency_hist_seconds_sum{method=\"full-topk\"} "
-                      "0.042"),
+                      "0.0400048"),
             std::string::npos)
       << text;
 
   const std::string json = registry.RenderJson();
   EXPECT_NE(json.find("\"type\":\"histogram\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"buckets\":[[\"0.001\",3],[\"0.004\",6],"
-                      "[\"+Inf\",7]]"),
+  EXPECT_NE(json.find("\"buckets\":[[\"1e-06\",3],[\"1.18920712e-06\",6],"
+                      "[\"0.04634095\",7],[\"+Inf\",7]]"),
             std::string::npos)
       << json;
 }

@@ -190,11 +190,11 @@ TEST(ReplicaMetricsTest, TracksOutstandingAndGatesTheP95Warmup) {
   EXPECT_EQ(snap.shards[0].replicas[1].hedge_attempts, 1u);
   EXPECT_EQ(snap.shards[0].replicas[0].attempts, 40u);
   EXPECT_EQ(snap.shards[0].replicas[0].rtt.count(), 40u);
-  EXPECT_FALSE(snap.ToString().empty());
+  EXPECT_FALSE(service::ReplicaTable(metrics.Read()).empty());
 
   // The transport's hedge delay: the default below hedge_min_samples,
-  // then max(floor, factor × pooled p95), and the default again after a
-  // Reset. The channels are never dialled — outcomes are recorded
+  // then max(floor, factor × pooled p95), and the default again on a
+  // fresh transport. The channels are never dialled — outcomes are recorded
   // directly into the transport's metrics.
   replica::ReplicaSetConfig config;
   config.hedge_min_samples = 8;
@@ -236,9 +236,9 @@ TEST(ReplicaMetricsTest, TracksOutstandingAndGatesTheP95Warmup) {
             config.hedge_delay_floor_seconds);
   EXPECT_GT(transport.HedgeDelaySeconds(0), config.hedge_delay_floor_seconds);
   EXPECT_EQ(transport.HedgeDelaySeconds(0), expected_delay());
-  live.Reset();
-  EXPECT_EQ(transport.HedgeDelaySeconds(0),
-            config.hedge_delay_default_seconds);
+  replica::ReplicaSetTransport fresh(
+      replica::MakeSocketReplicaGrid({{nowhere, nowhere}}), config);
+  EXPECT_EQ(fresh.HedgeDelaySeconds(0), config.hedge_delay_default_seconds);
 }
 
 // ---------------------------------------------------------------------------

@@ -243,8 +243,8 @@ TEST_F(StreamFig3Test, CancellationShedsQueuedRequestsAndEndsOnce) {
         << i;
   }
   EXPECT_EQ(frames[5].kind, FrameKind::kStreamEnd);
-  auto metrics = svc.Metrics();
-  EXPECT_EQ(metrics.classes[0].cancelled, 5u);
+  const obs::MetricsRead metrics = svc.Metrics();
+  EXPECT_EQ(metrics.Count("tsb_service_cancelled_total", {"interactive"}), 5u);
 
   // A finished stream can no longer be cancelled.
   EXPECT_FALSE(svc.CancelStream(stream_id));
@@ -325,9 +325,10 @@ TEST_F(StreamFig3Test, InteractiveDrainsBeforeQueuedBatchWork) {
       << "interactive request did not jump the batch queue";
   EXPECT_EQ(completion_order.size(), 5u);
 
-  auto metrics = svc.Metrics();
-  EXPECT_EQ(metrics.classes[0].admitted, 2u);  // Blocker + interactive.
-  EXPECT_EQ(metrics.classes[1].admitted, 4u);
+  const obs::MetricsRead metrics = svc.Metrics();
+  // Blocker + interactive.
+  EXPECT_EQ(metrics.Count("tsb_service_admitted_total", {"interactive"}), 2u);
+  EXPECT_EQ(metrics.Count("tsb_service_admitted_total", {"batch"}), 4u);
 }
 
 TEST_F(StreamFig3Test, BatchConcurrencyCapKeepsAWorkerFreeForInteractive) {
@@ -423,10 +424,10 @@ TEST_F(StreamFig3Test, ExpiredDeadlinesAreShedWithTheDistinctCode) {
   EXPECT_NE(frames[0].response.error.message.find("deadline"),
             std::string::npos);
 
-  auto metrics = svc.Metrics();
-  EXPECT_EQ(metrics.classes[1].deadline_shed, 1u);
+  const obs::MetricsRead metrics = svc.Metrics();
+  EXPECT_EQ(metrics.Count("tsb_service_deadline_shed_total", {"batch"}), 1u);
   // Shed ≠ rejected: admission accepted it, the deadline killed it.
-  EXPECT_EQ(metrics.classes[1].rejected, 0u);
+  EXPECT_EQ(metrics.Count("tsb_service_rejected_total", {"batch"}), 0u);
 }
 
 TEST_F(StreamFig3Test, PerClassBoundsRejectIndependently) {
@@ -452,10 +453,10 @@ TEST_F(StreamFig3Test, PerClassBoundsRejectIndependently) {
   EXPECT_TRUE(batch_frames[0].response.error.ok())
       << batch_frames[0].response.error.message;
 
-  auto metrics = svc.Metrics();
-  EXPECT_EQ(metrics.classes[0].rejected, 1u);
-  EXPECT_EQ(metrics.classes[1].rejected, 0u);
-  EXPECT_EQ(metrics.total_rejected, 1u);
+  const obs::MetricsRead metrics = svc.Metrics();
+  EXPECT_EQ(metrics.Count("tsb_service_rejected_total", {"interactive"}), 1u);
+  EXPECT_EQ(metrics.Count("tsb_service_rejected_total", {"batch"}), 0u);
+  EXPECT_EQ(metrics.Sum("tsb_service_rejected_total"), 1u);
 }
 
 TEST_F(StreamFig3Test, BatchFloodDoesNotRejectTripleQueries) {

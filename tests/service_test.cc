@@ -145,29 +145,33 @@ TEST(LatencyMetricsTest, TablesPrintTheRowHistogramQuantiles) {
   }
   service.RecordRejected(1);
 
-  const service::MetricsSnapshot snap = service.Snapshot();
-  ASSERT_EQ(snap.methods.size(), 4u);
+  const obs::MetricsRead read = service.Read();
+  ASSERT_EQ(read.All("tsb_service_requests_total").size(), 4u);
   size_t method_lines = 0;
   size_t class_lines = 0;
-  for (const std::string& line : Lines(snap.ToString())) {
+  for (const std::string& line : Lines(service::MetricsTable(read))) {
     const std::vector<std::string> tokens = Tokens(line);
-    for (const service::MethodStatsSnapshot& row : snap.methods) {
-      if (tokens.size() != 7 || tokens[0] != row.method) continue;
-      EXPECT_EQ(tokens[4], Ms(row.latency, 0.50)) << line;
-      EXPECT_EQ(tokens[5], Ms(row.latency, 0.95)) << line;
-      EXPECT_EQ(tokens[6], Ms(row.latency, 0.99)) << line;
-      EXPECT_EQ(row.latency.count(), row.requests);
+    for (const obs::MetricSample* row :
+         read.All("tsb_service_latency_hist_seconds")) {
+      const std::string& method = row->labels[0];
+      if (tokens.size() != 7 || tokens[0] != method) continue;
+      EXPECT_EQ(tokens[4], Ms(row->histogram, 0.50)) << line;
+      EXPECT_EQ(tokens[5], Ms(row->histogram, 0.95)) << line;
+      EXPECT_EQ(tokens[6], Ms(row->histogram, 0.99)) << line;
+      EXPECT_EQ(row->histogram.count(),
+                read.Count("tsb_service_requests_total", {method}));
       ++method_lines;
     }
-    for (const service::PriorityClassSnapshot& row : snap.classes) {
+    for (const obs::MetricSample* row :
+         read.All("tsb_service_class_latency_hist_seconds")) {
       if (tokens.size() < 2 || tokens[0] != "class" ||
-          tokens[1] != row.name) {
+          tokens[1] != row->labels[0]) {
         continue;
       }
       ASSERT_GE(tokens.size(), 4u);
-      EXPECT_EQ(tokens[tokens.size() - 3], Ms(row.latency, 0.95) + "ms")
+      EXPECT_EQ(tokens[tokens.size() - 3], Ms(row->histogram, 0.95) + "ms")
           << line;
-      EXPECT_EQ(tokens[tokens.size() - 1], Ms(row.latency, 0.99) + "ms")
+      EXPECT_EQ(tokens[tokens.size() - 1], Ms(row->histogram, 0.99) + "ms")
           << line;
       ++class_lines;
     }
@@ -179,17 +183,18 @@ TEST(LatencyMetricsTest, TablesPrintTheRowHistogramQuantiles) {
   for (size_t i = 0; i < 200; ++i) {
     transport.RecordRoundTrip(i % 2, 100, 400, stream.Next(), true);
   }
-  const service::TransportMetricsSnapshot transport_snap =
-      transport.Snapshot();
+  const obs::MetricsRead transport_read = transport.Read();
   size_t shard_lines = 0;
-  for (const std::string& line : Lines(transport_snap.ToString())) {
+  for (const std::string& line :
+       Lines(service::TransportTable(transport_read))) {
     const std::vector<std::string> tokens = Tokens(line);
     if (tokens.size() != 9 || tokens[0][0] != 's') continue;
-    const obs::LatencyHistogram& rtt =
-        transport_snap.shards[std::stoul(tokens[0].substr(1))].rtt;
-    EXPECT_EQ(tokens[6], Ms(rtt, 0.50)) << line;
-    EXPECT_EQ(tokens[7], Ms(rtt, 0.95)) << line;
-    EXPECT_EQ(tokens[8], Ms(rtt, 0.99)) << line;
+    const obs::MetricSample* rtt = transport_read.Find(
+        "tsb_transport_rtt_hist_seconds", {tokens[0].substr(1)});
+    ASSERT_NE(rtt, nullptr) << line;
+    EXPECT_EQ(tokens[6], Ms(rtt->histogram, 0.50)) << line;
+    EXPECT_EQ(tokens[7], Ms(rtt->histogram, 0.95)) << line;
+    EXPECT_EQ(tokens[8], Ms(rtt->histogram, 0.99)) << line;
     ++shard_lines;
   }
   EXPECT_EQ(shard_lines, 2u);
@@ -199,15 +204,16 @@ TEST(LatencyMetricsTest, TablesPrintTheRowHistogramQuantiles) {
     replicas.RecordAttempt(0, i % 2, false, false);
     replicas.RecordOutcome(0, i % 2, stream.Next(), true);
   }
-  const service::ReplicaMetricsSnapshot replica_snap = replicas.Snapshot();
+  const obs::MetricsRead replica_read = replicas.Read();
   size_t replica_lines = 0;
-  for (const std::string& line : Lines(replica_snap.ToString())) {
+  for (const std::string& line : Lines(service::ReplicaTable(replica_read))) {
     const std::vector<std::string> tokens = Tokens(line);
     if (tokens.size() != 12 || tokens[1][0] != 'r') continue;
-    const obs::LatencyHistogram& rtt =
-        replica_snap.shards[0].replicas[std::stoul(tokens[1].substr(1))].rtt;
-    EXPECT_EQ(tokens[10], Ms(rtt, 0.95)) << line;
-    EXPECT_EQ(tokens[11], Ms(rtt, 0.99)) << line;
+    const obs::MetricSample* rtt = replica_read.Find(
+        "tsb_replica_rtt_hist_seconds", {"0", tokens[1].substr(1)});
+    ASSERT_NE(rtt, nullptr) << line;
+    EXPECT_EQ(tokens[10], Ms(rtt->histogram, 0.95)) << line;
+    EXPECT_EQ(tokens[11], Ms(rtt->histogram, 0.99)) << line;
     ++replica_lines;
   }
   EXPECT_EQ(replica_lines, 2u);
@@ -285,16 +291,13 @@ void RecordPinnedScenario(service::ServiceMetrics* svc,
   const size_t slots[] = {0, 3, service::ServiceMetrics::kTripleSlot};
   for (size_t i = 0; i < 90; ++i) {
     const size_t slot = slots[i % 3];
+    engine::ExecStats executed;
+    executed.cpu_ns = 1000003 * (i + 1);
+    executed.bytes_deserialized = 4096 + 17 * i;
+    executed.catalog_interns = i % 5;
+    executed.heap_bytes = 65536 + 129 * i;
     svc->RecordRequest(slot, stream.Next(), /*cache_hit=*/i % 4 == 0,
-                       /*ok=*/i % 11 != 0);
-    if (i % 4 != 0) {
-      obs::CostCounters cost;
-      cost.cpu_ns = 1000003 * (i + 1);
-      cost.bytes_deserialized = 4096 + 17 * i;
-      cost.catalog_interns = i % 5;
-      cost.heap_bytes = 65536 + 129 * i;
-      svc->RecordCost(slot, cost);
-    }
+                       /*ok=*/i % 11 != 0, i % 4 != 0 ? &executed : nullptr);
     svc->RecordAdmitted(0);
     svc->RecordClassLatency(0, stream.Next());
   }
@@ -351,12 +354,11 @@ TEST(MetricViewsTest, EveryViewOfOneRecordSequenceIsPinned) {
   registry.Register(&replicas);
   const std::string prometheus = registry.RenderPrometheus();
   const std::string json = registry.RenderJson();
-  const std::string text = svc.Snapshot().ToString();
-  const std::string transport_table = transport.Snapshot().ToString();
-  const service::ReplicaMetricsSnapshot replica_snap = replicas.Snapshot();
-  const std::string replica_table = replica_snap.ToString();
-  const obs::FleetSnapshot fleet =
-      service::BuildFleetSnapshot(svc.Snapshot(), &replica_snap, &slow_log);
+  const obs::MetricsRead read = registry.Read();
+  const std::string text = service::MetricsTable(read);
+  const std::string transport_table = service::TransportTable(read);
+  const std::string replica_table = service::ReplicaTable(read);
+  const obs::FleetSnapshot fleet = service::FleetSnapshotOf(read, &slow_log);
   std::string fleet_bytes;
   obs::EncodeFleetSnapshot(fleet, &fleet_bytes);
   const std::string fleet_render = fleet.Render();
@@ -380,13 +382,17 @@ TEST(MetricViewsTest, EveryViewOfOneRecordSequenceIsPinned) {
                             "replica=\"0\"} 1"),
             std::string::npos);
 
-  EXPECT_EQ(DigestHex(prometheus), "cbea8fe3239747325da820f25656fef3") << prometheus;
+  EXPECT_EQ(DigestHex(prometheus), "cbea8fe3239747325da820f25656fef3")
+      << prometheus;
   EXPECT_EQ(DigestHex(json), "c79623ba0be7b4f719f027924f5b7b8c") << json;
   EXPECT_EQ(DigestHex(text), "1383334cb34b71628c6bf7026a72fb91") << text;
-  EXPECT_EQ(DigestHex(transport_table), "a1e39577a8a7dd10625266b5115df890") << transport_table;
-  EXPECT_EQ(DigestHex(replica_table), "165a351f653560e964dbb5ae19786f53") << replica_table;
+  EXPECT_EQ(DigestHex(transport_table), "a1e39577a8a7dd10625266b5115df890")
+      << transport_table;
+  EXPECT_EQ(DigestHex(replica_table), "165a351f653560e964dbb5ae19786f53")
+      << replica_table;
   EXPECT_EQ(DigestHex(fleet_bytes), "5f62f928d87eb9408629236185aa6dd8");
-  EXPECT_EQ(DigestHex(fleet_render), "2585d1034e1caa2a32d283fae9fdac05") << fleet_render;
+  EXPECT_EQ(DigestHex(fleet_render), "2585d1034e1caa2a32d283fae9fdac05")
+      << fleet_render;
   registry.Unregister(&svc);
   registry.Unregister(&transport);
   registry.Unregister(&replicas);
@@ -680,12 +686,13 @@ TEST_F(ServiceFig3Test, ConcurrentClientsMatchSequentialExecution) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
 
-  auto metrics = svc.Metrics();
-  EXPECT_EQ(metrics.total_requests,
+  const obs::MetricsRead metrics = svc.Metrics();
+  EXPECT_EQ(metrics.Sum("tsb_service_requests_total"),
             kThreads * kRepeats * methods.size() * schemes.size());
-  EXPECT_EQ(metrics.total_errors, 0u);
+  EXPECT_EQ(metrics.Sum("tsb_service_errors_total"), 0u);
   // Every (method, scheme) repeats 48×; almost all must be cache hits.
-  EXPECT_GT(metrics.total_cache_hits, metrics.total_requests / 2);
+  EXPECT_GT(metrics.Sum("tsb_service_cache_hits_total"),
+            metrics.Sum("tsb_service_requests_total") / 2);
 }
 
 TEST_F(ServiceFig3Test, CachedResultsAreIdenticalToUncached) {
@@ -755,7 +762,7 @@ TEST_F(ServiceFig3Test, AdmissionControlRejectsOverload) {
                         MethodKind::kFullTop);
   EXPECT_FALSE(response.error.ok());
   EXPECT_EQ(response.error.code, wire::WireErrorCode::kOverloaded);
-  EXPECT_EQ(svc.Metrics().total_rejected, 1u);
+  EXPECT_EQ(svc.Metrics().Sum("tsb_service_rejected_total"), 1u);
 }
 
 TEST_F(ServiceFig3Test, SubmitAfterShutdownFailsCleanly) {
@@ -775,7 +782,7 @@ TEST_F(ServiceFig3Test, EngineErrorsSurfaceThroughTheService) {
   auto response = Serve(svc, bad, MethodKind::kFullTop);
   EXPECT_FALSE(response.error.ok());
   EXPECT_EQ(response.error.code, wire::WireErrorCode::kNotFound);
-  EXPECT_EQ(svc.Metrics().total_errors, 1u);
+  EXPECT_EQ(svc.Metrics().Sum("tsb_service_errors_total"), 1u);
   // Errors are not cached.
   EXPECT_EQ(svc.CacheStats().entries, 0u);
 }
@@ -1141,7 +1148,7 @@ TEST_F(LiveRebuildTest, RebuildSwapsEpochBehindLiveTrafficZeroFailures) {
   EXPECT_NE(db_.FindTable("e1.AllTops_Protein_DNA"), nullptr);
   EXPECT_EQ(db_.FindTable("AllTops_Protein_DNA"), nullptr);
   EXPECT_NE(db_.FindTable("TopInfo"), nullptr);
-  EXPECT_EQ(svc.Metrics().total_errors, 0u);
+  EXPECT_EQ(svc.Metrics().Sum("tsb_service_errors_total"), 0u);
 }
 
 TEST_F(LiveRebuildTest, TriplesFollowTheLiveEpoch) {
@@ -1293,21 +1300,25 @@ TEST_F(ServiceFig3Test, MetricsTrackPerMethodTraffic) {
                  MethodKind::kFastTop);
   ASSERT_TRUE(r.error.ok());
 
-  auto snap = svc.Metrics();
-  EXPECT_EQ(snap.total_requests, 4u);
-  EXPECT_EQ(snap.total_cache_hits, 2u);  // Runs 2 and 3 of Full-Top.
-  ASSERT_EQ(snap.methods.size(), 2u);
-  for (const auto& row : snap.methods) {
-    if (row.method == "Full-Top") {
-      EXPECT_EQ(row.requests, 3u);
-      EXPECT_EQ(row.cache_hits, 2u);
+  const obs::MetricsRead read = svc.Metrics();
+  EXPECT_EQ(read.Sum("tsb_service_requests_total"), 4u);
+  // Runs 2 and 3 of Full-Top.
+  EXPECT_EQ(read.Sum("tsb_service_cache_hits_total"), 2u);
+  ASSERT_EQ(read.All("tsb_service_requests_total").size(), 2u);
+  for (const obs::MetricSample* row : read.All("tsb_service_requests_total")) {
+    const std::string& method = row->labels[0];
+    if (method == "Full-Top") {
+      EXPECT_EQ(row->count, 3u);
+      EXPECT_EQ(read.Count("tsb_service_cache_hits_total", {method}), 2u);
     } else {
-      EXPECT_EQ(row.method, "Fast-Top");
-      EXPECT_EQ(row.requests, 1u);
+      EXPECT_EQ(method, "Fast-Top");
+      EXPECT_EQ(row->count, 1u);
     }
-    EXPECT_GE(row.latency.Quantile(0.95), row.latency.Quantile(0.50));
+    const obs::LatencyHistogram& latency =
+        read.Find("tsb_service_latency_hist_seconds", {method})->histogram;
+    EXPECT_GE(latency.Quantile(0.95), latency.Quantile(0.50));
   }
-  EXPECT_FALSE(snap.ToString().empty());
+  EXPECT_FALSE(service::MetricsTable(read).empty());
 }
 
 }  // namespace

@@ -552,8 +552,7 @@ TEST_F(ShardedServiceTest, DefaultTransportIsOneReplicaSetFollowingRebuilds) {
   // One replica per shard, healthy throughout: its stamps carry the
   // swapped epoch, so it is never quarantined as stale.
   replica::ReplicaSetTransport& transport = executor_->default_transport();
-  const service::TransportMetricsSnapshot rows =
-      executor_->GetTransportMetrics();
+  const obs::MetricsRead rows = executor_->transport_metrics()->Read();
   const service::ReplicaMetricsSnapshot replicas =
       transport.replica_metrics().Snapshot();
   size_t scattered = 0;
@@ -564,12 +563,16 @@ TEST_F(ShardedServiceTest, DefaultTransportIsOneReplicaSetFollowingRebuilds) {
         << s;
     const service::ReplicaSnapshot& r0 = replicas.shards[s].replicas[0];
     EXPECT_EQ(r0.quarantines, 0u) << s;
-    EXPECT_EQ(rows.shards[s].requests, r0.attempts) << s;
+    const std::string shard = std::to_string(s);
+    EXPECT_EQ(rows.Count("tsb_transport_requests_total", {shard}),
+              r0.attempts)
+        << s;
     if (r0.attempts == 0) continue;
     ++scattered;
-    EXPECT_GT(rows.shards[s].bytes_sent, 0u) << s;
-    EXPECT_GT(rows.shards[s].bytes_received, 0u) << s;
-    EXPECT_EQ(rows.shards[s].failures, 0u) << s;
+    EXPECT_GT(rows.Count("tsb_transport_bytes_sent_total", {shard}), 0u) << s;
+    EXPECT_GT(rows.Count("tsb_transport_bytes_received_total", {shard}), 0u)
+        << s;
+    EXPECT_EQ(rows.Count("tsb_transport_failures_total", {shard}), 0u) << s;
     EXPECT_EQ(transport.health().shard_epoch(s),
               executor_->store().handle(s)->epoch())
         << s;

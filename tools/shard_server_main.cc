@@ -243,18 +243,22 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   registry.Register(&metrics);
   net::ShardServer* server_ptr = nullptr;
+  static const obs::MetricFamily kConnectionsAccepted{
+      "tsb_server_connections_accepted_total",
+      "Connections accepted by the shard server.", obs::MetricKind::kCounter,
+      {"shard", "replica"}};
+  static const obs::MetricFamily kFramesServed{
+      "tsb_server_frames_served_total",
+      "Wire frames served by the shard server.", obs::MetricKind::kCounter,
+      {"shard", "replica"}};
   obs::CallbackSource server_source([&server_ptr, shard, replica_id](
-                                        obs::MetricsSink* sink) {
+                                        obs::MetricsRead* read) {
     if (server_ptr == nullptr) return;
-    const obs::MetricsSink::Labels labels = {
-        {"shard", std::to_string(shard)},
-        {"replica", std::to_string(replica_id)}};
-    sink->Counter("tsb_server_connections_accepted_total",
-                  "Connections accepted by the shard server.", labels,
-                  static_cast<double>(server_ptr->connections_accepted()));
-    sink->Counter("tsb_server_frames_served_total",
-                  "Wire frames served by the shard server.", labels,
-                  static_cast<double>(server_ptr->frames_served()));
+    const std::vector<std::string> labels = {std::to_string(shard),
+                                             std::to_string(replica_id)};
+    read->Add(kConnectionsAccepted, labels)
+        .Set(server_ptr->connections_accepted());
+    read->Add(kFramesServed, labels).Set(server_ptr->frames_served());
   });
   registry.Register(&server_source);
   registry.Register(&mutation_engine);
@@ -262,20 +266,14 @@ int main(int argc, char** argv) {
   admin.registry = &registry;
   admin.tracer = &tracer;
   admin.slow_log = &slow_log;
-  admin.text_renderer = [&metrics]() { return metrics.Snapshot().ToString(); };
+  admin.text_renderer = [&metrics]() {
+    return service::MetricsTable(metrics.Read());
+  };
   admin.compaction_renderer = [&mutation_engine]() {
     return mutation_engine.StatusString();
   };
-  admin.cost_snapshot = [&metrics, &slow_log, &mutation_engine, &wal]() {
-    obs::FleetSnapshot snap = service::BuildFleetSnapshot(
-        metrics.Snapshot(), /*replicas=*/nullptr, &slow_log);
-    snap.mutation_batches = mutation_engine.batches_applied();
-    snap.mutation_ops = mutation_engine.ops_applied();
-    snap.overlay_generations = mutation_engine.uncompacted_generations();
-    snap.compaction_folds = mutation_engine.compaction_rounds();
-    snap.wal_records = wal.appended_records();
-    snap.wal_bytes = wal.appended_bytes();
-    return snap;
+  admin.cost_snapshot = [&registry, &slow_log]() {
+    return service::FleetSnapshotOf(registry.Read(), &slow_log);
   };
   shard::ShardObservability observability;
   observability.metrics = &metrics;
@@ -289,7 +287,7 @@ int main(int argc, char** argv) {
                  "shard_server: --- observability dump (%s) ---\n%s\n%s%s"
                  "%s\n"
                  "shard_server: --- end dump ---\n",
-                 reason, metrics.Snapshot().ToString().c_str(),
+                 reason, service::MetricsTable(metrics.Read()).c_str(),
                  tracer.RenderRecent().c_str(), slow_log.ToString().c_str(),
                  mutation_engine.StatusString().c_str());
     std::fflush(stderr);
