@@ -23,8 +23,8 @@ struct AdminState {
   const MetricsRegistry* registry = nullptr;
   const Tracer* tracer = nullptr;
   const SlowQueryLog* slow_log = nullptr;
-  /// Optional human-readable rendering (the classic ToString tables) for
-  /// kMetricsText; processes compose it from their snapshot views.
+  /// Optional human-readable rendering for kMetricsText; processes render
+  /// it from a metrics read (service::MetricsTable).
   std::function<std::string()> text_renderer;
   /// Optional mutation-engine status block for kCompaction (generation,
   /// pending pairs, last fold, WAL counters); processes with a mutation

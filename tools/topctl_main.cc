@@ -1,7 +1,7 @@
 // topctl: the observability pull client. Sends kAdminRequest frames to
 // live shard_servers (or any process serving the admin channel) and
-// prints the response — Prometheus metrics, a JSON dump, the classic
-// ToString tables, recent sampled traces, the slow-query log, or the
+// prints the response — Prometheus metrics, a JSON dump, the human
+// metric tables, recent sampled traces, the slow-query log, or the
 // merged fleet cost dashboard.
 //
 // Usage:  topctl [--uds=<path> | --host=<h> --tcp-port=<p> |
