@@ -1,7 +1,9 @@
 #include "service/query_cache.h"
 
 #include <algorithm>
+#include <vector>
 
+#include "common/binary_io.h"
 #include "storage/predicate.h"
 
 namespace tsb {
@@ -9,13 +11,17 @@ namespace service {
 
 namespace {
 
-/// "entity_set|predicate" with a missing predicate normalized to TRUE, so
-/// an absent and an explicit always-true constraint key identically.
-std::string SideKey(const std::string& entity_set,
-                    const storage::PredicateRef& pred) {
-  const storage::PredicateRef& p =
-      pred != nullptr ? pred : storage::MakeTrue();
-  return entity_set + "|" + p->ToString();
+/// One query side's canonical image: its entity set plus its predicate's
+/// wire image, a missing predicate encoded as TRUE, so an absent and an
+/// explicit always-true constraint key alike. The image is
+/// self-delimiting, so concatenated sides key distinct side sets apart.
+std::string SideImage(const std::string& entity_set,
+                      const storage::PredicateRef& pred) {
+  static const storage::PredicateRef kTrue = storage::MakeTrue();
+  std::string image;
+  PutString(&image, entity_set);
+  (pred != nullptr ? pred : kTrue)->EncodeWire(&image);
+  return image;
 }
 
 }  // namespace
@@ -23,61 +29,42 @@ std::string SideKey(const std::string& entity_set,
 std::string FingerprintQuery(const engine::TopologyQuery& query,
                              engine::MethodKind method,
                              const engine::ExecOptions& options) {
-  std::string side1 = SideKey(query.entity_set1, query.pred1);
-  std::string side2 = SideKey(query.entity_set2, query.pred2);
-  // Predicate-aware normalization: the 2-query is an unordered set of
-  // constrained sides, and the engine returns orientation-independent
-  // results, so sort the rendered sides.
-  if (side2 < side1) std::swap(side1, side2);
-
-  std::string key = "2q{";
-  key += side1;
-  key += "}{";
+  // The engine's answers do not depend on side order, so the sides are
+  // sorted as byte strings.
+  std::string key = SideImage(query.entity_set1, query.pred1);
+  std::string side2 = SideImage(query.entity_set2, query.pred2);
+  if (side2 < key) std::swap(key, side2);
   key += side2;
-  key += "}scheme=";
-  key += core::RankSchemeToString(query.scheme);
+  PutU8(&key, static_cast<uint8_t>(query.scheme));
   // Non-top-k methods return the full result regardless of k.
-  key += ";k=";
-  key += engine::MethodIsTopK(method) ? std::to_string(query.k) : "ALL";
-  key += ";weak=";
-  key += query.exclude_weak ? "1" : "0";
-  key += ";method=";
-  key += engine::MethodKindToString(method);
-  // Plan-shaping options change stats/plan text (part of the cached
-  // value), so they participate in the key.
-  key += ";dgj=";
+  PutU64(&key, engine::MethodIsTopK(method) ? query.k : 0);
+  PutBool(&key, query.exclude_weak);
+  PutU8(&key, static_cast<uint8_t>(method));
+  // Plan-shaping options, the row path included, change the cached stats
+  // and plan text; the sub-query-only flag keeps a (hypothetical) cached
+  // partial from answering a full query or vice versa.
+  PutU32(&key, static_cast<uint32_t>(options.dgj_algs.size()));
   for (engine::DgjAlg alg : options.dgj_algs) {
-    key += alg == engine::DgjAlg::kIdgj ? 'i' : 'h';
+    PutU8(&key, static_cast<uint8_t>(alg));
   }
-  key += ";order=";
-  for (size_t side : options.et_side_order) {
-    key += std::to_string(side);
-  }
-  // Sub-query-only flag; participates so a (hypothetical) cached partial
-  // can never satisfy a full query or vice versa.
-  if (options.skip_pruned_checks) key += ";nopruned=1";
-  // A row-path request runs a different plan than the columnar default.
-  // Only the non-default value adds to the key, so default keys keep
-  // their bytes.
-  if (!options.use_columnar) key += ";row=1";
+  PutU32(&key, static_cast<uint32_t>(options.et_side_order.size()));
+  for (size_t side : options.et_side_order) PutU64(&key, side);
+  PutBool(&key, options.skip_pruned_checks);
+  PutBool(&key, options.use_columnar);
   return key;
 }
 
 std::string FingerprintTripleQuery(const engine::TripleQuery& query) {
   std::vector<std::string> sides = {
-      SideKey(query.entity_set1, query.pred1),
-      SideKey(query.entity_set2, query.pred2),
-      SideKey(query.entity_set3, query.pred3),
+      SideImage(query.entity_set1, query.pred1),
+      SideImage(query.entity_set2, query.pred2),
+      SideImage(query.entity_set3, query.pred3),
   };
   std::sort(sides.begin(), sides.end());
-  std::string key = "3q";
-  for (const std::string& side : sides) {
-    key += "{";
-    key += side;
-    key += "}";
-  }
-  key += "max_triples=" + std::to_string(query.max_triples);
-  key += ";max_unions=" + std::to_string(query.max_unions_per_triple);
+  std::string key;
+  for (const std::string& side : sides) key += side;
+  PutU64(&key, query.max_triples);
+  PutU64(&key, query.max_unions_per_triple);
   return key;
 }
 

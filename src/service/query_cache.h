@@ -19,22 +19,21 @@ namespace service {
 
 /// --- Canonical fingerprints ------------------------------------------------
 ///
-/// A fingerprint is a canonical textual key for (query, method, options):
-/// two requests that must produce identical results map to the same bytes.
-/// Normalization is predicate-aware: a query side is rendered as
-/// "entity_set|predicate.ToString()" and the sides are sorted, so
+/// A fingerprint is the canonical binary image of (query, method, options):
+/// two requests that must produce identical results map to the same bytes,
+/// and requests that differ in any predicate value never do. A query side is its entity set plus its
+/// predicate's wire image (Predicate::EncodeWire; a missing predicate is
+/// TRUE), and the sides are sorted as byte strings, so
 ///   { (A, p1), (B, p2) }  and  { (B, p2), (A, p1) }
 /// hit the same cache entry (the engine guarantees orientation-independent
-/// results; see engine_test's QuerySwappedEntityOrderGivesSameSet).
-/// A missing predicate normalizes to TRUE. Top-k parameters, ranking
-/// scheme, weak-exclusion, the method, and plan-shaping ExecOptions are all
-/// part of the key; non-top-k is normalized to k=ALL.
+/// results; see engine_test's QuerySwappedEntityOrderGivesSameSet). The
+/// ranking scheme, k (normalized to 0 for non-top-k methods),
+/// weak-exclusion, the method and the plan-shaping ExecOptions follow.
 std::string FingerprintQuery(const engine::TopologyQuery& query,
                              engine::MethodKind method,
                              const engine::ExecOptions& options);
 
-/// Same normalization for 3-queries: the three (set, predicate) sides are
-/// sorted, then the caps appended.
+/// Same image for 3-queries: the three sorted sides, then the two caps.
 std::string FingerprintTripleQuery(const engine::TripleQuery& query);
 
 /// Compact 128-bit digest of a fingerprint: the cache's shard selector

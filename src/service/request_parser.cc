@@ -184,8 +184,9 @@ Result<std::string> RequestParser::Format(const ParsedRequest& request) {
     std::string grammar;
     if (!pred->AppendGrammar(&grammar)) {
       return Status::InvalidArgument(
-          pred_field + " predicate is outside the text grammar (" +
-          pred->ToString() + "); use the binary codec");
+          pred_field +
+          " predicate is outside the text grammar (it holds an OR, a NOT or "
+          "a quote in a value); use the binary codec");
     }
     if (!grammar.empty()) line += " " + pred_field + "=" + grammar;
     return Status::OK();
@@ -203,17 +204,32 @@ Result<storage::PredicateRef> RequestParser::ParseClause(
     const storage::TableSchema& schema, const std::string& table_name,
     const std::string& field, size_t offset,
     const std::string& clause) const {
+  // The clause's column must exist; ct() and between() also need the one
+  // type they read.
+  auto check_column = [&](const std::string& column,
+                          std::optional<storage::ColumnType> type) {
+    std::optional<size_t> idx = schema.FindColumn(column);
+    if (!idx.has_value()) {
+      return Status::InvalidArgument(
+          "no column '" + column + "' in table '" + table_name + "' (" +
+          FieldAt(field, offset) + ")");
+    }
+    if (type.has_value() && schema.column(*idx).type != *type) {
+      return Status::InvalidArgument(
+          "column '" + column + "' is not " +
+          storage::ColumnTypeToString(*type) + " in '" + clause + "' (" +
+          FieldAt(field, offset) + ")");
+    }
+    return Status::OK();
+  };
+
   // COL.ct('word')
   size_t ct_pos = clause.find(".ct(");
   if (ct_pos != std::string::npos && clause.back() == ')') {
     std::string column = clause.substr(0, ct_pos);
     std::string arg = Unquote(
         clause.substr(ct_pos + 4, clause.size() - ct_pos - 5));
-    if (!schema.FindColumn(column).has_value()) {
-      return Status::InvalidArgument(
-          "no column '" + column + "' in table '" + table_name + "' (" +
-          FieldAt(field, offset) + ")");
-    }
+    TSB_RETURN_IF_ERROR(check_column(column, storage::ColumnType::kString));
     return storage::MakeContainsKeyword(schema, column, arg);
   }
 
@@ -236,11 +252,7 @@ Result<storage::PredicateRef> RequestParser::ParseClause(
       return Status::InvalidArgument("bad between() bounds in '" + clause +
                                      "' (" + FieldAt(field, offset) + ")");
     }
-    if (!schema.FindColumn(column).has_value()) {
-      return Status::InvalidArgument(
-          "no column '" + column + "' in table '" + table_name + "' (" +
-          FieldAt(field, offset) + ")");
-    }
+    TSB_RETURN_IF_ERROR(check_column(column, storage::ColumnType::kInt64));
     return storage::MakeInt64Between(schema, column, lo, hi);
   }
 
@@ -253,13 +265,9 @@ Result<storage::PredicateRef> RequestParser::ParseClause(
       return Status::InvalidArgument("use '=' not '==' in '" + clause +
                                      "' (" + FieldAt(field, offset) + ")");
     }
-    std::optional<size_t> col_idx = schema.FindColumn(column);
-    if (!col_idx.has_value()) {
-      return Status::InvalidArgument(
-          "no column '" + column + "' in table '" + table_name + "' (" +
-          FieldAt(field, offset) + ")");
-    }
-    const storage::ColumnType type = schema.column(*col_idx).type;
+    TSB_RETURN_IF_ERROR(check_column(column, std::nullopt));
+    const storage::ColumnType type =
+        schema.column(schema.ColumnIndexOrDie(column)).type;
     storage::Value value;
     switch (type) {
       case storage::ColumnType::kInt64: {

@@ -1,8 +1,6 @@
 #include "storage/predicate.h"
 
 #include <algorithm>
-#include <cctype>
-#include <string_view>
 
 #include "common/binary_io.h"
 #include "common/logging.h"
@@ -74,44 +72,8 @@ bool GrammarSafe(const std::string& s) {
 
 using ProgOp = ColumnPredicateProgram::Op;
 
-/// Allocation-free equivalent of ContainsKeyword for the per-row paths
-/// (ContainsKeywordPredicate::Eval): walks the text's alphanumeric runs in
-/// place instead of materializing a token vector per row. `needle` must
-/// already be lowercase (ContainsKeywordPredicate stores its keyword that
-/// way), and runs are compared case-insensitively, so the verdict matches
-/// ContainsKeyword(text, needle) exactly.
-bool TokenMatchLower(std::string_view text, std::string_view needle) {
-  const size_t n = text.size();
-  size_t i = 0;
-  while (i < n) {
-    while (i < n &&
-           !std::isalnum(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    const size_t start = i;
-    while (i < n && std::isalnum(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    const size_t len = i - start;
-    if (len != needle.size() || len == 0) continue;
-    bool equal = true;
-    for (size_t j = 0; j < len; ++j) {
-      const char c = static_cast<char>(std::tolower(
-          static_cast<unsigned char>(text[start + j])));
-      if (c != needle[j]) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return true;
-  }
-  return false;
-}
-
 class TruePredicate : public Predicate {
  public:
-  bool Eval(const Table&, RowIdx) const override { return true; }
-  std::string ToString() const override { return "TRUE"; }
   void EncodeWire(std::string* out) const override { PutU8(out, kTagTrue); }
   /// TRUE appends nothing: the grammar expresses it as an absent pred=
   /// field, which Format omits.
@@ -126,24 +88,12 @@ class TruePredicate : public Predicate {
 
 class EqualsPredicate : public Predicate {
  public:
-  EqualsPredicate(size_t col, std::string col_name, Value value)
-      : col_(col), col_name_(std::move(col_name)), value_(std::move(value)) {}
-
-  bool Eval(const Table& table, RowIdx row) const override {
-    const Column& c = table.column(col_);
-    // Typed fast paths for the common cases.
-    if (value_.is_int64() && c.type() == ColumnType::kInt64) {
-      return c.GetInt64(row) == value_.AsInt64();
-    }
-    if (value_.is_string() && c.type() == ColumnType::kString) {
-      return c.GetString(row) == value_.AsString();
-    }
-    return c.GetValue(row) == value_;
-  }
-
-  std::string ToString() const override {
-    return col_name_ + " = '" + value_.ToString() + "'";
-  }
+  EqualsPredicate(size_t col, ColumnType type, std::string col_name,
+                  Value value)
+      : col_(col),
+        type_(type),
+        col_name_(std::move(col_name)),
+        value_(std::move(value)) {}
 
   void EncodeWire(std::string* out) const override {
     PutU8(out, kTagEquals);
@@ -172,27 +122,26 @@ class EqualsPredicate : public Predicate {
   void Compile(ColumnPredicateProgram* prog) const override {
     ProgOp op;
     op.col = col_;
-    // The typed ops re-check the column type at EvalAll time and drop to
-    // this per-row fallback on mismatch, so a value/column type disagreement
-    // keeps the row path's always-false variant comparison.
-    op.row_pred = this;
-    if (value_.is_int64()) {
+    if (value_.is_int64() && type_ == ColumnType::kInt64) {
       op.kind = ProgOp::kEqI64;
       op.lo = value_.AsInt64();
-    } else if (value_.is_double()) {
+    } else if (value_.is_double() && type_ == ColumnType::kDouble) {
       op.kind = ProgOp::kEqF64;
       op.f64 = value_.AsDouble();
-    } else if (value_.is_string()) {
+    } else if (value_.is_string() && type_ == ColumnType::kString) {
       op.kind = ProgOp::kEqStr;
       op.str = value_.AsString();
     } else {
-      op.kind = ProgOp::kRowEval;
+      // A null value, or one whose type disagrees with the column, equals
+      // no row.
+      op.kind = ProgOp::kConstFalse;
     }
     prog->ops.push_back(std::move(op));
   }
 
  private:
   size_t col_;
+  ColumnType type_;
   std::string col_name_;
   Value value_;
 };
@@ -204,14 +153,6 @@ class ContainsKeywordPredicate : public Predicate {
       : col_(col),
         col_name_(std::move(col_name)),
         keyword_(AsciiToLower(keyword)) {}
-
-  bool Eval(const Table& table, RowIdx row) const override {
-    return TokenMatchLower(table.column(col_).GetString(row), keyword_);
-  }
-
-  std::string ToString() const override {
-    return col_name_ + ".ct('" + keyword_ + "')";
-  }
 
   void EncodeWire(std::string* out) const override {
     PutU8(out, kTagContains);
@@ -233,7 +174,6 @@ class ContainsKeywordPredicate : public Predicate {
     op.kind = ProgOp::kContains;
     op.col = col_;
     op.str = keyword_;
-    op.row_pred = this;
     prog->ops.push_back(std::move(op));
   }
 
@@ -248,16 +188,6 @@ class Int64BetweenPredicate : public Predicate {
   Int64BetweenPredicate(size_t col, std::string col_name, int64_t lo,
                         int64_t hi)
       : col_(col), col_name_(std::move(col_name)), lo_(lo), hi_(hi) {}
-
-  bool Eval(const Table& table, RowIdx row) const override {
-    int64_t v = table.column(col_).GetInt64(row);
-    return v >= lo_ && v <= hi_;
-  }
-
-  std::string ToString() const override {
-    return StrFormat("%s BETWEEN %lld AND %lld", col_name_.c_str(),
-                     static_cast<long long>(lo_), static_cast<long long>(hi_));
-  }
 
   void EncodeWire(std::string* out) const override {
     PutU8(out, kTagBetween);
@@ -278,7 +208,6 @@ class Int64BetweenPredicate : public Predicate {
     op.col = col_;
     op.lo = lo_;
     op.hi = hi_;
-    op.row_pred = this;
     prog->ops.push_back(std::move(op));
   }
 
@@ -293,12 +222,6 @@ class AndPredicate : public Predicate {
  public:
   AndPredicate(PredicateRef lhs, PredicateRef rhs)
       : lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-  bool Eval(const Table& t, RowIdx r) const override {
-    return lhs_->Eval(t, r) && rhs_->Eval(t, r);
-  }
-  std::string ToString() const override {
-    return "(" + lhs_->ToString() + " AND " + rhs_->ToString() + ")";
-  }
 
   void EncodeWire(std::string* out) const override {
     PutU8(out, kTagAnd);
@@ -339,12 +262,6 @@ class OrPredicate : public Predicate {
  public:
   OrPredicate(PredicateRef lhs, PredicateRef rhs)
       : lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-  bool Eval(const Table& t, RowIdx r) const override {
-    return lhs_->Eval(t, r) || rhs_->Eval(t, r);
-  }
-  std::string ToString() const override {
-    return "(" + lhs_->ToString() + " OR " + rhs_->ToString() + ")";
-  }
 
   void EncodeWire(std::string* out) const override {
     PutU8(out, kTagOr);
@@ -368,12 +285,6 @@ class OrPredicate : public Predicate {
 class NotPredicate : public Predicate {
  public:
   explicit NotPredicate(PredicateRef inner) : inner_(std::move(inner)) {}
-  bool Eval(const Table& t, RowIdx r) const override {
-    return !inner_->Eval(t, r);
-  }
-  std::string ToString() const override {
-    return "NOT " + inner_->ToString();
-  }
 
   void EncodeWire(std::string* out) const override {
     PutU8(out, kTagNot);
@@ -476,103 +387,71 @@ Result<PredicateRef> DecodePredicateAtDepth(const TableSchema& schema,
 
 }  // namespace
 
-void Predicate::Compile(ColumnPredicateProgram* prog) const {
-  ColumnPredicateProgram::Op op;
-  op.kind = ColumnPredicateProgram::Op::kRowEval;
-  op.row_pred = this;
-  prog->ops.push_back(std::move(op));
-}
-
 void ColumnPredicateProgram::EvalAll(const Table& table,
                                      std::vector<uint8_t>* out) const {
   const size_t n = table.num_rows();
   TSB_CHECK(!ops.empty()) << "empty column-predicate program";
+  // Leaf ops were typed against the schema when the predicate was built;
+  // this guards a program run on a table of another schema.
+  auto column = [&table](const Op& op, ColumnType type) -> const Column& {
+    const Column& c = table.column(op.col);
+    TSB_CHECK(c.type() == type) << "predicate op on a "
+                                << ColumnTypeToString(c.type()) << " column";
+    return c;
+  };
   // Each op pushes/pops whole 0/1 masks; a well-formed postfix program
   // leaves exactly one on the stack.
   std::vector<std::vector<uint8_t>> stack;
-  auto row_fallback = [&](const Op& op, std::vector<uint8_t>& m) {
-    TSB_CHECK(op.row_pred != nullptr) << "column op without row fallback";
-    for (size_t i = 0; i < n; ++i) {
-      m[i] = op.row_pred->Eval(table, static_cast<RowIdx>(i)) ? 1 : 0;
-    }
-  };
   for (const Op& op : ops) {
     switch (op.kind) {
       case Op::kConstTrue:
-        stack.emplace_back(n, uint8_t{1});
+      case Op::kConstFalse:
+        stack.emplace_back(n, uint8_t{op.kind == Op::kConstTrue});
         break;
       case Op::kEqI64: {
         std::vector<uint8_t> m(n, 0);
-        const Column& c = table.column(op.col);
-        if (c.type() == ColumnType::kInt64) {
-          const int64_t* v = c.ints().data();
-          const int64_t x = op.lo;
-          for (size_t i = 0; i < n; ++i) {
-            m[i] = static_cast<uint8_t>(v[i] == x);
-          }
-        } else {
-          row_fallback(op, m);
-        }
+        const int64_t* v = column(op, ColumnType::kInt64).ints().data();
+        const int64_t x = op.lo;
+        for (size_t i = 0; i < n; ++i) m[i] = static_cast<uint8_t>(v[i] == x);
         stack.push_back(std::move(m));
         break;
       }
       case Op::kEqF64: {
         std::vector<uint8_t> m(n, 0);
-        const Column& c = table.column(op.col);
-        if (c.type() == ColumnType::kDouble) {
-          const double* v = c.doubles().data();
-          const double x = op.f64;
-          // Exact == matches the row path's Value variant comparison.
-          for (size_t i = 0; i < n; ++i) {
-            m[i] = static_cast<uint8_t>(v[i] == x);
-          }
-        } else {
-          row_fallback(op, m);
-        }
+        const double* v = column(op, ColumnType::kDouble).doubles().data();
+        const double x = op.f64;
+        for (size_t i = 0; i < n; ++i) m[i] = static_cast<uint8_t>(v[i] == x);
         stack.push_back(std::move(m));
         break;
       }
       case Op::kEqStr: {
         std::vector<uint8_t> m(n, 0);
-        const Column& c = table.column(op.col);
-        if (c.type() == ColumnType::kString) {
-          const std::vector<std::string>& v = c.strings();
-          for (size_t i = 0; i < n; ++i) {
-            m[i] = static_cast<uint8_t>(v[i] == op.str);
-          }
-        } else {
-          row_fallback(op, m);
+        const std::vector<std::string>& v =
+            column(op, ColumnType::kString).strings();
+        for (size_t i = 0; i < n; ++i) {
+          m[i] = static_cast<uint8_t>(v[i] == op.str);
         }
         stack.push_back(std::move(m));
         break;
       }
       case Op::kContains: {
+        // A row is posted under a token exactly when ContainsKeyword finds
+        // it in the row's text.
         std::vector<uint8_t> m(n, 0);
-        const Column& c = table.column(op.col);
-        if (c.type() == ColumnType::kString) {
-          // A row is posted under a token exactly when TokenMatchLower
-          // finds it, so the mask is the row path's verdict.
-          const std::shared_ptr<const KeywordIndex> postings =
-              table.KeywordPostings(op.col);
-          for (RowIdx row : postings->Lookup(op.str)) m[row] = 1;
-        } else {
-          row_fallback(op, m);
+        (void)column(op, ColumnType::kString);
+        for (RowIdx row : table.KeywordPostings(op.col)->Lookup(op.str)) {
+          m[row] = 1;
         }
         stack.push_back(std::move(m));
         break;
       }
       case Op::kBetweenI64: {
         std::vector<uint8_t> m(n, 0);
-        const Column& c = table.column(op.col);
-        if (c.type() == ColumnType::kInt64) {
-          const int64_t* v = c.ints().data();
-          const int64_t lo = op.lo;
-          const int64_t hi = op.hi;
-          for (size_t i = 0; i < n; ++i) {
-            m[i] = static_cast<uint8_t>(v[i] >= lo && v[i] <= hi);
-          }
-        } else {
-          row_fallback(op, m);
+        const int64_t* v = column(op, ColumnType::kInt64).ints().data();
+        const int64_t lo = op.lo;
+        const int64_t hi = op.hi;
+        for (size_t i = 0; i < n; ++i) {
+          m[i] = static_cast<uint8_t>(v[i] >= lo && v[i] <= hi);
         }
         stack.push_back(std::move(m));
         break;
@@ -599,24 +478,10 @@ void ColumnPredicateProgram::EvalAll(const Table& table,
         for (size_t i = 0; i < n; ++i) a[i] ^= uint8_t{1};
         break;
       }
-      case Op::kRowEval: {
-        std::vector<uint8_t> m(n, 0);
-        row_fallback(op, m);
-        stack.push_back(std::move(m));
-        break;
-      }
     }
   }
   TSB_CHECK(stack.size() == 1) << "unbalanced predicate program";
   *out = std::move(stack.back());
-}
-
-size_t ColumnPredicateProgram::NumRowFallbacks() const {
-  size_t count = 0;
-  for (const Op& op : ops) {
-    if (op.kind == Op::kRowEval) ++count;
-  }
-  return count;
 }
 
 ColumnPredicateProgram CompilePredicate(const Predicate& pred) {
@@ -634,7 +499,8 @@ PredicateRef MakeTrue() { return std::make_shared<TruePredicate>(); }
 
 PredicateRef MakeEquals(const TableSchema& schema, const std::string& column,
                         Value value) {
-  return std::make_shared<EqualsPredicate>(schema.ColumnIndexOrDie(column),
+  size_t idx = schema.ColumnIndexOrDie(column);
+  return std::make_shared<EqualsPredicate>(idx, schema.column(idx).type,
                                            column, std::move(value));
 }
 
@@ -650,8 +516,10 @@ PredicateRef MakeContainsKeyword(const TableSchema& schema,
 PredicateRef MakeInt64Between(const TableSchema& schema,
                               const std::string& column, int64_t lo,
                               int64_t hi) {
-  return std::make_shared<Int64BetweenPredicate>(
-      schema.ColumnIndexOrDie(column), column, lo, hi);
+  size_t idx = schema.ColumnIndexOrDie(column);
+  TSB_CHECK(schema.column(idx).type == ColumnType::kInt64)
+      << "between predicate on non-INT64 column " << column;
+  return std::make_shared<Int64BetweenPredicate>(idx, column, lo, hi);
 }
 
 PredicateRef MakeAnd(PredicateRef lhs, PredicateRef rhs) {

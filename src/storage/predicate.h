@@ -22,11 +22,10 @@ class Predicate;
 /// Leaf ops read the typed column vectors in tight branch-light loops; a
 /// `.ct()` leaf reads the column's keyword postings (Table::KeywordPostings,
 /// built once per table) and sets only the posted rows, so no row's text is
-/// tokenized per query. Predicate kinds without a columnar form fall back
-/// to a per-row op that calls Predicate::Eval, so every tree compiles and
-/// the program's verdict is bit-identical to row-at-a-time evaluation.
+/// tokenized per query. Every predicate kind compiles to these ops, and the
+/// program owns its operands, so it outlives the tree it came from.
 ///
-/// This is the one whole-table evaluator: FilterRows and CountRows wrap it,
+/// This is the one predicate evaluator: FilterRows and CountRows wrap it,
 /// and the engine runs it once per query side (MethodContext::MaskA/MaskB),
 /// sharing the verdict mask among every consumer of that side.
 class ColumnPredicateProgram {
@@ -34,6 +33,7 @@ class ColumnPredicateProgram {
   struct Op {
     enum Kind : uint8_t {
       kConstTrue,    // push all-ones
+      kConstFalse,   // push all-zeros
       kEqI64,        // push ints[col] == lo
       kEqF64,        // push doubles[col] == f64
       kEqStr,        // push strings[col] == str
@@ -42,45 +42,38 @@ class ColumnPredicateProgram {
       kAnd,          // pop b, pop a, push a & b
       kOr,           // pop b, pop a, push a | b
       kNot,          // pop a, push !a
-      kRowEval,      // push row_pred->Eval per row (fallback)
     };
-    Kind kind = kRowEval;
+    Kind kind = kConstTrue;
     size_t col = 0;
     int64_t lo = 0;
     int64_t hi = 0;
     double f64 = 0.0;
     std::string str;
-    /// Borrowed for kRowEval; the root PredicateRef the program was
-    /// compiled from must outlive the program.
-    const Predicate* row_pred = nullptr;
   };
 
   std::vector<Op> ops;
 
   /// Evaluates every row of `table` into a 0/1 mask (resized to
-  /// table.num_rows()). Equivalent to calling Predicate::Eval per row.
+  /// table.num_rows()). `table` must have the schema the predicate was
+  /// built against.
   void EvalAll(const Table& table, std::vector<uint8_t>* out) const;
-
-  /// Ops that could not be vectorized (kRowEval count), for telemetry.
-  size_t NumRowFallbacks() const;
 };
 
-/// A boolean expression over the columns of a single table, evaluated per
-/// row. This models the paper's query constraints (`con_i`): structured
-/// predicates such as `DNA.type = 'mRNA'` and keyword-containment clauses
-/// such as `Protein.desc.ct('enzyme')`, plus boolean combinations.
+/// A boolean expression over the columns of a single table. This models the
+/// paper's query constraints (`con_i`): structured predicates such as
+/// `DNA.type = 'mRNA'` and keyword-containment clauses such as
+/// `Protein.desc.ct('enzyme')`, plus boolean combinations. A predicate has
+/// three forms: its wire image, its text-grammar line, and its column
+/// program.
 class Predicate {
  public:
   virtual ~Predicate() = default;
-  /// Evaluates against row `row` of `table`. The predicate must have been
-  /// created against this table's schema.
-  virtual bool Eval(const Table& table, RowIdx row) const = 0;
-  virtual std::string ToString() const = 0;
 
   /// Appends the structural wire image of this predicate (a tag-based tree
   /// over common/binary_io.h primitives) so queries can cross a process
   /// boundary; DecodePredicate is the inverse. Every predicate kind is
-  /// encodable — boolean combinators included.
+  /// encodable — boolean combinators included. The image is also the
+  /// predicate's identity: the result caches key on it.
   virtual void EncodeWire(std::string* out) const = 0;
 
   /// Appends this predicate in the RequestParser text grammar
@@ -90,17 +83,13 @@ class Predicate {
   /// codec for those.
   virtual bool AppendGrammar(std::string*) const { return false; }
 
-  /// Appends this predicate's postfix ops to `prog`. The default emits the
-  /// per-row fallback op, so every predicate kind compiles; typed leaves
-  /// override with column ops. The compiled program borrows `this`.
-  virtual void Compile(ColumnPredicateProgram* prog) const;
+  /// Appends this predicate's postfix ops to `prog`.
+  virtual void Compile(ColumnPredicateProgram* prog) const = 0;
 };
 
 using PredicateRef = std::shared_ptr<const Predicate>;
 
-/// Flattens `pred` into a postfix column program. The program borrows
-/// `pred` (for per-row fallback ops), so `pred` must outlive it; engine
-/// queries hold their PredicateRefs for the query's duration.
+/// Flattens `pred` into a postfix column program.
 ColumnPredicateProgram CompilePredicate(const Predicate& pred);
 
 /// Rebuilds a predicate tree from its EncodeWire image, re-resolving column
@@ -112,17 +101,21 @@ Result<PredicateRef> DecodePredicate(const TableSchema& schema,
 /// Always true; the unconstrained query.
 PredicateRef MakeTrue();
 
-/// column = value (any value type; typed fast paths inside).
+/// column = value. The column's type is read from `schema`: a value of
+/// that type compiles to a typed column op, and a value of another type,
+/// or a null value, equals no row (one constant all-false op).
 PredicateRef MakeEquals(const TableSchema& schema, const std::string& column,
                         Value value);
 
 /// Whole-token keyword containment on a string column, case-insensitive
-/// (the paper's `.ct(...)` operator).
+/// (the paper's `.ct(...)` operator; ContainsKeyword is the token rule).
+/// A column of another type aborts, so parsers reject one first.
 PredicateRef MakeContainsKeyword(const TableSchema& schema,
                                  const std::string& column,
                                  const std::string& keyword);
 
-/// lo <= column <= hi on an INT64 column.
+/// lo <= column <= hi on an INT64 column (checked: a column of another
+/// type aborts, so parsers reject one before calling this).
 PredicateRef MakeInt64Between(const TableSchema& schema,
                               const std::string& column, int64_t lo,
                               int64_t hi);

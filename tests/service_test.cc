@@ -479,6 +479,26 @@ TEST(FingerprintTest, MethodSchemeAndKParticipate) {
   EXPECT_NE(base, service::FingerprintQuery(q, MethodKind::kFullTopK, row));
 }
 
+TEST(FingerprintTest, PredicateValuesKeyExactly) {
+  // Values that print alike still key apart: doubles that differ after the
+  // sixth significant digit, and an INT64 value against a string value.
+  const storage::TableSchema schema({{"ID", storage::ColumnType::kInt64},
+                                     {"SCORE", storage::ColumnType::kDouble}});
+  auto key = [&schema](const std::string& column, storage::Value value) {
+    engine::TopologyQuery q;
+    q.entity_set1 = "Protein";
+    q.pred1 = storage::MakeEquals(schema, column, std::move(value));
+    q.entity_set2 = "DNA";
+    return service::FingerprintQuery(q, MethodKind::kFullTop, {});
+  };
+  EXPECT_NE(key("SCORE", storage::Value(0.1234561)),
+            key("SCORE", storage::Value(0.1234562)));
+  EXPECT_NE(key("ID", storage::Value(int64_t{5})),
+            key("ID", storage::Value("5")));
+  EXPECT_EQ(key("ID", storage::Value(int64_t{5})),
+            key("ID", storage::Value(int64_t{5})));
+}
+
 TEST(FingerprintTest, TripleSidePermutationsCollide) {
   engine::TripleQuery a;
   a.entity_set1 = "Protein";
@@ -732,6 +752,36 @@ TEST_F(ServiceFig3Test, SwappedQueryOrderHitsTheSameCacheEntry) {
   ASSERT_TRUE(warm.error.ok());
   EXPECT_TRUE(warm.from_cache);
   EXPECT_EQ(warm.result.entries, cold.result.entries);
+}
+
+TEST_F(ServiceFig3Test, QueriesThatPrintAlikeKeepTheirOwnAnswers) {
+  // Two OR trees whose string values, spliced with quotes, read alike as
+  // text. Each matches one protein, so each has its own answer; the second
+  // must not be served the first one's cached result.
+  const storage::TableSchema& schema = db_.GetTable("Protein")->schema();
+  const std::string x = "Ubiquitin-conjugating enzyme UBCi";
+  const std::string y = "no such protein";
+  const std::string z = "vitamin D inducible protein [Homo sapiens]";
+  auto desc = [&schema](const std::string& value) {
+    return storage::MakeEquals(schema, "DESC", storage::Value(value));
+  };
+  engine::TopologyQuery first;
+  first.entity_set1 = "Protein";
+  first.pred1 = storage::MakeOr(desc(x + "' OR DESC = '" + y), desc(z));
+  first.entity_set2 = "DNA";
+  engine::TopologyQuery second = first;
+  second.pred1 = storage::MakeOr(desc(x), desc(y + "' OR DESC = '" + z));
+
+  service::TopologyService svc(engine_.get(), &db_, service::ServiceConfig{});
+  const std::vector<std::pair<engine::TopologyQuery, core::Tid>> cases = {
+      {first, 4}, {second, 1}};
+  for (const auto& [query, tid] : cases) {
+    auto response = Serve(svc, query, MethodKind::kFullTop);
+    ASSERT_TRUE(response.error.ok());
+    EXPECT_FALSE(response.from_cache);
+    ASSERT_EQ(response.result.entries.size(), 1u);
+    EXPECT_EQ(response.result.entries[0].tid, tid);
+  }
 }
 
 TEST_F(ServiceFig3Test, InvalidationOnRebuildClearsTheCache) {
@@ -1271,12 +1321,15 @@ TEST_F(ParserFig3Test, RejectsMalformedRequests) {
   // A '==' typo must error, not silently match the literal "='...'".
   EXPECT_FALSE(
       parser.Parse("TOPK set1=Protein set2=DNA pred2=TYPE=='mRNA'").ok());
-  // Integers outside int64 are errors, not clamped to its limits.
+  // Integers outside int64 are errors, not clamped to its limits; ct()
+  // and between() on a column of another type are errors, not aborts.
   for (const char* line :
        {"TOPK k=99999999999999999999 set1=Protein set2=DNA",
         "TOPK set1=Protein pred1=ID.between(1,99999999999999999999) "
         "set2=DNA",
-        "TOPK set1=Protein pred1=ID=99999999999999999999 set2=DNA"}) {
+        "TOPK set1=Protein pred1=ID=99999999999999999999 set2=DNA",
+        "TOPK set1=Protein pred1=ID.ct('x') set2=DNA",
+        "TOPK set1=Protein pred1=DESC.between(1,2) set2=DNA"}) {
     auto req = parser.Parse(line);
     EXPECT_FALSE(req.ok()) << line;
     EXPECT_EQ(req.status().code(), StatusCode::kInvalidArgument) << line;

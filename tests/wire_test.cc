@@ -48,6 +48,13 @@ const std::vector<MethodKind> kAllMethods = {
     MethodKind::kFastTopKOpt,
 };
 
+/// A predicate's wire image: equal images mean equal predicates.
+std::string WireImage(const storage::PredicateRef& pred) {
+  std::string image;
+  pred->EncodeWire(&image);
+  return image;
+}
+
 // ---------------------------------------------------------------------------
 // binary_io primitives
 // ---------------------------------------------------------------------------
@@ -235,8 +242,8 @@ TEST_F(WireFig3Test, QueryRequestRoundTripsForEveryMethod) {
     EXPECT_EQ(decoded->query.k, 7u);
     EXPECT_TRUE(decoded->query.exclude_weak);
     ASSERT_NE(decoded->query.pred1, nullptr);
-    EXPECT_EQ(decoded->query.pred1->ToString(),
-              request.query.pred1->ToString());
+    EXPECT_EQ(WireImage(decoded->query.pred1),
+              WireImage(request.query.pred1));
 
     // Encode → decode → encode is byte-identical.
     std::string again;
@@ -282,8 +289,8 @@ TEST_F(WireFig3Test, BooleanCombinatorPredicatesSurviveTheBinaryCodec) {
   wire::EncodeQueryRequest(request, &frame);
   auto decoded = wire::DecodeQueryRequest(frame, db_);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->query.pred1->ToString(),
-            request.query.pred1->ToString());
+  EXPECT_EQ(WireImage(decoded->query.pred1),
+            WireImage(request.query.pred1));
   std::string again;
   wire::EncodeQueryRequest(*decoded, &again);
   EXPECT_EQ(frame, again);
@@ -855,10 +862,10 @@ TEST_F(WireTextTest, EveryMethodRoundTripsThroughTheTextGrammar) {
     EXPECT_EQ(reparsed->method, method);
     EXPECT_EQ(reparsed->query.scheme, core::RankScheme::kRare);
     EXPECT_TRUE(reparsed->query.exclude_weak);
-    EXPECT_EQ(reparsed->query.pred1->ToString(),
-              request.query.pred1->ToString());
-    EXPECT_EQ(reparsed->query.pred2->ToString(),
-              request.query.pred2->ToString());
+    EXPECT_EQ(WireImage(reparsed->query.pred1),
+              WireImage(request.query.pred1));
+    EXPECT_EQ(WireImage(reparsed->query.pred2),
+              WireImage(request.query.pred2));
     auto again = service::RequestParser::Format(*reparsed);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*line, *again) << engine::MethodKindToString(method);
